@@ -5,6 +5,12 @@ calculus, the spin geometry) has coefficients here.  Working in s = q^(1/2)
 keeps half-integer powers of q first-class, which the Dirac eigenvalues
 need.  A Scalar is a reduced fraction num/den of dense integer-coefficient
 polynomials in s; negative powers of s live in the denominator.
+
+Normalisation has two rules that give the same canonical pair.  Almost every
+value the engine builds is a Laurent polynomial, whose denominator is a
+monomial c*s^k; its gcd with the numerator is a power of s, so it is reduced
+by stripping that power and the integer content.  Any other denominator (a
+true rational function such as 1/(1+q^-4)) takes the general Q[s] gcd.
 """
 
 from __future__ import annotations
@@ -55,10 +61,7 @@ def pmul(f, g):
 
 
 def pcontent(f):
-    c = 0
-    for a in f:
-        c = _igcd(c, abs(a))
-    return c
+    return _igcd(*f)
 
 
 def pprimitive(f):
@@ -72,22 +75,30 @@ def pprimitive(f):
 
 
 def pdiv_exact(f, g):
-    """Quotient f/g assuming exact divisibility (checked)."""
-    assert g, "division by zero polynomial"
+    """Quotient f/g in Z[s]; raises ArithmeticError unless g divides f there.
+
+    When g is primitive and divides f in Q[s], the quotient is integral (Gauss's
+    lemma), so integer long division never meets a remainder on the way.
+    """
+    if not g:
+        raise ZeroDivisionError("division by zero polynomial")
     if not f:
         return ()
-    fq = [Fraction(a) for a in f]
-    q = [Fraction(0)] * (len(f) - len(g) + 1)
-    lg = Fraction(g[-1])
-    for k in range(len(f) - len(g), -1, -1):
-        coef = fq[k + len(g) - 1] / lg
-        q[k] = coef
+    r = list(f)
+    n = len(g) - 1
+    lg = g[-1]
+    q = [0] * (len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        coef, rem = divmod(r[k + n], lg)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
         if coef:
+            q[k] = coef
             for j, b in enumerate(g):
-                fq[k + j] -= coef * b
-    assert all(c == 0 for c in fq), "inexact polynomial division"
-    assert all(c.denominator == 1 for c in q)
-    return _trim([int(c) for c in q])
+                r[k + j] -= coef * b
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return _trim(q)
 
 
 def _pprem(f, g):
@@ -133,6 +144,26 @@ def peval(f, s0: Fraction) -> Fraction:
 _ONE = (1,)
 
 
+def _reduce_general(num, den):
+    """Canonical (num, den) of num/den through the Q[s] gcd.
+
+    num and den are trimmed and nonzero.  This is the rule for every
+    denominator; Scalar.__init__ uses it for those that are not monomials,
+    and the tests use it as the reference for the monomial rule.
+    """
+    g = pgcd(num, den)
+    if len(g) > 1 or g != _ONE:
+        num = pdiv_exact(num, g)
+        den = pdiv_exact(den, g)
+    r = _igcd(pcontent(num), pcontent(den))
+    if r > 1:
+        num = tuple(c // r for c in num)
+        den = tuple(c // r for c in den)
+    if den[-1] < 0:
+        num, den = pneg(num), pneg(den)
+    return num, den
+
+
 class Scalar:
     """An element of Q(s) in canonical form.
 
@@ -140,6 +171,14 @@ class Scalar:
     share no polynomial factor over Q[s], and the integer contents of num
     and den are coprime.  Equality is literal equality of the canonical
     (num, den) pair.
+
+    Two rules reach that form and agree wherever both apply.  A monomial
+    denominator c*s^k, the common case, has s as its only irreducible
+    factor, so its gcd with num is s^v with v = min(k, lowest exponent
+    present in num): strip s^v, then divide both sides by the gcd of c and
+    the content of num, signed like c.  Any other denominator goes through
+    _reduce_general, a polynomial gcd followed by the same content and sign
+    steps.
     """
 
     __slots__ = ("num", "den")
@@ -152,17 +191,22 @@ class Scalar:
         if not num:
             self.num, self.den = (), _ONE
             return
-        g = pgcd(num, den)
-        if len(g) > 1 or g != _ONE:
-            num = pdiv_exact(num, g)
-            den = pdiv_exact(den, g)
-        cn, cd = pcontent(num), pcontent(den)
-        r = _igcd(cn, cd)
-        if r > 1:
-            num = tuple(c // r for c in num)
-            den = tuple(c // r for c in den)
-        if den[-1] < 0:
-            num, den = pneg(num), pneg(den)
+        k = len(den) - 1
+        if k and any(den[:k]):
+            self.num, self.den = _reduce_general(num, den)
+            return
+        v = 0
+        while v < k and not num[v]:
+            v += 1
+        c = den[k]
+        r = _igcd(*num, c)
+        if c < 0:
+            r = -r
+        if r != 1:
+            num = tuple(a // r for a in num[v:])
+            den = (0,) * (k - v) + (c // r,)
+        elif v:
+            num, den = num[v:], den[v:]
         self.num, self.den = num, den
 
     # -- constructors

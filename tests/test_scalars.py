@@ -7,8 +7,11 @@ from qsphere.scalars import (
     ONE,
     ZERO,
     Scalar,
+    _reduce_general,
+    _trim,
     lam,
     mu,
+    pdiv_exact,
     q,
     qint,
     qint_sym,
@@ -95,6 +98,16 @@ def test_normalize_idempotent():
     assert x.num == y.num and x.den == y.den
 
 
+def test_pdiv_exact_raises_on_bad_division():
+    with pytest.raises(ArithmeticError):
+        pdiv_exact((1, 0, 1), (1, 1))  # s^2+1 = (s+1)(s-1) + 2
+    with pytest.raises(ArithmeticError):
+        pdiv_exact((1,), (2,))  # exact over Q, but not in Z[s]
+    with pytest.raises(ZeroDivisionError):
+        pdiv_exact((1, 1), ())
+    assert pdiv_exact((-1, 0, 1), (1, 1)) == (-1, 1)
+
+
 def test_pow_negative():
     assert q ** -3 == ONE / (q * q * q)
     assert (two_q) ** 0 == ONE
@@ -111,6 +124,34 @@ def scalars(draw):
     num = draw(_poly)
     den = draw(_poly.filter(lambda p: any(p)))
     return Scalar(num, den)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Raw (num, den) with den = c*s^k: leading zeros in num, an integer
+    content shared with c, and extra trailing zeros on both sides."""
+    shared = draw(st.integers(min_value=1, max_value=6))
+    c = shared * draw(st.integers(min_value=-6, max_value=6).filter(bool))
+    k = draw(st.integers(min_value=0, max_value=12))
+    body = draw(st.lists(_coef, min_size=0, max_size=5))
+    num = (0,) * draw(st.integers(min_value=0, max_value=14)) + tuple(shared * a for a in body)
+    pad = st.integers(min_value=0, max_value=2)
+    return num + (0,) * draw(pad), (0,) * k + (c,) + (0,) * draw(pad)
+
+
+_any_scalar = st.one_of(scalars(), laurent_pairs().map(lambda p: Scalar(*p)))
+
+
+@seed(20240820)
+@settings(max_examples=400, deadline=None)
+@given(laurent_pairs())
+def test_monomial_rule_matches_general_path(pair):
+    num, den = pair
+    x = Scalar(num, den)
+    if not any(num):
+        assert (x.num, x.den) == ((), (1,))
+    else:
+        assert (x.num, x.den) == _reduce_general(_trim(num), _trim(den))
 
 
 @seed(20240817)
@@ -159,7 +200,7 @@ def _to_sympy(x):
 
 @seed(20240819)
 @settings(max_examples=60, deadline=None)
-@given(scalars(), scalars())
+@given(_any_scalar, _any_scalar)
 def test_sympy_oracle(x, y):
     import sympy
 
