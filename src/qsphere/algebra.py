@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, render_scalar
 
 _q = Scalar.q_power
 
@@ -76,6 +76,102 @@ class Monomial(tuple):
 _UNIT = Monomial(0, 0, 0, 0)
 
 
+# ---------------------------------------------------------------------------
+# sparse linear combinations
+
+
+def accumulate(acc, items):
+    """Add (key, coefficient) pairs into the dict acc in place, dropping
+    every key whose coefficient cancels to zero; returns acc."""
+    for k, c in items:
+        v = acc.get(k)
+        if v is None:
+            if c:
+                acc[k] = c
+        else:
+            v = v + c
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    return acc
+
+
+class Combination:
+    """A finite linear combination {key: coefficient} with no zero
+    coefficients.  Coefficients are Scalars or algebra elements; the
+    vector-space structure and the printer are shared by every kind."""
+
+    __slots__ = ("terms",)
+
+    _key = staticmethod(lambda k: k)  # coerce a key given to the constructor
+
+    def __init__(self, terms=None):
+        key = self._key
+        self.terms = {key(k): c for k, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _wrap(cls, terms):
+        """An instance holding terms as given (no zero coefficients)."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._wrap({})
+
+    def _coerce(self, other):
+        """other as a combination of this kind, or None; the integer 0 is
+        the empty combination."""
+        if type(other) is type(self):
+            return other
+        if isinstance(other, int) and other == 0:
+            return self._wrap({})
+        return None
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._wrap(accumulate(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._wrap(
+            accumulate(dict(self.terms), ((k, -c) for k, c in other.terms.items()))
+        )
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def scale(self, co):
+        if isinstance(co, int):
+            co = Scalar.from_int(co)
+        if not co:
+            return self._wrap({})
+        return self._wrap({k: c * co for k, c in self.terms.items()})
+
+    def __repr__(self):
+        return render_value(self)
+
+
 @lru_cache(maxsize=None)
 def _straighten(i, j, k, l):
     """a^i b^j c^k d^l (an ordered word, possibly with both i,l > 0)
@@ -83,12 +179,10 @@ def _straighten(i, j, k, l):
     if i == 0 or l == 0:
         return ((Monomial(i, j, k, l), ONE),)
     f = _q(-(j + k))
-    out = {}
-    for m, c in _straighten(i - 1, j, k, l - 1):
-        out[m] = out.get(m, ZERO) + f * c
-    for m, c in _straighten(i - 1, j + 1, k + 1, l - 1):
-        out[m] = out.get(m, ZERO) + f * _q(-1) * c
-    return tuple((m, c) for m, c in out.items() if c)
+    g = f * _q(-1)
+    out = accumulate({}, ((m, f * c) for m, c in _straighten(i - 1, j, k, l - 1)))
+    accumulate(out, ((m, g * c) for m, c in _straighten(i - 1, j + 1, k + 1, l - 1)))
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
@@ -98,15 +192,16 @@ def _d_pow_a_pow(l, i):
         return ((Monomial(i, 0, 0, 0), ONE),)
     if i == 0:
         return ((Monomial(0, 0, 0, l), ONE),)
-    out = {}
-    for m, c in _d_pow_a_pow(l - 1, i - 1):
-        out[m] = out.get(m, ZERO) + c
-        al, be, ga, de = m
-        m2 = Monomial(al, be + 1, ga + 1, de)
-        # right-multiply by bc: picks up q^(2*de), plus the q^(2i-1)
-        # from commuting bc back past a^(i-1)
-        out[m2] = out.get(m2, ZERO) + c * _q(2 * i - 1 + 2 * de)
-    return tuple((m, c) for m, c in out.items() if c)
+
+    def terms():
+        for m, c in _d_pow_a_pow(l - 1, i - 1):
+            yield m, c
+            al, be, ga, de = m
+            # right-multiply by bc: picks up q^(2*de), plus the q^(2i-1)
+            # from commuting bc back past a^(i-1)
+            yield Monomial(al, be + 1, ga + 1, de), c * _q(2 * i - 1 + 2 * de)
+
+    return tuple(accumulate({}, terms()).items())
 
 
 def mono_mul(m1: Monomial, m2: Monomial):
@@ -116,31 +211,15 @@ def mono_mul(m1: Monomial, m2: Monomial):
     out = {}
     for (al, be, ga, de), kappa in _d_pow_a_pow(l1, i2):
         coeff = kappa * _q(al * (j1 + k1) + de * (j2 + k2))
-        for m, c in _straighten(i1 + al, j1 + be + j2, k1 + ga + k2, de + l2):
-            key = m
-            v = out.get(key, ZERO) + coeff * c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+        word = _straighten(i1 + al, j1 + be + j2, k1 + ga + k2, de + l2)
+        accumulate(out, ((m, coeff * c) for m, c in word))
     return out
 
 
-class AlgebraElement:
+class AlgebraElement(Combination):
     """A finite Q(s)-linear combination of normal-form monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    self.terms[m] = c
-
-    @staticmethod
-    def zero():
-        return AlgebraElement()
+    __slots__ = ()
 
     @staticmethod
     def one():
@@ -152,46 +231,11 @@ class AlgebraElement:
         e["abcd".index(name)] = 1
         return AlgebraElement({Monomial(*e): ONE})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
+    def _coerce(self, other):
+        """Integers are multiples of the unit."""
         if isinstance(other, int):
-            other = AlgebraElement({_UNIT: Scalar.from_int(other)})
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = AlgebraElement({_UNIT: Scalar.from_int(other)})
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, ZERO) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        e = AlgebraElement()
-        e.terms = out
-        return e
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        e = AlgebraElement()
-        e.terms = {m: -c for m, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = AlgebraElement({_UNIT: Scalar.from_int(other)})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+            return AlgebraElement({_UNIT: Scalar.from_int(other)})
+        return super()._coerce(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -202,29 +246,13 @@ class AlgebraElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
-                for m, c in mono_mul(m1, m2).items():
-                    v = out.get(m, ZERO) + c12 * c
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
-        e = AlgebraElement()
-        e.terms = out
-        return e
+                accumulate(out, ((m, c12 * c) for m, c in mono_mul(m1, m2).items()))
+        return AlgebraElement._wrap(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
         return NotImplemented
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = Scalar.from_int(c)
-        if not c:
-            return AlgebraElement()
-        e = AlgebraElement()
-        e.terms = {m: c * v for m, v in self.terms.items()}
-        return e
 
     def __pow__(self, n):
         assert n >= 0
@@ -243,8 +271,22 @@ class AlgebraElement:
         assert len(degs) <= 1, "inhomogeneous element has no degree"
         return degs.pop() if degs else 0
 
-    def __repr__(self):
-        return render_element(self)
+    def _pieces(self, tail=""):
+        """(negative, text) per term, each term printed with tail appended;
+        degree-0 monomials are spelled in the sphere generators."""
+        spherical = bool(self.terms) and all(m.degree() == 0 for m in self.terms)
+        out = []
+        for m in sorted(self.terms):
+            co = self.terms[m]
+            if m == _UNIT:
+                mtext = ""
+            elif spherical:
+                kappa, mtext = _sphere_factor(m)
+                co = co / kappa
+            else:
+                mtext = repr(m)
+            out.append(_scalar_piece(co, "*".join(t for t in (mtext, tail) if t)))
+        return out
 
 
 # handy module-level generators
@@ -345,109 +387,59 @@ def normalize(word, strategy="left"):
         w, coeff = work.popitem()
         redexes = _word_redexes(w)
         if not redexes:
-            m = _word_to_monomial(w)
-            v = done.get(m, ZERO) + coeff
-            if v:
-                done[m] = v
-            elif m in done:
-                del done[m]
+            accumulate(done, ((_word_to_monomial(w), coeff),))
             continue
         redex = min(redexes) if strategy == "left" else max(redexes)
-        for w2, c2 in _apply_redex(w, redex):
-            v = work.get(w2, ZERO) + coeff * c2
-            if v:
-                work[w2] = v
-            elif w2 in work:
-                del work[w2]
-    return AlgebraElement(done)
-
-
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
+        accumulate(work, ((w2, coeff * c2) for w2, c2 in _apply_redex(w, redex)))
+    return AlgebraElement._wrap(done)
 
 
 # ---------------------------------------------------------------------------
 # Hopf structure
 
 
-class TensorSquare:
+class TensorSquare(Combination):
     """An element of the algebra tensored with itself (over the scalars)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mm, c in terms.items():
-                if c:
-                    self.terms[mm] = c
+    __slots__ = ()
 
     @staticmethod
     def of(x: AlgebraElement, y: AlgebraElement):
-        t = TensorSquare()
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                t.terms[(m1, m2)] = c1 * c2
-        return t
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSquare) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mm, c in other.terms.items():
-            v = out.get(mm, ZERO) + c
-            if v:
-                out[mm] = v
-            elif mm in out:
-                del out[mm]
-        t = TensorSquare()
-        t.terms = out
-        return t
-
-    def __sub__(self, other):
-        t = TensorSquare()
-        t.terms = {mm: -c for mm, c in other.terms.items()}
-        return self + t
+        return TensorSquare._wrap({
+            (m1, m2): c1 * c2
+            for m1, c1 in x.terms.items()
+            for m2, c2 in y.terms.items()
+        })
 
     def __mul__(self, other):
         """Componentwise product (the tensor-product algebra structure)."""
-        out = TensorSquare()
-        acc = out.terms
+        acc = {}
         for (x1, y1), c1 in self.terms.items():
             for (x2, y2), c2 in other.terms.items():
                 c12 = c1 * c2
-                xs = mono_mul(x1, x2)
                 ys = mono_mul(y1, y2)
-                for mx, cx in xs.items():
-                    for my, cy in ys.items():
-                        key = (mx, my)
-                        v = acc.get(key, ZERO) + c12 * cx * cy
-                        if v:
-                            acc[key] = v
-                        elif key in acc:
-                            del acc[key]
-        return out
+                accumulate(acc, (
+                    ((mx, my), c12 * cx * cy)
+                    for mx, cx in mono_mul(x1, x2).items()
+                    for my, cy in ys.items()
+                ))
+        return TensorSquare._wrap(acc)
 
     def items(self):
         return self.terms.items()
 
     def map_legs(self, fl, fr):
         """Sum of fl(x) * fr(y) over all x (x) y terms, as an element."""
-        out = AlgebraElement()
+        out = {}
         for (mx, my), co in self.terms.items():
             piece = fl(AlgebraElement({mx: ONE})) * fr(AlgebraElement({my: ONE}))
-            out = out + piece.scale(co)
-        return out
+            accumulate(out, ((m, c * co) for m, c in piece.terms.items()))
+        return AlgebraElement._wrap(out)
 
-    def __repr__(self):
-        bits = []
-        for (mx, my), co in sorted(self.terms.items()):
-            bits.append(f"({co!r})*{mx!r}(x){my!r}")
-        return " + ".join(bits) if bits else "0"
+    def _pieces(self):
+        return [
+            _scalar_piece(co, "%r(x)%r" % mm) for mm, co in sorted(self.terms.items())
+        ]
 
 
 _DELTA_GEN = None
@@ -477,16 +469,10 @@ def _coproduct_mono(m: Monomial):
 
 
 def coproduct(x: AlgebraElement) -> TensorSquare:
-    out = TensorSquare()
+    out = {}
     for m, co in x.terms.items():
-        piece = _coproduct_mono(m)
-        for mm, c in piece.terms.items():
-            v = out.terms.get(mm, ZERO) + co * c
-            if v:
-                out.terms[mm] = v
-            elif mm in out.terms:
-                del out.terms[mm]
-    return out
+        accumulate(out, ((mm, co * c) for mm, c in _coproduct_mono(m).items()))
+    return TensorSquare._wrap(out)
 
 
 def counit(x: AlgebraElement) -> Scalar:
@@ -500,17 +486,12 @@ def counit(x: AlgebraElement) -> Scalar:
 
 def antipode(x: AlgebraElement) -> AlgebraElement:
     """The antipode: a <-> d, b -> -q b, c -> -q^-1 c, antimultiplicative."""
-    out = AlgebraElement()
+    out = {}
     for (i, j, k, l), co in x.terms.items():
         sign = ONE if (j + k) % 2 == 0 else -ONE
         factor = co * sign * _q(j - k)
-        for m, c in _straighten(l, j, k, i):
-            v = out.terms.get(m, ZERO) + factor * c
-            if v:
-                out.terms[m] = v
-            elif m in out.terms:
-                del out.terms[m]
-    return out
+        accumulate(out, ((m, factor * c) for m, c in _straighten(l, j, k, i)))
+    return AlgebraElement._wrap(out)
 
 
 def verify_hopf_axioms(sample_size=100, seed=42):
@@ -529,17 +510,14 @@ def verify_hopf_axioms(sample_size=100, seed=42):
         x = normalize(w)
         dx = coproduct(x)
 
-        # coassociativity via a flat triple-tensor dict
-        left, right = {}, {}
+        # coassociativity: (Delta (x) id) Delta x - (id (x) Delta) Delta x
+        # as a flat triple-tensor dict
+        diff = {}
         for (m1, m2), co in dx.items():
-            for (n1, n2), c2 in _coproduct_mono(m1).terms.items():
-                key = (n1, n2, m2)
-                left[key] = left.get(key, ZERO) + co * c2
-            for (n1, n2), c2 in _coproduct_mono(m2).terms.items():
-                key = (m1, n1, n2)
-                right[key] = right.get(key, ZERO) + co * c2
-        diff = {k: v for k in set(left) | set(right)
-                if (v := left.get(k, ZERO) - right.get(k, ZERO))}
+            accumulate(diff, (((n1, n2, m2), co * c2)
+                              for (n1, n2), c2 in _coproduct_mono(m1).items()))
+            accumulate(diff, (((m1, n1, n2), -co * c2)
+                              for (n1, n2), c2 in _coproduct_mono(m2).items()))
         assert not diff, f"coassociativity fails on {w}"
 
         # counit axiom
@@ -570,7 +548,14 @@ def verify_hopf_axioms(sample_size=100, seed=42):
 
 
 # ---------------------------------------------------------------------------
-# rendering (grammar-compatible with the cli parser)
+# the printer: one grammar-compatible text for every kind of value
+#
+# A value prints as a sum of coefficient*atoms pieces, a leading minus
+# written "0 - ..." so that the text parses back to the same value.
+# Degree-0 monomials are printed through the sphere generators bm, b0,
+# bp (dividing out the q-power the PBW reordering introduces), so that
+# sphere-level results come back in sphere-level vocabulary.  Tensor
+# legs use an "(x)" marker, which is display-only.
 
 
 def _needs_parens(text):
@@ -585,33 +570,58 @@ def _needs_parens(text):
     return False
 
 
-def _mono_str(m: Monomial):
-    return repr(m)
+def _scalar_piece(co, atoms):
+    text = render_scalar(co)
+    neg = text.startswith("-")
+    if neg:
+        text = text[1:]
+    if _needs_parens(text):
+        text = "(" + text + ")"
+    if atoms:
+        text = atoms if text == "1" else text + "*" + atoms
+    return neg, text
 
 
-def render_element(x: AlgebraElement) -> str:
-    from .scalars import render_scalar
+# the sphere generators as products of two algebra generators (as in sphere.py)
+_SPHERE_GENS = {"bm": "ab", "b0": "bc", "bp": "cd"}
+_SPHERE_CACHE = {}
 
-    if not x.terms:
-        return "0"
-    pieces = []
-    for m in sorted(x.terms):
-        co = render_scalar(x.terms[m])
-        neg = co.startswith("-") and not _needs_parens(co)
-        if neg:
-            co = co[1:]
-        if _needs_parens(co):
-            co = "(" + co + ")"
-        ms = _mono_str(m)
-        if ms == "1":
-            body = co
-        elif co == "1":
-            body = ms
+
+def _sphere_factor(m):
+    """(kappa, text) with m = kappa^-1 times the sphere word text."""
+    got = _SPHERE_CACHE.get(m)
+    if got is None:
+        i, j, k, l = m
+        if i:
+            powers = (("bm", i), ("b0", j - i))
+        elif l:
+            powers = (("bp", l), ("b0", j))
         else:
-            body = co + "*" + ms
-        pieces.append(("-" if neg else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += ("-" if sign == "-" else "+") + body
-    return out
+            powers = (("b0", j),)
+        prod = one
+        for name, e in powers:
+            x, y = _SPHERE_GENS[name]
+            prod = prod * (AlgebraElement.gen(x) * AlgebraElement.gen(y)) ** e
+        ((mono, kappa),) = prod.terms.items()
+        assert mono == m, "sphere factorisation drifted off the monomial"
+        text = "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in powers if e)
+        got = _SPHERE_CACHE[m] = (kappa, text)
+    return got
+
+
+def render_value(v):
+    """Print a Scalar, element, form or tensor; reparseable except for
+    the tensor marker (the grammar has no "(x)")."""
+    if isinstance(v, Scalar):
+        pieces = [_scalar_piece(v, "")] if v else []
+    elif isinstance(v, Combination):
+        pieces = v._pieces()
+    else:
+        raise TypeError("cannot render a %s" % type(v).__name__)
+    if not pieces:
+        return "0"
+    neg0, text0 = pieces[0]
+    bits = ["0 - " + text0 if neg0 else text0]
+    for neg, text in pieces[1:]:
+        bits.append((" - " if neg else " + ") + text)
+    return "".join(bits)

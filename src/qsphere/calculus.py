@@ -29,7 +29,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Monomial, antipode, coproduct, degree_split
+from .algebra import (
+    AlgebraElement,
+    Combination,
+    Monomial,
+    accumulate,
+    antipode,
+    coproduct,
+)
 from .algebra import a as _ga, b as _gb, c as _gc, d as _gd
 from .scalars import ONE, Scalar, qint
 
@@ -106,21 +113,21 @@ def push_left_n(crossings, x: AlgebraElement) -> AlgebraElement:
     return out
 
 
-class Form:
+def _left_multiply(self, other):
+    """Left multiplication of a form or tensor by a coefficient (or scalar)."""
+    if isinstance(other, (int, Scalar)):
+        return self.scale(other)
+    if not isinstance(other, AlgebraElement):
+        return NotImplemented
+    return self._wrap({k: v for k, x in self.terms.items() if (v := other * x)})
+
+
+class Form(Combination):
     """A differential form: {ExteriorWord: AlgebraElement}, coefficients left."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, x in terms.items():
-                if x:
-                    self.terms[ExteriorWord(w)] = x
-
-    @staticmethod
-    def zero():
-        return Form()
+    _key = ExteriorWord
 
     @staticmethod
     def of(x: AlgebraElement, word=()):
@@ -129,72 +136,19 @@ class Form:
     def coefficient(self, word) -> AlgebraElement:
         return self.terms.get(ExteriorWord(word), AlgebraElement())
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.terms
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, x in other.terms.items():
-            v = out.get(w)
-            v = x if v is None else v + x
-            if v:
-                out[w] = v
-            elif w in out:
-                del out[w]
-        f = Form()
-        f.terms = out
-        return f
-
-    def __neg__(self):
-        f = Form()
-        f.terms = {w: -x for w, x in self.terms.items()}
-        return f
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, other):
-        """Left multiplication by a coefficient (or scalar)."""
-        if isinstance(other, (int, Scalar)):
-            other = AlgebraElement.one().scale(other)
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        f = Form()
-        for w, x in self.terms.items():
-            v = other * x
-            if v:
-                f.terms[w] = v
-        return f
+    __rmul__ = _left_multiply
 
     def __mul__(self, other):
         """Right multiplication by a coefficient, or wedge with a form."""
         if isinstance(other, (int, Scalar)):
-            other = AlgebraElement.one().scale(other)
+            return self.scale(other)
         if isinstance(other, AlgebraElement):
-            f = Form()
-            for w, x in self.terms.items():
-                v = x * push_left(w, other)
-                if v:
-                    f.terms[w] = v
-            return f
+            return Form._wrap({
+                w: v for w, x in self.terms.items() if (v := x * push_left(w, other))
+            })
         if isinstance(other, Form):
             return wedge(self, other)
         return NotImplemented
-
-    def scale(self, co):
-        f = Form()
-        for w, x in self.terms.items():
-            v = x.scale(co)
-            if v:
-                f.terms[w] = v
-        return f
 
     def degrees(self):
         return {len(w) for w in self.terms}
@@ -207,29 +161,23 @@ class Form:
                 out.add(m.degree() + w.charge())
         return out
 
-    def __repr__(self):
-        return render_form(self)
+    def _pieces(self):
+        out = []
+        for w in sorted(self.terms, key=lambda w: (len(w), render_word(w))):
+            out.extend(self.terms[w]._pieces(render_word(w)))
+        return out
 
 
 def wedge(x: Form, y: Form) -> Form:
-    out = Form()
-    acc = out.terms
-    for w1, x1 in x.terms.items():
-        for w2, x2 in y.terms.items():
-            st = _straighten_word(w1 + w2)
-            if st is None:
-                continue
-            word, co = st
-            v = (x1 * push_left(w1, x2)).scale(co)
-            if not v:
-                continue
-            u = acc.get(word)
-            u = v if u is None else u + v
-            if u:
-                acc[word] = u
-            elif word in acc:
-                del acc[word]
-    return out
+    def terms():
+        for w1, x1 in x.terms.items():
+            for w2, x2 in y.terms.items():
+                st = _straighten_word(w1 + w2)
+                if st is not None:
+                    word, co = st
+                    yield word, (x1 * push_left(w1, x2)).scale(co)
+
+    return Form._wrap(accumulate({}, terms()))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +284,7 @@ def omega_recursion_check(nmax: int) -> bool:
 # algebra-valued tensor products of forms (over the underlying algebra)
 
 
-class TensorForm:
+class TensorForm(Combination):
     """Sum of f . e^word (x) e^l1 (x) e^l2 ... with f on the far left.
 
     The first leg may be any exterior word; the remaining legs are basis
@@ -344,71 +292,16 @@ class TensorForm:
     the tensor signs because the tensor product is over the algebra.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for (w, labels), x in terms.items():
-                if x:
-                    labels = tuple(labels)
-                    assert all(t in "+-" for t in labels)
-                    self.terms[(ExteriorWord(w), labels)] = x
+    __slots__ = ()
 
     @staticmethod
-    def zero():
-        return TensorForm()
+    def _key(key):
+        w, labels = key
+        labels = tuple(labels)
+        assert all(t in "+-" for t in labels)
+        return ExteriorWord(w), labels
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.terms
-        if not isinstance(other, TensorForm):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, x in other.terms.items():
-            v = out.get(key)
-            v = x if v is None else v + x
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        t = TensorForm()
-        t.terms = out
-        return t
-
-    def __neg__(self):
-        t = TensorForm()
-        t.terms = {k: -x for k, x in self.terms.items()}
-        return t
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, co):
-        t = TensorForm()
-        for k, x in self.terms.items():
-            v = x.scale(co)
-            if v:
-                t.terms[k] = v
-        return t
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        if isinstance(other, AlgebraElement):
-            t = TensorForm()
-            for k, x in self.terms.items():
-                v = other * x
-                if v:
-                    t.terms[k] = v
-            return t
-        return NotImplemented
+    __rmul__ = _left_multiply
 
     def is_basic(self):
         """Total charge zero in every term: such tensors descend."""
@@ -421,23 +314,15 @@ class TensorForm:
 
     def wedge_in(self) -> "TensorForm":
         """Collapse the first tensor sign with a wedge."""
-        t = TensorForm()
-        acc = t.terms
-        for (w, labels), x in self.terms.items():
-            assert labels, "nothing to wedge into"
-            st = _straighten_word(w + (labels[0],))
-            if st is None:
-                continue
-            word, co = st
-            key = (word, labels[1:])
-            v = x.scale(co)
-            u = acc.get(key)
-            u = v if u is None else u + v
-            if u:
-                acc[key] = u
-            elif key in acc:
-                del acc[key]
-        return t
+        def terms():
+            for (w, labels), x in self.terms.items():
+                assert labels, "nothing to wedge into"
+                st = _straighten_word(w + (labels[0],))
+                if st is not None:
+                    word, co = st
+                    yield (word, labels[1:]), x.scale(co)
+
+        return TensorForm._wrap(accumulate({}, terms()))
 
     def as_form(self) -> Form:
         """A tensor with no extra legs is a plain form."""
@@ -447,91 +332,47 @@ class TensorForm:
             f.terms[w] = x
         return f
 
-    def __repr__(self):
-        bits = []
-        for (w, labels), x in sorted(
-            self.terms.items(), key=lambda kv: (render_word(kv[0][0]), kv[0][1])
+    def _pieces(self):
+        out = []
+        for w, labels in sorted(
+            self.terms, key=lambda k: (len(k[0]), render_word(k[0]), k[1])
         ):
-            legs = "(x)".join([render_word(w) or "1"] + [render_word((t,)) for t in labels])
-            bits.append(f"({x!r})*{legs}")
-        return " + ".join(bits) if bits else "0"
+            tail = "(x)".join([render_word(w) or "1"] + [render_word((l,)) for l in labels])
+            out.extend(self.terms[(w, labels)]._pieces(tail))
+        return out
 
 
 def tensor(x: Form, y: Form) -> TensorForm:
     """x (x) y for a one-form y with charged components only."""
-    t = TensorForm()
-    for w1, x1 in x.terms.items():
-        for w2, x2 in y.terms.items():
-            assert w2 in (EP, EM), "second leg must be a charged basis one-form"
-            v = x1 * push_left(w1, x2)
-            if not v:
-                continue
-            key = (w1, (w2[0],))
-            u = t.terms.get(key)
-            u = v if u is None else u + v
-            if u:
-                t.terms[key] = u
-            elif key in t.terms:
-                del t.terms[key]
-    return t
+    def terms():
+        for w1, x1 in x.terms.items():
+            for w2, x2 in y.terms.items():
+                assert w2 in (EP, EM), "second leg must be a charged basis one-form"
+                yield (w1, (w2[0],)), x1 * push_left(w1, x2)
+
+    return TensorForm._wrap(accumulate({}, terms()))
 
 
 def tensor_append(tf: TensorForm, y: Form) -> TensorForm:
     """tf (x) y, again for a charged one-form y."""
-    t = TensorForm()
-    for (w, labels), x in tf.terms.items():
-        crossings = w.crossing() + len(labels)
-        for w2, x2 in y.terms.items():
-            assert w2 in (EP, EM)
-            v = x * push_left_n(crossings, x2)
-            if not v:
-                continue
-            key = (w, labels + (w2[0],))
-            u = t.terms.get(key)
-            u = v if u is None else u + v
-            if u:
-                t.terms[key] = u
-            elif key in t.terms:
-                del t.terms[key]
-    return t
+    def terms():
+        for (w, labels), x in tf.terms.items():
+            crossings = w.crossing() + len(labels)
+            for w2, x2 in y.terms.items():
+                assert w2 in (EP, EM)
+                yield (w, labels + (w2[0],)), x * push_left_n(crossings, x2)
+
+    return TensorForm._wrap(accumulate({}, terms()))
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# word names, shared with the printer
 
 _WORD_NAMES = {"+": "ep", "-": "em", "0": "e0"}
 
 
 def render_word(w) -> str:
     return "*".join(_WORD_NAMES[x] for x in w)
-
-
-def render_form(f: Form) -> str:
-    from .algebra import _needs_parens, render_element
-
-    if not f.terms:
-        return "0"
-    pieces = []
-    for w in sorted(f.terms, key=lambda w: (len(w), render_word(w))):
-        co = render_element(f.terms[w])
-        neg = co.startswith("-") and not _needs_parens(co)
-        if neg:
-            co = co[1:]
-        if _needs_parens(co):
-            co = "(" + co + ")"
-        ws = render_word(w)
-        if not ws:
-            body = co
-        elif co == "1":
-            body = ws
-        else:
-            body = co + "*" + ws
-        pieces.append(("-" if neg else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += (" - " if sign == "-" else " + ") + body
-    return out
 
 
 # the stated d e+- values are the unique ones closing the calculus:

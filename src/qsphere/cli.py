@@ -28,11 +28,11 @@ from math import isqrt
 from . import __version__
 from .algebra import (
     AlgebraElement,
-    _needs_parens,
     antipode,
     counit,
     degree_split,
     normalize,
+    render_value,
     verify_hopf_axioms,
 )
 from .algebra import a as _ga, b as _gb, c as _gc, d as _gd
@@ -59,7 +59,7 @@ from .riemann import (
     riemann_tensor,
     torsion,
 )
-from .scalars import ONE, Scalar, render_scalar, two_q
+from .scalars import ONE, Scalar, two_q
 from .sphere import (
     DB,
     DEL,
@@ -102,7 +102,6 @@ from .spin import (
 _q = Scalar.q_power
 
 _GENERATORS = {"a": _ga, "b": _gb, "c": _gc, "d": _gd}
-_UNIT = next(iter(one.terms))
 
 _ATOM_VALUES = {
     "a": _ga,
@@ -294,7 +293,10 @@ def _mul(x, y):
 
 def _power(v, k):
     if isinstance(v, Scalar):
-        return v ** k
+        try:
+            return v ** k
+        except ZeroDivisionError:
+            raise EvalError("cannot invert zero") from None
     if k < 0:
         raise EvalError("negative powers exist only for scalars")
     if isinstance(v, AlgebraElement):
@@ -417,103 +419,6 @@ def evaluate(node):
 
 def evaluate_text(text):
     return evaluate(parse(text))
-
-
-# ---------------------------------------------------------------------------
-# rendering
-#
-# Degree-0 monomials are printed through the sphere generators bm, b0,
-# bp (dividing out the q-power the PBW reordering introduces), so that
-# sphere-level results come back in sphere-level vocabulary.  Tensor
-# legs use an "(x)" marker, which is display-only.
-
-_SPHERE_CACHE = {}
-
-
-def _sphere_factor(m):
-    got = _SPHERE_CACHE.get(m)
-    if got is None:
-        i, j, k, l = m
-        if i:
-            powers = (("bm", i), ("b0", j - i))
-        elif l:
-            powers = (("bp", l), ("b0", j))
-        else:
-            powers = (("b0", j),)
-        prod = one
-        for name, e in powers:
-            prod = prod * _ATOM_VALUES[name] ** e
-        ((mono, kappa),) = prod.terms.items()
-        assert mono == m, "sphere factorisation drifted off the monomial"
-        text = "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in powers if e)
-        got = _SPHERE_CACHE[m] = (kappa, text)
-    return got
-
-
-def _scalar_piece(co, atoms):
-    text = render_scalar(co)
-    neg = text.startswith("-")
-    if neg:
-        text = text[1:]
-    if _needs_parens(text):
-        text = "(" + text + ")"
-    if atoms:
-        text = atoms if text == "1" else text + "*" + atoms
-    return neg, text
-
-
-def _element_pieces(x, tail=""):
-    spherical = bool(x.terms) and all(m.degree() == 0 for m in x.terms)
-    out = []
-    for m in sorted(x.terms):
-        co = x.terms[m]
-        if m == _UNIT:
-            mtext = ""
-        elif spherical:
-            kappa, mtext = _sphere_factor(m)
-            co = co / kappa
-        else:
-            mtext = repr(m)
-        atoms = "*".join(t for t in (mtext, tail) if t)
-        out.append(_scalar_piece(co, atoms))
-    return out
-
-
-def _value_pieces(v):
-    if isinstance(v, Scalar):
-        return [_scalar_piece(v, "")] if v else []
-    if isinstance(v, AlgebraElement):
-        return _element_pieces(v)
-    if isinstance(v, Form):
-        out = []
-        for w in sorted(v.terms, key=lambda w: (len(w), render_word(w))):
-            out.extend(_element_pieces(v.terms[w], render_word(w)))
-        return out
-    if isinstance(v, TensorForm):
-        def key(wl):
-            w, labels = wl
-            return (len(w), render_word(w), labels)
-
-        out = []
-        for w, labels in sorted(v.terms, key=key):
-            tail = render_word(w) or "1"
-            tail += "".join("(x)" + render_word((l,)) for l in labels)
-            out.extend(_element_pieces(v.terms[(w, labels)], tail))
-        return out
-    raise TypeError("cannot render a %s" % _kind_name(v))
-
-
-def render_value(v):
-    """Print a Scalar, element, form or tensor; reparseable except for
-    the tensor marker (the grammar has no "(x)")."""
-    pieces = _value_pieces(v)
-    if not pieces:
-        return "0"
-    neg0, text0 = pieces[0]
-    bits = ["0 - " + text0 if neg0 else text0]
-    for neg, text in pieces[1:]:
-        bits.append((" - " if neg else " + ") + text)
-    return "".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +815,8 @@ def run_suite(name, seed=0, sample=None, max_n=6, q_spec=None):
     """Run one named suite (or "all") and return the report dict."""
     if name not in SUITE_NAMES:
         raise ValueError("unknown suite %r" % name)
+    if max_n < 0 or (sample is not None and sample < 0):
+        raise ValueError("max_n and sample must not be negative")
     s0 = None
     if q_spec is not None:
         s0 = _sqrt_of(Fraction(q_spec))
@@ -996,6 +903,10 @@ def main(argv=None):
 
     if (args.expr is None) == (args.suite is None):
         parser.error("give exactly one of an expression or --suite")
+    if args.max_n < 0:
+        parser.error("--max-n must not be negative")
+    if args.sample is not None and args.sample < 0:
+        parser.error("--sample must not be negative")
 
     q_spec = None
     if args.q_spec is not None:

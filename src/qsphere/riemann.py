@@ -30,6 +30,7 @@ from .sphere import (
     DB,
     F0,
     SphereForm,
+    _fm,
     _run_items,
     bm,
     bp,
@@ -41,10 +42,6 @@ from .sphere import (
 )
 
 _q = Scalar.q_power
-
-
-def _fm(x) -> Form:
-    return x.value if isinstance(x, SphereForm) else x
 
 
 def tensor_attach(omega: Form, eta: Form) -> TensorForm:

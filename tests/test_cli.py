@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qsphere.algebra import AlgebraElement, a, b, c
+from qsphere.algebra import AlgebraElement, a, b, c, coproduct
 from qsphere.algebra import d as gd
-from qsphere.calculus import Form, d as dd, wedge
+from qsphere.calculus import EM, EP, Form, d as dd, tensor, wedge
 from qsphere.cli import (
     CliSyntaxError,
     EvalError,
@@ -120,6 +120,8 @@ def test_roundtrip_elements():
         x = random_element(rng)
         got = evaluate_text(render_value(x))
         assert _lift(got, _rank(x)) == x
+        assert repr(x) == render_value(x)
+        assert _lift(evaluate_text(repr(x)), _rank(x)) == x
 
 
 def test_roundtrip_forms():
@@ -128,6 +130,30 @@ def test_roundtrip_forms():
         x = random_form(rng)
         got = evaluate_text(render_value(x))
         assert _lift(got, _rank(x)) == x
+        assert repr(x) == render_value(x)
+        assert _lift(evaluate_text(repr(x)), _rank(x)) == x
+
+
+def random_tensor_form(rng):
+    leg = Form({EP: random_element(rng, 2), EM: random_element(rng, 2)})
+    return tensor(random_form(rng), leg)
+
+
+def test_combination_group_laws():
+    rng = random.Random(14)
+    kinds = (
+        random_element,
+        random_form,
+        lambda r: coproduct(random_element(r, 2)),
+        random_tensor_form,
+    )
+    for make in kinds:
+        for _ in range(20):
+            x, y = make(rng), make(rng)
+            assert (x - x).terms == {}
+            assert (x + y) - y == x
+            assert -(-x) == x
+            assert repr(x) == render_value(x)
 
 
 def test_reports_deterministic():
@@ -154,6 +180,32 @@ def test_run_suite_rejects_unknown():
         run_suite("nope")
     with pytest.raises(ValueError):
         run_suite("metric", q_spec=Fraction(2))
+
+
+def test_run_suite_rejects_negative_max_n():
+    with pytest.raises(ValueError):
+        run_suite("bwb", max_n=-3)
+
+
+def test_run_suite_rejects_negative_sample():
+    with pytest.raises(ValueError):
+        run_suite("hopf", sample=-2)
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--sample"])
+def test_main_rejects_negative_bounds(capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        main(["--suite", "bwb", flag, "-3"])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_inverting_zero_is_a_usage_error(capsys):
+    assert main(["0^-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_q_spec_numeric_mode():

@@ -15,7 +15,6 @@ from qsphere.algebra import (
     d,
     degree_split,
     mono_mul,
-    multiply,
     normalize,
     one,
     verify_hopf_axioms,
@@ -139,7 +138,7 @@ def test_associativity():
             w = tuple(rng.choice("abcd") for _ in range(rng.randint(1, 3)))
             xs.append(normalize(w))
         x, y, z = xs
-        assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+        assert (x * y) * z == x * (y * z)
 
 
 def test_antipode_antimultiplicative():
