@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .scalars import ONE, ZERO, Scalar, render_scalar
+from .scalars import ONE, ZERO, Scalar, _join_pieces, _scalar_piece
 
 _q = Scalar.q_power
 
@@ -551,35 +551,13 @@ def verify_hopf_axioms(sample_size=100, seed=42):
 # the printer: one grammar-compatible text for every kind of value
 #
 # A value prints as a sum of coefficient*atoms pieces, a leading minus
-# written "0 - ..." so that the text parses back to the same value.
+# written "0 - ..." so that the text parses back to the same value; the
+# piece and sum rules live next to render_scalar, which Scalar.__repr__
+# shares.
 # Degree-0 monomials are printed through the sphere generators bm, b0,
 # bp (dividing out the q-power the PBW reordering introduces), so that
 # sphere-level results come back in sphere-level vocabulary.  Tensor
 # legs use an "(x)" marker, which is display-only.
-
-
-def _needs_parens(text):
-    depth = 0
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and pos > 0 and ch in "+-" and text[pos - 1] != "^":
-            return True
-    return False
-
-
-def _scalar_piece(co, atoms):
-    text = render_scalar(co)
-    neg = text.startswith("-")
-    if neg:
-        text = text[1:]
-    if _needs_parens(text):
-        text = "(" + text + ")"
-    if atoms:
-        text = atoms if text == "1" else text + "*" + atoms
-    return neg, text
 
 
 # the sphere generators as products of two algebra generators (as in sphere.py)
@@ -611,17 +589,10 @@ def _sphere_factor(m):
 
 def render_value(v):
     """Print a Scalar, element, form or tensor; reparseable except for
-    the tensor marker (the grammar has no "(x)")."""
+    the tensor marker (the grammar has no "(x)") and for scalars with a
+    fractional coefficient or a non-monomial denominator (it has no "/")."""
     if isinstance(v, Scalar):
-        pieces = [_scalar_piece(v, "")] if v else []
-    elif isinstance(v, Combination):
-        pieces = v._pieces()
-    else:
-        raise TypeError("cannot render a %s" % type(v).__name__)
-    if not pieces:
-        return "0"
-    neg0, text0 = pieces[0]
-    bits = ["0 - " + text0 if neg0 else text0]
-    for neg, text in pieces[1:]:
-        bits.append((" - " if neg else " + ") + text)
-    return "".join(bits)
+        return repr(v)
+    if isinstance(v, Combination):
+        return _join_pieces(v._pieces())
+    raise TypeError("cannot render a %s" % type(v).__name__)

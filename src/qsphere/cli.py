@@ -926,7 +926,13 @@ def main(argv=None):
         except EvalError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-        print(render_value(value))
+        try:
+            text = render_value(value)
+        except ValueError as exc:
+            # an integer past Python's limit on int-to-str conversion
+            print("error: cannot print the result: %s" % exc, file=sys.stderr)
+            return 2
+        print(text)
         return 0
 
     report = run_suite(

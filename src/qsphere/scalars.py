@@ -3,14 +3,21 @@
 Everything downstream (the quantum-group arithmetic, the differential
 calculus, the spin geometry) has coefficients here.  Working in s = q^(1/2)
 keeps half-integer powers of q first-class, which the Dirac eigenvalues
-need.  A Scalar is a reduced fraction num/den of dense integer-coefficient
-polynomials in s; negative powers of s live in the denominator.
+need.
 
-Normalisation has two rules that give the same canonical pair.  Almost every
-value the engine builds is a Laurent polynomial, whose denominator is a
-monomial c*s^k; its gcd with the numerator is a power of s, so it is reduced
-by stripping that power and the integer content.  Any other denominator (a
-true rational function such as 1/(1+q^-4)) takes the general Q[s] gcd.
+Almost every value the engine builds is a Laurent polynomial in s: the
+q-commutation factors, the monopole and metric coefficients, the Dirac
+eigenvalues.  So that is how a Scalar is stored, as s^e * p(s) / c with an
+integer shift e, a tuple p of integer coefficients whose first and last
+entries are nonzero (() for zero), and a positive integer c coprime to the
+content of p.  Multiplying by a one-term value scales a tuple, and reducing
+a sum or a product costs at most one integer gcd.
+
+Only a true rational function, whose reduced denominator is not a monomial
+c*s^k (such as 1/(1+q^-4)), is kept as a reduced fraction num/den of dense
+polynomials and goes through the general Q[s] gcd.  Either way the value
+has one canonical dense pair (num, den), read through properties; negative
+powers of s live in den.
 """
 
 from __future__ import annotations
@@ -41,23 +48,21 @@ def padd(f, g):
 
 
 def pneg(f):
-    return tuple(-c for c in f)
-
-
-def psub(f, g):
-    return padd(f, pneg(g))
+    return tuple([-c for c in f])
 
 
 def pmul(f, g):
+    """Product of two trimmed polynomials; it is trimmed, because the
+    product of the two leading coefficients is its last entry."""
     if not f or not g:
         return ()
     out = [0] * (len(f) + len(g) - 1)
+    g = [(j, b) for j, b in enumerate(g) if b]
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    return _trim(out)
+            for j, b in g:
+                out[i + j] += a * b
+    return tuple(out)
 
 
 def pcontent(f):
@@ -148,8 +153,8 @@ def _reduce_general(num, den):
     """Canonical (num, den) of num/den through the Q[s] gcd.
 
     num and den are trimmed and nonzero.  This is the rule for every
-    denominator; Scalar.__init__ uses it for those that are not monomials,
-    and the tests use it as the reference for the monomial rule.
+    denominator; Scalar keeps its result for those that are not monomials,
+    and the tests use it as the reference for the Laurent arithmetic.
     """
     g = pgcd(num, den)
     if len(g) > 1 or g != _ONE:
@@ -164,148 +169,273 @@ def _reduce_general(num, den):
     return num, den
 
 
+# ---------------------------------------------------------------------------
+# internal constructors; they bypass Scalar.__init__
+
+
+_new = object.__new__
+
+
+def _from_parts(e, p, c):
+    """s^e * p / c for a trimmed p with p[0] != 0 and c > 0, reduced by the
+    gcd of c and the content of p."""
+    if c != 1:
+        r = _igcd(c, *p)
+        if r != 1:
+            p = tuple(a // r for a in p)
+            c //= r
+    out = _new(Scalar)
+    out._e, out._p, out._c, out._g = e, p, c, None
+    return out
+
+
+def _from_pair(num, den):
+    """num/den for raw dense polynomials, trailing zeros allowed."""
+    num = _trim(num)
+    den = _trim(den)
+    if not den:
+        raise ZeroDivisionError("scalar with zero denominator")
+    if not num:
+        return ZERO
+    k = len(den) - 1
+    if k and any(den[:k]):
+        num, den = _reduce_general(num, den)
+        k = len(den) - 1
+        if k and any(den[:k]):
+            out = _new(Scalar)
+            out._e, out._p, out._c, out._g = 0, None, 0, (num, den)
+            return out
+    v = 0
+    while not num[v]:
+        v += 1
+    c = den[k]
+    p = num[v:]
+    if c < 0:
+        p, c = pneg(p), -c
+    return _from_parts(v - k, p, c)
+
+
+def _plus(x, y, sub):
+    """x + y, or x - y when sub is true."""
+    pa, pb = x._p, y._p
+    if pa is None or pb is None:
+        if not y:
+            return x
+        if not x:
+            return -y if sub else y
+        yn = pneg(y.num) if sub else y.num
+        return _from_pair(padd(pmul(x.num, y.den), pmul(yn, x.den)), pmul(x.den, y.den))
+    if not pb:
+        return x
+    if not pa:
+        return -y if sub else y
+    # align the shifts on a common denominator, add, strip both ends
+    ea, eb, c, cb = x._e, y._e, x._c, y._c
+    if c != cb:
+        r = _igcd(c, cb)
+        fa, fb = cb // r, c // r
+        c *= fa
+        pa = [fa * a for a in pa]
+        pb = [fb * b for b in pb]
+    e = ea if ea < eb else eb
+    ia, ib = ea - e, eb - e
+    na, nb = ia + len(pa), ib + len(pb)
+    end = na if na > nb else nb
+    out = [0] * end
+    out[ia:na] = pa
+    if sub:
+        for i, b in enumerate(pb, ib):
+            out[i] -= b
+    else:
+        for i, b in enumerate(pb, ib):
+            out[i] += b
+    lo = 0
+    while lo < end and not out[lo]:
+        lo += 1
+    if lo == end:
+        return ZERO
+    while not out[end - 1]:
+        end -= 1
+    return _from_parts(e + lo, tuple(out[lo:end]), c)
+
+
 class Scalar:
     """An element of Q(s) in canonical form.
 
-    Invariants: den != 0, leading coefficient of den positive, num and den
-    share no polynomial factor over Q[s], and the integer contents of num
-    and den are coprime.  Equality is literal equality of the canonical
-    (num, den) pair.
+    A Laurent value is stored as s^e * p(s) / c: _e is the shift, _p the
+    coefficient tuple with nonzero ends (() for zero, with _e = 0 and
+    _c = 1), _c a positive integer coprime to the content of _p, and _g is
+    None.  Every other value has _p = None and keeps in _g the pair that
+    _reduce_general returns; +, -, * and / on it take that general path.
+    Results that come back with a monomial denominator become Laurent again,
+    so each value has exactly one representation and equality compares the
+    slots.
 
-    Two rules reach that form and agree wherever both apply.  A monomial
-    denominator c*s^k, the common case, has s as its only irreducible
-    factor, so its gcd with num is s^v with v = min(k, lowest exponent
-    present in num): strip s^v, then divide both sides by the gcd of c and
-    the content of num, signed like c.  Any other denominator goes through
-    _reduce_general, a polynomial gcd followed by the same content and sign
-    steps.
+    The properties num and den give the canonical dense pair: den != 0 with
+    a positive leading coefficient, num and den share no polynomial factor
+    over Q[s], and their integer contents are coprime.  For a Laurent value
+    that is num = s^max(e, 0) * p and den = c * s^max(-e, 0).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_e", "_p", "_c", "_g")
 
     def __init__(self, num, den=_ONE):
-        num = _trim(num)
-        den = _trim(den)
-        if not den:
-            raise ZeroDivisionError("scalar with zero denominator")
-        if not num:
-            self.num, self.den = (), _ONE
-            return
-        k = len(den) - 1
-        if k and any(den[:k]):
-            self.num, self.den = _reduce_general(num, den)
-            return
-        v = 0
-        while v < k and not num[v]:
-            v += 1
-        c = den[k]
-        r = _igcd(*num, c)
-        if c < 0:
-            r = -r
-        if r != 1:
-            num = tuple(a // r for a in num[v:])
-            den = (0,) * (k - v) + (c // r,)
-        elif v:
-            num, den = num[v:], den[v:]
-        self.num, self.den = num, den
+        x = _from_pair(num, den)
+        self._e, self._p, self._c, self._g = x._e, x._p, x._c, x._g
+
+    # -- the canonical dense pair
+
+    @property
+    def num(self):
+        p = self._p
+        if p is None:
+            return self._g[0]
+        e = self._e
+        return (0,) * e + p if e > 0 else p
+
+    @property
+    def den(self):
+        if self._p is None:
+            return self._g[1]
+        e = self._e
+        return (0,) * -e + (self._c,) if e < 0 else (self._c,)
 
     # -- constructors
 
     @staticmethod
     def from_int(n):
-        return Scalar((n,)) if n else Scalar(())
+        return _from_parts(0, (n,), 1) if n else ZERO
 
     @staticmethod
     def from_fraction(x):
         x = Fraction(x)
-        return Scalar((x.numerator,), (x.denominator,))
+        return _from_parts(0, (x.numerator,), x.denominator) if x else ZERO
 
     @staticmethod
     def s_power(k):
         """s^k for any integer k."""
-        if k >= 0:
-            return Scalar((0,) * k + (1,))
-        return Scalar(_ONE, (0,) * (-k) + (1,))
+        return _from_parts(k, _ONE, 1)
 
     @staticmethod
     def q_power(k):
-        return Scalar.s_power(2 * k)
+        return _from_parts(2 * k, _ONE, 1)
 
     # -- ring structure
 
     def __bool__(self):
-        return bool(self.num)
+        return self._p != ()
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = Scalar.from_int(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (
+            self._p == other._p
+            and self._e == other._e
+            and self._c == other._c
+            and self._g == other._g
+        )
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not Scalar:
+            if not isinstance(other, int):
+                return NotImplemented
             other = Scalar.from_int(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        if self.den == other.den:
-            return Scalar(padd(self.num, other.num), self.den)
-        return Scalar(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
+        return _plus(self, other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(Scalar)
-        out.num, out.den = pneg(self.num), self.den
+        out = _new(Scalar)
+        if self._p is None:
+            num, den = self._g
+            out._e, out._p, out._c, out._g = 0, None, 0, (pneg(num), den)
+        else:
+            out._e, out._p, out._c, out._g = self._e, pneg(self._p), self._c, None
         return out
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not Scalar:
+            if not isinstance(other, int):
+                return NotImplemented
             other = Scalar.from_int(other)
-        return self + (-other)
+        return _plus(self, other, True)
 
     def __rsub__(self, other):
-        return Scalar.from_int(other) + (-self)
+        return _plus(Scalar.from_int(other), self, True)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not Scalar:
+            if not isinstance(other, int):
+                return NotImplemented
             other = Scalar.from_int(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        if self.den == _ONE and other.den == _ONE:
-            out = object.__new__(Scalar)
-            out.num, out.den = pmul(self.num, other.num), _ONE
+        pa, pb = self._p, other._p
+        if pa is None or pb is None:
+            if not self or not other:
+                return ZERO
+            return _from_pair(pmul(self.num, other.num), pmul(self.den, other.den))
+        if not pa or not pb:
+            return ZERO
+        if len(pa) == 1:
+            a = pa[0]
+            if len(pb) == 1:
+                p = (a * pb[0],)
+            else:
+                p = pb if a == 1 else tuple([a * b for b in pb])
+        elif len(pb) == 1:
+            b = pb[0]
+            p = pa if b == 1 else tuple([a * b for a in pa])
+        else:
+            p = pmul(pa, pb)
+        c = self._c * other._c
+        if c == 1:
+            out = _new(Scalar)
+            out._e, out._p, out._c, out._g = self._e + other._e, p, 1, None
             return out
-        return Scalar(pmul(self.num, other.num), pmul(self.den, other.den))
+        return _from_parts(self._e + other._e, p, c)
 
     __rmul__ = __mul__
+
+    def _inverse(self):
+        """1/self for a nonzero self."""
+        p = self._p
+        if p is not None and len(p) == 1:
+            a = p[0]
+            return _from_parts(-self._e, (self._c if a > 0 else -self._c,), abs(a))
+        return _from_pair(self.den, self.num)
 
     def __truediv__(self, other):
         if isinstance(other, int):
             other = Scalar.from_int(other)
         if not other:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(pmul(self.num, other.den), pmul(self.den, other.num))
+        p = other._p
+        if p is not None and len(p) == 1:
+            return self * other._inverse()
+        return _from_pair(pmul(self.num, other.den), pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
         return Scalar.from_int(other) / self
 
     def __pow__(self, k):
+        """Square and multiply: about 2*log2(k) products."""
         if k < 0:
             if not self:
                 raise ZeroDivisionError("inverting zero Scalar")
-            base, k = Scalar(self.den, self.num), -k
+            base, k = self._inverse(), -k
         else:
             base = self
         out = ONE
-        for _ in range(k):
-            out = out * base
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- evaluation and rendering
@@ -320,18 +450,18 @@ class Scalar:
 
     def _laurent(self):
         """As a list of (exponent, Fraction) pairs if den is a monomial, else None."""
-        nz = [i for i, c in enumerate(self.den) if c]
-        if len(nz) != 1:
+        if self._p is None:
             return None
-        k, c = nz[0], self.den[nz[0]]
-        return [(i - k, Fraction(a, c)) for i, a in enumerate(self.num) if a]
+        e, c = self._e, self._c
+        return [(e + i, Fraction(a, c)) for i, a in enumerate(self._p) if a]
 
     def __repr__(self):
-        return render_scalar(self)
+        return _join_pieces([_scalar_piece(self, "")] if self else [])
 
 
-ZERO = Scalar(())
-ONE = Scalar(_ONE)
+ZERO = _new(Scalar)
+ZERO._e, ZERO._p, ZERO._c, ZERO._g = 0, (), 1, None
+ONE = Scalar.from_int(1)
 s = Scalar.s_power(1)
 q = Scalar.q_power(1)
 lam = Scalar.s_power(-1)  # q^(-1/2)
@@ -448,3 +578,45 @@ def render_scalar(x: Scalar) -> str:
     if "+" in den or "-" in den[1:] or "*" in den:
         den = "(" + den + ")"
     return num + "/" + den
+
+
+# ---------------------------------------------------------------------------
+# the sum rule shared by every printed value (algebra.render_value and
+# Scalar.__repr__): a value is a sum of coefficient*atoms pieces, and a
+# leading minus is written "0 - ..." so that the text parses back
+
+
+def _needs_parens(text):
+    depth = 0
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and pos > 0 and ch in "+-" and text[pos - 1] != "^":
+            return True
+    return False
+
+
+def _scalar_piece(co, atoms):
+    """(negative, text) for the term co*atoms, co's sign pulled out."""
+    text = render_scalar(co)
+    neg = text.startswith("-")
+    if neg:
+        text = text[1:]
+    if _needs_parens(text):
+        text = "(" + text + ")"
+    if atoms:
+        text = atoms if text == "1" else text + "*" + atoms
+    return neg, text
+
+
+def _join_pieces(pieces):
+    """The text of a sum of (negative, text) pieces; "0" when empty."""
+    if not pieces:
+        return "0"
+    neg0, text0 = pieces[0]
+    bits = ["0 - " + text0 if neg0 else text0]
+    for neg, text in pieces[1:]:
+        bits.append((" - " if neg else " + ") + text)
+    return "".join(bits)

@@ -112,6 +112,10 @@ def test_roundtrip_scalars():
     for _ in range(100):
         x = random_scalar(rng)
         assert evaluate_text(render_value(x)) == x
+        assert repr(x) == render_value(x)
+        assert evaluate_text(repr(x)) == x
+        assert evaluate_text(repr(-x)) == -x
+    assert repr(-q(1)) == "0 - q"
 
 
 def test_roundtrip_elements():
@@ -202,6 +206,15 @@ def test_main_rejects_negative_bounds(capsys, flag):
 
 def test_inverting_zero_is_a_usage_error(capsys):
     assert main(["0^-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_unprintable_result_is_a_usage_error(capsys):
+    # 2^20000 has more digits than Python converts to text by default
+    assert main(["2^20000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

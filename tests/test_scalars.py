@@ -11,7 +11,10 @@ from qsphere.scalars import (
     _trim,
     lam,
     mu,
+    padd,
     pdiv_exact,
+    pmul,
+    pneg,
     q,
     qint,
     qint_sym,
@@ -113,6 +116,19 @@ def test_pow_negative():
     assert (two_q) ** 0 == ONE
 
 
+def test_pow_square_and_multiply():
+    assert q ** 10 ** 6 == Scalar.q_power(10 ** 6)
+    assert (-s) ** -(10 ** 6 + 1) == -Scalar.s_power(-(10 ** 6 + 1))
+    x, prod = ONE + q, ONE
+    for _ in range(13):
+        prod = prod * x
+    assert x ** 13 == prod
+    y = ONE + q ** -4  # a true rational function once inverted
+    assert y ** -3 == ONE / (y * y * y)
+    assert (y ** -3).den == (y * y * y).num
+    assert y ** -3 * y ** 3 == ONE
+
+
 # --- field axioms, randomized ------------------------------------------------
 
 _coef = st.integers(min_value=-6, max_value=6)
@@ -184,6 +200,49 @@ def test_eval_is_homomorphism(x, y):
         return
     assert sv == xv + yv
     assert pv == xv * yv
+
+
+# --- differential test of the Laurent kernel against the dense general path
+#
+# Every result's (num, den) must be the pair _reduce_general gives for the
+# dense product or sum of the operands' pairs, so a fast path that skips a
+# reduction (the one-term scale, the c == 1 shortcut, the shift alignment
+# of +) shows up as a mismatch.
+
+_rational_dens = st.sampled_from([ONE + q ** -4, q + q ** -1])
+_kernel_operand = st.one_of(
+    _any_scalar,
+    st.tuples(_any_scalar, _rational_dens).map(lambda t: t[0] / t[1]),
+)
+
+
+def _canonical(num, den):
+    return _reduce_general(num, den) if num else ((), (1,))
+
+
+def _dense_power(x, k):
+    num, den = (1,), (1,)
+    for _ in range(abs(k)):
+        num, den = pmul(num, x.num), pmul(den, x.den)
+    return _canonical(den, num) if k < 0 else _canonical(num, den)
+
+
+@seed(20240821)
+@settings(max_examples=300, deadline=None)
+@given(_kernel_operand, _kernel_operand, st.integers(min_value=-3, max_value=5))
+def test_kernel_matches_dense_reference(x, y, k):
+    xn, xd, yn, yd = x.num, x.den, y.num, y.den
+    cases = [
+        (x + y, _canonical(padd(pmul(xn, yd), pmul(yn, xd)), pmul(xd, yd))),
+        (x - y, _canonical(padd(pmul(xn, yd), pneg(pmul(yn, xd))), pmul(xd, yd))),
+        (x * y, _canonical(pmul(xn, yn), pmul(xd, yd))),
+    ]
+    if y:
+        cases.append((x / y, _canonical(pmul(xn, yd), pmul(xd, yn))))
+    if x or k >= 0:
+        cases.append((x ** k, _dense_power(x, k)))
+    for got, want in cases:
+        assert (got.num, got.den) == want
 
 
 # --- cross-check against sympy ----------------------------------------------
