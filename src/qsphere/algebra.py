@@ -32,7 +32,8 @@ class Monomial(tuple):
     __slots__ = ()
 
     def __new__(cls, i, j, k, l):
-        assert min(i, j, k, l) >= 0 and i * l == 0
+        if min(i, j, k, l) < 0 or i * l != 0:
+            raise ValueError("not a PBW monomial: a^%d b^%d c^%d d^%d" % (i, j, k, l))
         return tuple.__new__(cls, (i, j, k, l))
 
     @property
@@ -204,8 +205,15 @@ def _d_pow_a_pow(l, i):
     return tuple(accumulate({}, terms()).items())
 
 
-def mono_mul(m1: Monomial, m2: Monomial):
-    """Product of two normal-form monomials as a dict {Monomial: Scalar}."""
+# One shared Scalar per distinct coefficient of the multiplication table:
+# a few hundred values serve thousands of entries, halving its memory.
+_TABLE_COEFFS = {}
+
+
+@lru_cache(maxsize=None)
+def _mono_product(m1: Monomial, m2: Monomial):
+    """Product of two normal-form monomials as a tuple of (Monomial,
+    Scalar) pairs: the memoised multiplication table of the PBW basis."""
     i1, j1, k1, l1 = m1
     i2, j2, k2, l2 = m2
     out = {}
@@ -213,7 +221,12 @@ def mono_mul(m1: Monomial, m2: Monomial):
         coeff = kappa * _q(al * (j1 + k1) + de * (j2 + k2))
         word = _straighten(i1 + al, j1 + be + j2, k1 + ga + k2, de + l2)
         accumulate(out, ((m, coeff * c) for m, c in word))
-    return out
+    return tuple((m, _TABLE_COEFFS.setdefault(c, c)) for m, c in out.items())
+
+
+def mono_mul(m1: Monomial, m2: Monomial):
+    """Product of two normal-form monomials as a fresh dict {Monomial: Scalar}."""
+    return dict(_mono_product(m1, m2))
 
 
 class AlgebraElement(Combination):
@@ -246,7 +259,7 @@ class AlgebraElement(Combination):
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
-                accumulate(out, ((m, c12 * c) for m, c in mono_mul(m1, m2).items()))
+                accumulate(out, ((m, c12 * c) for m, c in _mono_product(m1, m2)))
         return AlgebraElement._wrap(out)
 
     def __rmul__(self, other):
@@ -255,7 +268,8 @@ class AlgebraElement(Combination):
         return NotImplemented
 
     def __pow__(self, n):
-        assert n >= 0
+        if n < 0:
+            raise ValueError("negative power of an algebra element")
         out = AlgebraElement.one()
         for _ in range(n):
             out = out * self
@@ -417,11 +431,11 @@ class TensorSquare(Combination):
         for (x1, y1), c1 in self.terms.items():
             for (x2, y2), c2 in other.terms.items():
                 c12 = c1 * c2
-                ys = mono_mul(y1, y2)
+                ys = _mono_product(y1, y2)
                 accumulate(acc, (
                     ((mx, my), c12 * cx * cy)
-                    for mx, cx in mono_mul(x1, x2).items()
-                    for my, cy in ys.items()
+                    for mx, cx in _mono_product(x1, x2)
+                    for my, cy in ys
                 ))
         return TensorSquare._wrap(acc)
 

@@ -33,6 +33,7 @@ from .algebra import (
     AlgebraElement,
     Combination,
     Monomial,
+    _UNIT,
     accumulate,
     antipode,
     coproduct,
@@ -52,9 +53,13 @@ class ExteriorWord(tuple):
     __slots__ = ()
 
     def __new__(cls, letters=()):
+        if isinstance(letters, ExteriorWord):
+            return letters  # immutable and already checked
         letters = tuple(letters)
-        assert all(x in _ORD for x in letters)
-        assert all(_ORD[u] < _ORD[v] for u, v in zip(letters, letters[1:]))
+        if not all(x in _ORD for x in letters) or not all(
+            _ORD[u] < _ORD[v] for u, v in zip(letters, letters[1:])
+        ):
+            raise ValueError("not an ordered exterior word: %r" % (letters,))
         return tuple.__new__(cls, letters)
 
     def charge(self):
@@ -73,8 +78,9 @@ TOP = ExteriorWord(("+", "-", "0"))
 VOL = ExteriorWord(("+", "-"))  # e+ ^ e-, the area form upstairs
 
 
+@lru_cache(maxsize=None)
 def _straighten_word(letters):
-    """Sort a letter sequence into canonical order.
+    """Sort a letter tuple into canonical order.
 
     Returns (ExteriorWord, Scalar) or None when a letter repeats.
     """
@@ -230,19 +236,32 @@ def _d_word(w: ExteriorWord) -> Form:
     return out
 
 
+def _add_scaled(acc, word, x, co):
+    """acc[word] += co * x in d's {word: {Monomial: Scalar}} accumulator."""
+    accumulate(acc.setdefault(word, {}), ((m, co * c) for m, c in x.terms.items()))
+
+
 def d(x) -> Form:
     """Exterior derivative of an algebra element or a form."""
+    acc = {}
     if isinstance(x, AlgebraElement):
-        out = Form()
         for m, co in x.terms.items():
-            out = out + _d_mono(m).scale(co)
-        return out
-    assert isinstance(x, Form)
-    out = Form()
-    for w, coeff in x.terms.items():
-        out = out + wedge(d(coeff), Form.of(AlgebraElement.one(), w))
-        out = out + coeff * _d_word(w)
-    return out
+            for w, y in _d_mono(m).terms.items():
+                _add_scaled(acc, w, y, co)
+    elif isinstance(x, Form):
+        for w, coeff in x.terms.items():
+            # d(coeff) ^ e^w: every word of d(coeff) is straightened against w
+            for m, co in coeff.terms.items():
+                for w1, y in _d_mono(m).terms.items():
+                    st = _straighten_word(w1 + w)
+                    if st is not None:
+                        _add_scaled(acc, st[0], y, co * st[1])
+            # coeff . d(e^w), whose coefficients are multiples of the unit
+            for w2, y in _d_word(w).terms.items():
+                _add_scaled(acc, w2, coeff, y.terms[_UNIT])
+    else:
+        raise TypeError("d() needs an algebra element or a form")
+    return Form._wrap({w: AlgebraElement._wrap(t) for w, t in acc.items() if t})
 
 
 # ---------------------------------------------------------------------------

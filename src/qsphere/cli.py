@@ -210,8 +210,7 @@ class _Parser:
             self.take()
             return node
         if kind == "int":
-            self.take()
-            return self.maybe_power(("int", int(text)))
+            return self.maybe_power(("int", self.integer()))
         if kind == "name":
             self.take()
             if self.at_sym("(") and text in _FUNCTIONS:
@@ -236,7 +235,18 @@ class _Parser:
             sign = -1
         if self.peek()[0] != "int":
             self.fail(("an integer",))
-        return ("pow", node, sign * int(self.take()[1]))
+        return ("pow", node, sign * self.integer())
+
+    def integer(self):
+        """Take an integer token; one too long for Python's str-to-int
+        conversion limit (4,300 digits by default) is a syntax error."""
+        _, text, pos = self.take()
+        try:
+            return int(text)
+        except ValueError:
+            raise CliSyntaxError(
+                pos, ("a shorter integer",), "a %d-digit integer" % len(text)
+            ) from None
 
 
 def parse(text):

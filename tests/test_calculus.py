@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,9 @@ from qsphere.calculus import (
     ExteriorWord,
     Form,
     TensorForm,
+    _d_mono,
+    _d_word,
+    _straighten_word,
     d,
     monopole_curvature,
     monopole_omega,
@@ -36,10 +40,13 @@ def basis(word):
 
 
 def test_word_validity():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ExteriorWord(("-", "+"))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ExteriorWord(("+", "+"))
+    with pytest.raises(ValueError):
+        ExteriorWord(("x",))
+    assert ExteriorWord(TOP) is TOP
     assert ExteriorWord("+-0") == TOP
     assert EP.charge() == 2 and EM.charge() == -2 and E0.charge() == 0
 
@@ -91,6 +98,39 @@ def test_d_squared_zero():
         for _ in range(10):
             x = normalize(rnd_word(rng, 3))
             assert not d(d(Form({w: x})))
+
+
+def rnd_element(rng):
+    x = normalize(())
+    for _ in range(rng.randint(1, 3)):
+        co = Scalar.from_int(rng.choice((-2, -1, 1, 3))) * q2(rng.randint(-3, 3))
+        x = x + normalize(rnd_word(rng, 4)).scale(co)
+    return x
+
+
+WORDS = [ExteriorWord(w) for n in range(4) for w in itertools.combinations("+-0", n)]
+
+
+def test_d_matches_reference_sums():
+    rng = random.Random(77)
+    for _ in range(30):
+        x = rnd_element(rng)
+        expected = Form()
+        for m, co in x.terms.items():
+            expected = expected + _d_mono(m).scale(co)
+        assert d(x) == expected
+        f = Form({w: rnd_element(rng) for w in rng.sample(WORDS, rng.randint(1, 4))})
+        expected = Form()
+        for w, coeff in f.terms.items():
+            expected = expected + wedge(d(coeff), basis(w)) + coeff * _d_word(w)
+        assert d(f) == expected
+        assert not d(d(x)) and not d(d(f))
+
+
+def test_straighten_word_matches_uncached():
+    for n in range(5):
+        for letters in itertools.product("+-0", repeat=n):
+            assert _straighten_word(letters) == _straighten_word.__wrapped__(letters)
 
 
 def test_leibniz():

@@ -221,6 +221,17 @@ def test_unprintable_result_is_a_usage_error(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("expr", ["1" * 5000, "a^" + "1" * 5000], ids=["literal", "exponent"])
+def test_overlong_integer_literal_is_a_usage_error(capsys, expr):
+    # more digits than Python converts from text by default
+    assert main([expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "5000-digit integer" in lines[0]
+
+
 def test_q_spec_numeric_mode():
     report = run_suite("metric", q_spec=Fraction(9, 4))
     assert all(r["status"] == "pass" for r in report["results"])

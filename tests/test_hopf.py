@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -44,8 +45,12 @@ def test_normalize_example():
 
 
 def test_monomial_validity():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Monomial(1, 0, 0, 1)
+    with pytest.raises(ValueError):
+        Monomial(0, -1, 0, 0)
+    with pytest.raises(ValueError):
+        a ** -1
     assert Monomial(2, 1, 0, 0).degree() == 1
     assert Monomial(0, 1, 3, 2).degree() == 0
 
@@ -163,3 +168,26 @@ def test_mono_mul_crossing():
     # (b^2 c) . (a^3) must pick up q^(3*3)
     lhs = mono_mul(Monomial(0, 2, 1, 0), Monomial(3, 0, 0, 0))
     assert lhs == {Monomial(3, 2, 1, 0): Scalar.q_power(9)}
+
+
+def test_cached_products_match_rewrite_engine():
+    # every pair of normal-form monomials of degree <= 4 each
+    monos = [
+        Monomial(*e) for e in itertools.product(range(5), repeat=4)
+        if sum(e) <= 4 and e[0] * e[3] == 0
+    ]
+    assert len(monos) == 55
+    for m1, m2 in itertools.product(monos, repeat=2):
+        x = AlgebraElement({m1: ONE}) * AlgebraElement({m2: ONE})
+        word = "".join(g * e for m in (m1, m2) for g, e in zip("abcd", m))
+        assert x == normalize(word, "left") == normalize(word, "right"), (m1, m2)
+
+
+def test_mono_mul_returns_a_fresh_dict():
+    m1, m2 = Monomial(0, 0, 0, 2), Monomial(2, 0, 0, 0)
+    first = mono_mul(m1, m2)
+    expected = dict(first)
+    first.clear()
+    first[Monomial(0, 0, 0, 0)] = ONE
+    assert mono_mul(m1, m2) == expected
+    assert AlgebraElement({m1: ONE}) * AlgebraElement({m2: ONE}) == AlgebraElement(expected)
