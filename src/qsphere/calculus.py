@@ -236,9 +236,15 @@ def _d_word(w: ExteriorWord) -> Form:
     return out
 
 
-def _add_scaled(acc, word, x, co):
-    """acc[word] += co * x in d's {word: {Monomial: Scalar}} accumulator."""
-    accumulate(acc.setdefault(word, {}), ((m, co * c) for m, c in x.terms.items()))
+def _add_scaled(acc, key, pairs, co):
+    """acc[key] += co * pairs in a {key: {Monomial: Scalar}} accumulator."""
+    accumulate(acc.setdefault(key, {}), ((m, co * c) for m, c in pairs))
+
+
+def _nested(cls, acc):
+    """A fresh cls (Form or TensorForm) from a {key: {Monomial: Scalar}}
+    accumulator, dropping keys whose coefficients all cancelled."""
+    return cls._wrap({k: AlgebraElement._wrap(t) for k, t in acc.items() if t})
 
 
 def d(x) -> Form:
@@ -247,7 +253,7 @@ def d(x) -> Form:
     if isinstance(x, AlgebraElement):
         for m, co in x.terms.items():
             for w, y in _d_mono(m).terms.items():
-                _add_scaled(acc, w, y, co)
+                _add_scaled(acc, w, y.terms.items(), co)
     elif isinstance(x, Form):
         for w, coeff in x.terms.items():
             # d(coeff) ^ e^w: every word of d(coeff) is straightened against w
@@ -255,13 +261,13 @@ def d(x) -> Form:
                 for w1, y in _d_mono(m).terms.items():
                     st = _straighten_word(w1 + w)
                     if st is not None:
-                        _add_scaled(acc, st[0], y, co * st[1])
+                        _add_scaled(acc, st[0], y.terms.items(), co * st[1])
             # coeff . d(e^w), whose coefficients are multiples of the unit
             for w2, y in _d_word(w).terms.items():
-                _add_scaled(acc, w2, coeff, y.terms[_UNIT])
+                _add_scaled(acc, w2, coeff.terms.items(), y.terms[_UNIT])
     else:
         raise TypeError("d() needs an algebra element or a form")
-    return Form._wrap({w: AlgebraElement._wrap(t) for w, t in acc.items() if t})
+    return _nested(Form, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +323,8 @@ class TensorForm(Combination):
     def _key(key):
         w, labels = key
         labels = tuple(labels)
-        assert all(t in "+-" for t in labels)
+        if not all(t in ("+", "-") for t in labels):
+            raise ValueError("tensor legs must be '+' or '-', not %r" % (labels,))
         return ExteriorWord(w), labels
 
     __rmul__ = _left_multiply
@@ -335,7 +342,8 @@ class TensorForm(Combination):
         """Collapse the first tensor sign with a wedge."""
         def terms():
             for (w, labels), x in self.terms.items():
-                assert labels, "nothing to wedge into"
+                if not labels:
+                    raise ValueError("nothing to wedge into: the tensor has no legs")
                 st = _straighten_word(w + (labels[0],))
                 if st is not None:
                     word, co = st
@@ -347,7 +355,8 @@ class TensorForm(Combination):
         """A tensor with no extra legs is a plain form."""
         f = Form()
         for (w, labels), x in self.terms.items():
-            assert not labels
+            if labels:
+                raise ValueError("a tensor with legs is not a plain form")
             f.terms[w] = x
         return f
 
@@ -366,7 +375,8 @@ def tensor(x: Form, y: Form) -> TensorForm:
     def terms():
         for w1, x1 in x.terms.items():
             for w2, x2 in y.terms.items():
-                assert w2 in (EP, EM), "second leg must be a charged basis one-form"
+                if w2 not in (EP, EM):
+                    raise ValueError("second leg must be a charged basis one-form")
                 yield (w1, (w2[0],)), x1 * push_left(w1, x2)
 
     return TensorForm._wrap(accumulate({}, terms()))
@@ -378,7 +388,8 @@ def tensor_append(tf: TensorForm, y: Form) -> TensorForm:
         for (w, labels), x in tf.terms.items():
             crossings = w.crossing() + len(labels)
             for w2, x2 in y.terms.items():
-                assert w2 in (EP, EM)
+                if w2 not in (EP, EM):
+                    raise ValueError("appended leg must be a charged basis one-form")
                 yield (w, labels + (w2[0],)), x * push_left_n(crossings, x2)
 
     return TensorForm._wrap(accumulate({}, terms()))

@@ -23,8 +23,8 @@ bundles, which keeps every curvature computation deterministic.
 from __future__ import annotations
 
 from .algebra import AlgebraElement
-from .bundles import Section, covariant_D, partition_of_unity
-from .calculus import EM, EP, Form, TensorForm, d, push_left, wedge
+from .bundles import _covariant_D_mono, partition_of_unity
+from .calculus import EM, EP, Form, TensorForm, _add_scaled, _nested, d, push_left, wedge
 from .scalars import ONE, Scalar, two_q
 from .sphere import (
     DB,
@@ -81,17 +81,23 @@ def decompose_legs(tf: TensorForm):
 
 
 def nabla(tau) -> TensorForm:
-    """The Levi-Civita connection on basic one-forms."""
+    """The Levi-Civita connection on basic one-forms.
+
+    Each coefficient monomial m contributes its covariant derivative
+    D(m), read from the memoised table of bundles.covariant_D, as the
+    first leg of a tensor whose second leg is m's basis one-form.
+    """
     t = _fm(tau)
-    SphereForm(t)  # degree bookkeeping; raises on non-basic input
+    SphereForm(t)  # degree bookkeeping: e+ (e-) coefficients have charge -2 (+2)
     if set(t.terms) - {EP, EM}:
         raise ValueError("the connection applies to one-forms")
-    out = TensorForm()
+    acc = {}
     for w, x in t.terms.items():
-        Dx = covariant_D(Section(x, -2 if w == EP else 2))
-        for v, z in Dx.terms.items():
-            out = out + TensorForm({(v, (w[0],)): z})
-    return out
+        legs = (w[0],)
+        for m, co in x.terms.items():
+            for v, pairs in _covariant_D_mono(m):
+                _add_scaled(acc, (v, legs), pairs, co)
+    return _nested(TensorForm, acc)
 
 
 class Connection1:

@@ -26,13 +26,14 @@ transported operator is checked to be independent of that choice.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, Monomial, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d
 from .bundles import Section, covariant_D, extract_coeffs, partition_of_unity
 from .calculus import EM, EP, Form, TensorForm, d
 from .riemann import decompose_legs
-from .scalars import Scalar, two_q
+from .scalars import ONE, Scalar, two_q
 from .sphere import (
     DB,
     DEL,
@@ -162,14 +163,31 @@ def _basic_spinor_pairs(h: Form, n: int):
     return pairs
 
 
-def dirac(sigma: Spinor) -> Spinor:
-    """gamma composed with the monopole covariant derivative at charge +-1."""
+@lru_cache(maxsize=None)
+def _dirac_mono(m: Monomial):
+    """dirac of the spinor m (in S- for deg m = 1, in S+ for deg m = -1)
+    as its (S-, S+) parts, each a tuple of (Monomial, Scalar) pairs: the
+    memoised table that dirac extends linearly."""
+    n = m.degree()
+    x = AlgebraElement({m: ONE})
     out = Spinor()
-    for omega, y in _basic_spinor_pairs(covariant_D(Section(sigma.minus_part, 1)), 1):
-        out = out + gamma(omega, Spinor(minus_part=y))
-    for omega, y in _basic_spinor_pairs(covariant_D(Section(sigma.plus_part, -1)), -1):
-        out = out + gamma(omega, Spinor(plus_part=y))
-    return out
+    for omega, y in _basic_spinor_pairs(covariant_D(Section(x, n)), n):
+        out = out + gamma(omega, Spinor(minus_part=y) if n == 1 else Spinor(plus_part=y))
+    return tuple(out.minus_part.terms.items()), tuple(out.plus_part.terms.items())
+
+
+def dirac(sigma: Spinor) -> Spinor:
+    """gamma composed with the monopole covariant derivative at charge +-1.
+
+    Extends the per-monomial table linearly into a freshly built spinor.
+    """
+    minus, plus = {}, {}
+    for part in (sigma.minus_part, sigma.plus_part):
+        for m, co in part.terms.items():
+            image_minus, image_plus = _dirac_mono(m)
+            accumulate(minus, ((k, co * c) for k, c in image_minus))
+            accumulate(plus, ((k, co * c) for k, c in image_plus))
+    return Spinor(AlgebraElement._wrap(minus), AlgebraElement._wrap(plus))
 
 
 def gamma_algebra_check():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qsphere import bundles
 from qsphere.algebra import AlgebraElement, a, b, c, d as gd, degree_split, normalize, one
 from qsphere.bundles import (
     Partition,
@@ -13,9 +14,15 @@ from qsphere.bundles import (
     partition_of_unity,
 )
 from qsphere.calculus import E0, EM, EP, Form, d
-from qsphere.scalars import Scalar, q, qint, two_q
+from qsphere.scalars import ONE, Scalar, q, qint, two_q
 
 q2 = Scalar.q_power
+
+# non-unit coefficients, among them a true rational function and odd powers of s
+COEFFS = (
+    Scalar.from_int(-2), q2(3), Scalar.s_power(-1), Scalar.s_power(3),
+    ONE / (ONE + q2(-4)), q2(-1) / two_q,
+)
 
 # e+ / e- coefficients of the sphere generator derivatives
 DEL_B = {"-": b * b, "0": q * (b * gd), "+": gd * gd}
@@ -38,6 +45,48 @@ def test_covariant_D_values():
     # negative charge goes antiholomorphic
     assert covariant_D(Section(b)) == Form({EM: a})
     assert covariant_D(Section(gd)) == Form({EM: c})
+
+
+def reference_covariant_D(x, n):
+    """The whole-element formula that covariant_D applies monomial by monomial."""
+    return d(x) - Form.of(x.scale(qint(n, q2(2))), E0)
+
+
+def rnd_section(rng, n):
+    """A degree-n element of at least three terms with scattered coefficients."""
+    x = AlgebraElement.zero()
+    while len(x.terms) < 3:
+        w = tuple(rng.choice("abcd") for _ in range(rng.randint(abs(n), abs(n) + 4)))
+        piece = degree_split(normalize(w)).get(n)
+        if piece:
+            x = x + piece.scale(rng.choice(COEFFS))
+    return x
+
+
+def test_covariant_D_table_matches_whole_element_formula():
+    rng = random.Random(24)
+    inputs = [(x, Section(x).charge_degree) for x in (a, b, c, gd, a * a, one)]
+    inputs += [(rnd_section(rng, n), n) for n in range(-3, 4) for _ in range(3)]
+    for x, n in inputs:
+        want = reference_covariant_D(x, n)
+        got = covariant_D(Section(x, n))
+        assert got == want and E0 not in got.terms
+        # every result is built afresh: mutating one leaves the next intact
+        for y in got.terms.values():
+            y.terms.clear()
+        got.terms.clear()
+        assert covariant_D(Section(x, n)) == want
+
+
+def test_horizontality_failure_raises(monkeypatch):
+    # with d broken, the e0 parts no longer cancel; the table must refuse
+    monkeypatch.setattr(bundles, "d", lambda x: Form.zero())
+    bundles._covariant_D_mono.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            covariant_D(Section(a * a))
+    finally:
+        bundles._covariant_D_mono.cache_clear()
 
 
 def test_connection_property():
@@ -79,8 +128,11 @@ def test_partitions():
         assert total == one
     with pytest.raises(ValueError):
         partition_of_unity(3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Partition(1, [(gd, a)])  # da = 1 + qbc != 1
+    with pytest.raises(ValueError):
+        Partition(1, [(a, a)])  # x must have degree -1
+    assert partition_of_unity(2) is partition_of_unity(2)  # built once
 
 
 def test_extract_coeffs_examples():
@@ -146,3 +198,5 @@ def test_pure_power_derivative():
 def test_bwb():
     for n in range(7):
         assert bwb_check(n) == []
+    with pytest.raises(ValueError):
+        bwb_check(-1)

@@ -181,6 +181,21 @@ def test_tensor_crossing():
     ).wedge_in().as_form()
 
 
+def test_tensor_leg_checks_raise():
+    with pytest.raises(ValueError):
+        TensorForm({(("+",), ("x",)): one})
+    with pytest.raises(ValueError):
+        TensorForm({(("+",), ("+-",)): one})
+    with pytest.raises(ValueError):
+        tensor(basis(EP), basis(E0))
+    with pytest.raises(ValueError):
+        tensor_append(tensor(basis(EP), basis(EM)), basis(E0))
+    with pytest.raises(ValueError):
+        tensor(basis(EP), basis(EM)).as_form()
+    with pytest.raises(ValueError):
+        TensorForm({(EP, ()): one}).wedge_in()
+
+
 def test_tensor_is_basic():
     # d^2 e+ (x) c^2 e- is charge balanced: (-2+2) + (2-2) = 0
     t = tensor(Form({EP: gd * gd}), Form({EM: c * c}))

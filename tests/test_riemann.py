@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qsphere.algebra import a
-from qsphere.calculus import Form, TensorForm, d
+from qsphere.calculus import EP, Form, TensorForm, d
 from qsphere.riemann import (
     LEVI_CIVITA,
     Connection1,
@@ -21,7 +21,7 @@ from qsphere.riemann import (
     tensor_attach,
     torsion,
 )
-from qsphere.scalars import Scalar, specialize, two_q
+from qsphere.scalars import ONE, Scalar, qint, specialize, two_q
 from qsphere.sphere import (
     DB,
     DEL,
@@ -64,6 +64,44 @@ def test_nabla_closed_forms():
     assert nabla(DEL["-"]) == (two_q * bm) * g_minus_plus()
     assert nabla(DELBAR["+"]) == (two_q * bp) * g_plus_minus()
     assert nabla(DELBAR["-"]) == (two_q * bm) * g_plus_minus()
+
+
+# non-unit coefficients, among them a true rational function and odd powers of s
+COEFFS = (
+    Scalar.from_int(-2), q(3), Scalar.s_power(-1), Scalar.s_power(3),
+    ONE / (ONE + q(-4)), q(-1) / two_q,
+)
+
+
+def reference_nabla(tau):
+    """The whole-element formula: D of each coefficient, tensored with its leg."""
+    out = TensorForm()
+    for w, x in tau.terms.items():
+        n = -2 if w == EP else 2
+        Dx = d(x) - Form.of(x.scale(qint(n, q(2))), "0")
+        for v, z in Dx.terms.items():
+            out = out + TensorForm({(v, (w[0],)): z})
+    return out
+
+
+def test_nabla_table_matches_whole_element_formula():
+    rng = random.Random(50)
+    inputs = [DB[i] for i in "-0+"] + [DEL["+"], DELBAR["-"]]
+    for _ in range(12):
+        tau = Form.zero()
+        for _ in range(3):
+            f = random_sphere_element(rng)
+            tau = tau + (f * DB[rng.choice("-0+")]).scale(rng.choice(COEFFS))
+        inputs.append(tau)
+    for tau in inputs:
+        want = reference_nabla(tau)
+        got = nabla(tau)
+        assert got == want
+        # every result is built afresh: mutating one leaves the next intact
+        for x in got.terms.values():
+            x.terms.clear()
+        got.terms.clear()
+        assert nabla(tau) == want
 
 
 def test_nabla_rejects_bad_input():

@@ -7,13 +7,15 @@ from qsphere.algebra import a, b, c, d
 from qsphere.bundles import Section, covariant_D
 from qsphere.calculus import Form, d as dd
 from qsphere.riemann import nabla
-from qsphere.scalars import Scalar, specialize, two_q
+from qsphere.scalars import ONE, Scalar, qint, specialize, two_q
 from qsphere.sphere import DB, DEL, F0, b0, bm, bp, del_split, one
 from qsphere.spin import (
     GENERATOR_SPINORS,
+    LAMBDA,
     LAMBDA_INV,
     SpinorRow,
     Spinor,
+    _basic_spinor_pairs,
     _row_mat,
     canonical_coefficients,
     dirac,
@@ -36,6 +38,40 @@ def random_sphere_element(rng, length=3):
     for _ in range(rng.randrange(1, length + 1)):
         out = out * rng.choice([b0, bp, bm])
     return out
+
+
+# non-unit coefficients, among them a true rational function and odd powers of s
+COEFFS = (Scalar.from_int(-2), q(3), LAMBDA, LAMBDA_INV * q(1), ONE / (ONE + q(-4)), q(-1) / two_q)
+
+
+def reference_dirac(sigma):
+    """The whole-element formula that the dirac table applies per monomial."""
+    out = Spinor()
+    for part, n in ((sigma.minus_part, 1), (sigma.plus_part, -1)):
+        D = dd(part) - Form.of(part.scale(qint(n, q(2))), "0")
+        for omega, y in _basic_spinor_pairs(D, n):
+            out = out + gamma(omega, Spinor(minus_part=y) if n == 1 else Spinor(plus_part=y))
+    return out
+
+
+def rnd_spinor(rng):
+    out = Spinor()
+    for _ in range(4):
+        f = random_sphere_element(rng)
+        out = out + (f * rng.choice(GENERATOR_SPINORS)).scale(rng.choice(COEFFS))
+    return out
+
+
+def test_dirac_table_matches_whole_element_formula():
+    rng = random.Random(60)
+    for sigma in list(GENERATOR_SPINORS) + [rnd_spinor(rng) for _ in range(12)]:
+        want = reference_dirac(sigma)
+        got = dirac(sigma)
+        assert got == want
+        # every result is built afresh: mutating one leaves the next intact
+        got.minus_part.terms.clear()
+        got.plus_part.terms.clear()
+        assert dirac(sigma) == want
 
 
 def test_check_functions_all_pass():
