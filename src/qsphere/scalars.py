@@ -7,11 +7,20 @@ need.
 
 Almost every value the engine builds is a Laurent polynomial in s: the
 q-commutation factors, the monopole and metric coefficients, the Dirac
-eigenvalues.  So that is how a Scalar is stored, as s^e * p(s) / c with an
-integer shift e, a tuple p of integer coefficients whose first and last
-entries are nonzero (() for zero), and a positive integer c coprime to the
-content of p.  Multiplying by a one-term value scales a tuple, and reducing
-a sum or a product costs at most one integer gcd.
+eigenvalues.  So that is how a Scalar is stored, as s^e * p(s^k) / c with
+an integer shift e, a stride k >= 0, a tuple p of integer coefficients
+whose first and last entries are nonzero (() for zero), and a positive
+integer c coprime to the content of p.  Most of these values are
+polynomials in q^2 = s^4, so packing the tuple at the stride keeps only
+the nonzero slots.  The stride is canonical: 0 for a one-term value,
+otherwise the gcd of the gaps between the exponents that occur, so the
+positions of the nonzero entries of p have gcd 1.  A sum or product works
+at the gcd of its operands' strides (and, for a sum, of their shift
+difference); only when the second entry of its result is zero can
+cancellation have raised the stride, and only then is it recomputed, as
+in (1+q^2)(1-q^2) = 1-q^4 with stride 8.  Multiplying by a one-term value
+scales a tuple, multiplying by the object ONE returns the other operand,
+and reducing a sum or a product costs at most one integer gcd.
 
 Only a true rational function, whose reduced denominator is not a monomial
 c*s^k (such as 1/(1+q^-4)), is kept as a reduced fraction num/den of dense
@@ -170,22 +179,49 @@ def _reduce_general(num, den):
 
 
 # ---------------------------------------------------------------------------
+# the stride of a Laurent tuple
+
+
+def _spread(p, r):
+    """The tuple p with r - 1 zeros between consecutive entries, as a list
+    (p itself when r < 2)."""
+    if r < 2:
+        return p
+    out = [0] * ((len(p) - 1) * r + 1)
+    out[::r] = p
+    return out
+
+
+def _restride(p, k):
+    """(p, stride) in canonical form for a trimmed tuple p with p[0] != 0
+    whose entries sit k apart: stride 0 for one term, else k times the gcd
+    of the positions of the nonzero entries, which is 1 when p[1] != 0."""
+    n = len(p)
+    if n == 1:
+        return p, 0
+    if p[1]:
+        return p, k
+    r = _igcd(*[i for i in range(2, n) if p[i]])
+    return (p[::r] if r > 1 else p), k * r
+
+
+# ---------------------------------------------------------------------------
 # internal constructors; they bypass Scalar.__init__
 
 
 _new = object.__new__
 
 
-def _from_parts(e, p, c):
-    """s^e * p / c for a trimmed p with p[0] != 0 and c > 0, reduced by the
-    gcd of c and the content of p."""
+def _from_parts(e, p, k, c):
+    """s^e * p(s^k) / c for a trimmed p with p[0] != 0 in canonical stride
+    k and c > 0, reduced by the gcd of c and the content of p."""
     if c != 1:
         r = _igcd(c, *p)
         if r != 1:
             p = tuple(a // r for a in p)
             c //= r
     out = _new(Scalar)
-    out._e, out._p, out._c, out._g = e, p, c, None
+    out._e, out._p, out._k, out._c, out._g = e, p, k, c, None
     return out
 
 
@@ -203,7 +239,7 @@ def _from_pair(num, den):
         k = len(den) - 1
         if k and any(den[:k]):
             out = _new(Scalar)
-            out._e, out._p, out._c, out._g = 0, None, 0, (num, den)
+            out._e, out._p, out._k, out._c, out._g = 0, None, 0, 0, (num, den)
             return out
     v = 0
     while not num[v]:
@@ -212,7 +248,8 @@ def _from_pair(num, den):
     p = num[v:]
     if c < 0:
         p, c = pneg(p), -c
-    return _from_parts(v - k, p, c)
+    p, stride = _restride(p, 1)
+    return _from_parts(v - k, p, stride, c)
 
 
 def _plus(x, y, sub):
@@ -229,8 +266,9 @@ def _plus(x, y, sub):
         return x
     if not pa:
         return -y if sub else y
-    # align the shifts on a common denominator, add, strip both ends
-    ea, eb, c, cb = x._e, y._e, x._c, y._c
+    # align on a common denominator and a common stride g, add, strip both
+    # ends; g == 0 only for two one-term values with one shift
+    ea, eb, ka, kb, c, cb = x._e, y._e, x._k, y._k, x._c, y._c
     if c != cb:
         r = _igcd(c, cb)
         fa, fb = cb // r, c // r
@@ -238,7 +276,15 @@ def _plus(x, y, sub):
         pa = [fa * a for a in pa]
         pb = [fb * b for b in pb]
     e = ea if ea < eb else eb
-    ia, ib = ea - e, eb - e
+    g = _igcd(ka, kb, ea - eb)
+    if g == 0:
+        a = pa[0] - pb[0] if sub else pa[0] + pb[0]
+        return _from_parts(e, (a,), 0, c) if a else ZERO
+    if ka != g:
+        pa = _spread(pa, ka // g)
+    if kb != g:
+        pb = _spread(pb, kb // g)
+    ia, ib = (ea - e) // g, (eb - e) // g
     na, nb = ia + len(pa), ib + len(pb)
     end = na if na > nb else nb
     out = [0] * end
@@ -256,32 +302,37 @@ def _plus(x, y, sub):
         return ZERO
     while not out[end - 1]:
         end -= 1
-    return _from_parts(e + lo, tuple(out[lo:end]), c)
+    p, k = _restride(tuple(out[lo:end]), g)
+    return _from_parts(e + lo * g, p, k, c)
 
 
 class Scalar:
     """An element of Q(s) in canonical form.
 
-    A Laurent value is stored as s^e * p(s) / c: _e is the shift, _p the
-    coefficient tuple with nonzero ends (() for zero, with _e = 0 and
-    _c = 1), _c a positive integer coprime to the content of _p, and _g is
-    None.  Every other value has _p = None and keeps in _g the pair that
-    _reduce_general returns; +, -, * and / on it take that general path.
-    Results that come back with a monomial denominator become Laurent again,
-    so each value has exactly one representation and equality compares the
-    slots.
+    A Laurent value is stored as s^e * p(s^k) / c: _e is the shift, _k the
+    stride, _p the coefficient tuple with nonzero ends (() for zero, with
+    _e = _k = 0 and _c = 1), _c a positive integer coprime to the content of
+    _p, and _g is None.  The stride is canonical: _k = 0 when _p has one
+    entry, otherwise the positions of the nonzero entries of _p have gcd 1,
+    so _k is the gcd of the gaps between the exponents that occur.  Every
+    other value has _p = None and keeps in _g the pair that _reduce_general
+    returns; +, -, * and / on it take that general path.  Results that come
+    back with a monomial denominator become Laurent again, so each value has
+    exactly one representation and equality compares the slots.  Values are
+    immutable, so a product with the object ONE returns the other operand
+    itself.
 
     The properties num and den give the canonical dense pair: den != 0 with
     a positive leading coefficient, num and den share no polynomial factor
     over Q[s], and their integer contents are coprime.  For a Laurent value
-    that is num = s^max(e, 0) * p and den = c * s^max(-e, 0).
+    that is num = s^max(e, 0) * p(s^k) and den = c * s^max(-e, 0).
     """
 
-    __slots__ = ("_e", "_p", "_c", "_g")
+    __slots__ = ("_e", "_p", "_k", "_c", "_g")
 
     def __init__(self, num, den=_ONE):
         x = _from_pair(num, den)
-        self._e, self._p, self._c, self._g = x._e, x._p, x._c, x._g
+        self._e, self._p, self._k, self._c, self._g = x._e, x._p, x._k, x._c, x._g
 
     # -- the canonical dense pair
 
@@ -290,6 +341,9 @@ class Scalar:
         p = self._p
         if p is None:
             return self._g[0]
+        k = self._k
+        if k > 1:
+            p = tuple(_spread(p, k))
         e = self._e
         return (0,) * e + p if e > 0 else p
 
@@ -304,21 +358,21 @@ class Scalar:
 
     @staticmethod
     def from_int(n):
-        return _from_parts(0, (n,), 1) if n else ZERO
+        return _from_parts(0, (n,), 0, 1) if n else ZERO
 
     @staticmethod
     def from_fraction(x):
         x = Fraction(x)
-        return _from_parts(0, (x.numerator,), x.denominator) if x else ZERO
+        return _from_parts(0, (x.numerator,), 0, x.denominator) if x else ZERO
 
     @staticmethod
     def s_power(k):
         """s^k for any integer k."""
-        return _from_parts(k, _ONE, 1)
+        return _from_parts(k, _ONE, 0, 1)
 
     @staticmethod
     def q_power(k):
-        return _from_parts(2 * k, _ONE, 1)
+        return _from_parts(2 * k, _ONE, 0, 1)
 
     # -- ring structure
 
@@ -333,6 +387,7 @@ class Scalar:
         return (
             self._p == other._p
             and self._e == other._e
+            and self._k == other._k
             and self._c == other._c
             and self._g == other._g
         )
@@ -353,9 +408,10 @@ class Scalar:
         out = _new(Scalar)
         if self._p is None:
             num, den = self._g
-            out._e, out._p, out._c, out._g = 0, None, 0, (pneg(num), den)
+            out._e, out._p, out._k, out._c, out._g = 0, None, 0, 0, (pneg(num), den)
         else:
-            out._e, out._p, out._c, out._g = self._e, pneg(self._p), self._c, None
+            out._e, out._p, out._k, out._c, out._g = (
+                self._e, pneg(self._p), self._k, self._c, None)
         return out
 
     def __sub__(self, other):
@@ -369,10 +425,14 @@ class Scalar:
         return _plus(Scalar.from_int(other), self, True)
 
     def __mul__(self, other):
+        if other is ONE:
+            return self
         if other.__class__ is not Scalar:
             if not isinstance(other, int):
                 return NotImplemented
             other = Scalar.from_int(other)
+        if self is ONE:
+            return other
         pa, pb = self._p, other._p
         if pa is None or pb is None:
             if not self or not other:
@@ -380,23 +440,32 @@ class Scalar:
             return _from_pair(pmul(self.num, other.num), pmul(self.den, other.den))
         if not pa or not pb:
             return ZERO
+        ka, kb = self._k, other._k
         if len(pa) == 1:
             a = pa[0]
             if len(pb) == 1:
                 p = (a * pb[0],)
             else:
                 p = pb if a == 1 else tuple([a * b for b in pb])
+            k = kb
         elif len(pb) == 1:
             b = pb[0]
             p = pa if b == 1 else tuple([a * b for a in pa])
+            k = ka
         else:
-            p = pmul(pa, pb)
+            # multiply at the common stride; cancellation can raise it
+            k = ka if ka == kb else _igcd(ka, kb)
+            if ka != k:
+                pa = _spread(pa, ka // k)
+            if kb != k:
+                pb = _spread(pb, kb // k)
+            p, k = _restride(pmul(pa, pb), k)
         c = self._c * other._c
         if c == 1:
             out = _new(Scalar)
-            out._e, out._p, out._c, out._g = self._e + other._e, p, 1, None
+            out._e, out._p, out._k, out._c, out._g = self._e + other._e, p, k, 1, None
             return out
-        return _from_parts(self._e + other._e, p, c)
+        return _from_parts(self._e + other._e, p, k, c)
 
     __rmul__ = __mul__
 
@@ -405,7 +474,7 @@ class Scalar:
         p = self._p
         if p is not None and len(p) == 1:
             a = p[0]
-            return _from_parts(-self._e, (self._c if a > 0 else -self._c,), abs(a))
+            return _from_parts(-self._e, (self._c if a > 0 else -self._c,), 0, abs(a))
         return _from_pair(self.den, self.num)
 
     def __truediv__(self, other):
@@ -452,15 +521,15 @@ class Scalar:
         """As a list of (exponent, Fraction) pairs if den is a monomial, else None."""
         if self._p is None:
             return None
-        e, c = self._e, self._c
-        return [(e + i, Fraction(a, c)) for i, a in enumerate(self._p) if a]
+        e, k, c = self._e, self._k, self._c
+        return [(e + k * i, Fraction(a, c)) for i, a in enumerate(self._p) if a]
 
     def __repr__(self):
         return _join_pieces([_scalar_piece(self, "")] if self else [])
 
 
 ZERO = _new(Scalar)
-ZERO._e, ZERO._p, ZERO._c, ZERO._g = 0, (), 1, None
+ZERO._e, ZERO._p, ZERO._k, ZERO._c, ZERO._g = 0, (), 0, 1, None
 ONE = Scalar.from_int(1)
 s = Scalar.s_power(1)
 q = Scalar.q_power(1)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qsphere import algebra
 from qsphere.algebra import (
     AlgebraElement,
     Monomial,
@@ -20,7 +21,7 @@ from qsphere.algebra import (
     one,
     verify_hopf_axioms,
 )
-from qsphere.scalars import ONE, Scalar, q, two_q
+from qsphere.scalars import ONE, Scalar, q, s, two_q
 
 bc = b * c
 
@@ -191,3 +192,48 @@ def test_mono_mul_returns_a_fresh_dict():
     first[Monomial(0, 0, 0, 0)] = ONE
     assert mono_mul(m1, m2) == expected
     assert AlgebraElement({m1: ONE}) * AlgebraElement({m2: ONE}) == AlgebraElement(expected)
+
+
+def test_inhomogeneous_degree_raises():
+    assert (a * b).degree() == 0
+    with pytest.raises(ValueError):
+        (a + b).degree()
+
+
+def test_hopf_axioms_fail_loudly(monkeypatch):
+    # a raise, not an assert, so this holds under python -O as well
+    good = antipode
+    monkeypatch.setattr(algebra, "antipode", lambda x: good(x).scale(q))
+    with pytest.raises(ArithmeticError, match=r"antipode axiom fails on \('a',\)"):
+        verify_hopf_axioms(sample_size=0)
+
+
+def test_unit_shortcuts():
+    x = Scalar.s_power(-3) + two_q
+    assert x * ONE is x
+    assert ONE * x is x
+    assert ONE * 1 == ONE and 2 * ONE == Scalar.from_int(2)
+
+
+def test_coproduct_of_a_unit_monomial_is_a_fresh_copy():
+    rng = random.Random(17)
+    other = AlgebraElement({Monomial(0, 4, 0, 0): q})  # b^4, never drawn
+    for _ in range(40):
+        i, l = rng.choice([(rng.randint(0, 3), 0), (0, rng.randint(0, 3))])
+        m = Monomial(i, rng.randint(0, 3), rng.randint(0, 3), l)
+        table = algebra._coproduct_mono(m)
+        # independent route: the product of the generators' coproducts
+        via_gens = TensorSquare.of(one, one)
+        for name, e in zip("abcd", m):
+            for _ in range(e):
+                via_gens = via_gens * coproduct(AlgebraElement.gen(name))
+        got = coproduct(AlgebraElement({m: ONE}))
+        assert got is not table and got.terms is not table.terms
+        assert got == table == via_gens
+        got.terms.clear()
+        assert coproduct(AlgebraElement({m: ONE})) == via_gens
+        # the general path: several terms, or a coefficient other than ONE
+        general = coproduct(AlgebraElement({m: ONE}) + other) - coproduct(other)
+        assert general == via_gens
+        for co in (-ONE, q ** 3, ONE / (ONE + q ** -4), s):
+            assert coproduct(AlgebraElement({m: co})) == via_gens.scale(co)

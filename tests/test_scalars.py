@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -227,10 +229,9 @@ def _dense_power(x, k):
     return _canonical(den, num) if k < 0 else _canonical(num, den)
 
 
-@seed(20240821)
-@settings(max_examples=300, deadline=None)
-@given(_kernel_operand, _kernel_operand, st.integers(min_value=-3, max_value=5))
-def test_kernel_matches_dense_reference(x, y, k):
+def _reference_cases(x, y, k, dividend=None):
+    """(result, dense reference pair) for x + y, x - y, x * y, dividend / y
+    (dividend defaults to x) and x ** k."""
     xn, xd, yn, yd = x.num, x.den, y.num, y.den
     cases = [
         (x + y, _canonical(padd(pmul(xn, yd), pmul(yn, xd)), pmul(xd, yd))),
@@ -238,10 +239,18 @@ def test_kernel_matches_dense_reference(x, y, k):
         (x * y, _canonical(pmul(xn, yn), pmul(xd, yd))),
     ]
     if y:
-        cases.append((x / y, _canonical(pmul(xn, yd), pmul(xd, yn))))
+        z = x if dividend is None else dividend
+        cases.append((z / y, _canonical(pmul(z.num, yd), pmul(z.den, yn))))
     if x or k >= 0:
         cases.append((x ** k, _dense_power(x, k)))
-    for got, want in cases:
+    return cases
+
+
+@seed(20240821)
+@settings(max_examples=300, deadline=None)
+@given(_kernel_operand, _kernel_operand, st.integers(min_value=-3, max_value=5))
+def test_kernel_matches_dense_reference(x, y, k):
+    for got, want in _reference_cases(x, y, k):
         assert (got.num, got.den) == want
 
 
@@ -283,3 +292,126 @@ def test_render_examples():
     assert render_scalar(Scalar.from_fraction(Fraction(-2, 3))) == "-2/3"
     # a genuinely non-Laurent value keeps explicit fraction shape
     assert "/" in render_scalar(ONE / (ONE + q ** -4))
+
+
+# --- strided Laurent values ---------------------------------------------------
+#
+# A Laurent value is packed at its stride, s^e * p(s^k) / c.  The operands
+# here are polynomials in s^k for k in {1, 2, 3, 4, 8} at every shift
+# residue, mixed with one-term values, s^-1 and the general operands above;
+# every result must equal the dense reference and be in canonical form.
+
+
+def _slots(x):
+    return x._e, x._p, x._k, x._c, x._g
+
+
+def _check_canonical(x):
+    """The stride invariant, and one representation per value."""
+    assert _slots(Scalar(x.num, x.den)) == _slots(x)
+    p, k = x._p, x._k
+    if p is None or not p:
+        return
+    assert p[0] and p[-1] and x._c > 0
+    if len(p) == 1:
+        assert k == 0
+    else:
+        assert k > 0 and gcd(*[i for i, a in enumerate(p) if a]) == 1
+
+
+def _packed(k, e, body, c):
+    """The Scalar s^e * body(s^k) / c, built from its dense pair."""
+    dense = [0] * ((len(body) - 1) * k + 1)
+    dense[::k] = body
+    if e >= 0:
+        return Scalar((0,) * e + tuple(dense), (c,))
+    return Scalar(tuple(dense), (0,) * -e + (c,))
+
+
+@st.composite
+def strided_parts(draw, min_len=1, max_len=40, max_span=None):
+    """(k, e, body, c) for s^e * body(s^k) / c: body has min_len..max_len
+    coefficients (a dense span of at most max_span), nonzero ends, and the
+    shift e ranges over every residue mod k."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    if max_span is not None:
+        max_len = max(min_len, min(max_len, (max_span - 1) // k + 1))
+    n = draw(st.integers(min_value=min_len, max_value=max_len))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    body = [rnd.choice((0, 1, -1, 2, -3, rnd.randint(-99, 99))) for _ in range(n)]
+    body[0] = draw(_coef.filter(bool))
+    body[-1] = draw(_coef.filter(bool))
+    e = draw(st.integers(min_value=0, max_value=k - 1)) + k * draw(
+        st.integers(min_value=-3, max_value=3))
+    return k, e, body, draw(st.sampled_from([1, 1, 2, 3, 6]))
+
+
+def strided(**kw):
+    return strided_parts(**kw).map(lambda t: _packed(*t))
+
+
+_one_term = st.tuples(_coef.filter(bool), st.integers(min_value=-9, max_value=9)).map(
+    lambda t: t[0] * Scalar.s_power(t[1]))
+_strided_operand = st.one_of(
+    strided(), strided(), _one_term, st.just(lam), st.just(ONE), _kernel_operand)
+
+
+@st.composite
+def strided_pairs(draw, **kw):
+    """(x, y) with x strided and y drawn so that cancellation is common:
+    y = x(-s^k) makes x*y even in s^k, and y = w - x makes x + y = w, whose
+    stride may be a multiple of both operands'; otherwise y is independent."""
+    k, e, body, c = draw(strided_parts(**kw))
+    x = _packed(k, e, body, c)
+    how = draw(st.sampled_from(["mirror", "complement", "free", "free"]))
+    if how == "mirror":
+        flipped = [-a if i % 2 else a for i, a in enumerate(body)]
+        y = _packed(k, draw(st.integers(min_value=-9, max_value=9)), flipped, c)
+    elif how == "complement":
+        w = draw(strided(**kw))
+        y = w - x
+    else:
+        y = draw(st.one_of(strided(**kw), _strided_operand))
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+def test_cancellation_raises_the_stride():
+    q2 = q ** 2
+    x = (ONE + q2) * (ONE - q2)
+    assert x == ONE - q ** 4 and (x._p, x._k) == ((1, -1), 8)
+    y = (ONE + q2 + q ** 4) - q2
+    assert y == ONE + q ** 4 and (y._p, y._k) == ((1, 1), 8)
+    # mixed strides: a q^2-polynomial with s^-1 and with a one-term value
+    z = ONE + q2
+    assert ((z + lam)._e, (z + lam)._k, (z + lam)._p) == (-1, 1, (1, 1, 0, 0, 0, 1))
+    assert ((z * lam)._e, (z * lam)._k) == (-1, 4)
+    assert ((z + 3 * q)._k, (z * (3 * q))._k) == (2, 4)
+    for v in (x, y, z + lam, z * lam, z + 3 * q, z * 3 * q, x * (ONE + q2), y - ONE):
+        _check_canonical(v)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(strided_pairs(), st.tuples(_strided_operand, _strided_operand)),
+       st.integers(min_value=-3, max_value=5))
+def test_strided_kernel_matches_dense_reference(pair, k):
+    x, y = pair
+    _check_canonical(x)
+    _check_canonical(y)
+    for got, want in _reference_cases(x, y, k):
+        assert (got.num, got.den) == want
+        _check_canonical(got)
+
+
+@seed(20261019)
+@settings(max_examples=25, deadline=None)
+@given(strided_pairs(min_len=50, max_len=800, max_span=800),
+       st.integers(min_value=-1, max_value=2))
+def test_long_strided_kernel_matches_dense_reference(pair, k):
+    # the quotient is exact, so the Q[s] gcd stops after one pseudo-division;
+    # that of two unrelated long polynomials would take seconds in the general
+    # path, which the short draws cover
+    x, y = pair
+    for got, want in _reference_cases(x, y, k, dividend=x * y):
+        assert (got.num, got.den) == want
+        _check_canonical(got)
