@@ -173,6 +173,55 @@ class Combination:
         return render_value(self)
 
 
+# ---------------------------------------------------------------------------
+# named checks, declared by each module beside the maths they check
+
+
+class Check:
+    """One named exact check of a suite.
+
+    fn(opts) returns None when the check passes and a failure witness
+    otherwise: a string, or the list of failing (name, witness) items.
+    opts carries the seed, the bound max_n and n(default), the sample
+    size.  An anchor holding a %-field names a graded family, one check
+    per weight 0..opts.max_n, and then fn(opts, n) checks weight n.
+    """
+
+    __slots__ = ("anchor", "suite", "fn")
+
+    def __init__(self, anchor, suite, fn):
+        self.anchor = anchor
+        self.suite = suite
+        self.fn = fn
+
+    def thunks(self, opts):
+        """The (anchor, thunk) pairs of one run with options opts."""
+        if "%" not in self.anchor:
+            return [(self.anchor, lambda: self.fn(opts))]
+        return [
+            (self.anchor % n, lambda n=n: self.fn(opts, n))
+            for n in range(opts.max_n + 1)
+        ]
+
+
+def _zero_or_witness(x):
+    """None when x vanishes, a rendered witness string otherwise."""
+    if not x:
+        return None
+    return repr(x)
+
+
+def _run_items(items):
+    """The (name, witness) pairs of the (name, difference) items whose
+    difference does not vanish."""
+    failures = []
+    for name, diff in items:
+        w = _zero_or_witness(diff)
+        if w is not None:
+            failures.append((name, w))
+    return failures
+
+
 @lru_cache(maxsize=None)
 def _straighten(i, j, k, l):
     """a^i b^j c^k d^l (an ordered word, possibly with both i,l > 0)
@@ -570,6 +619,22 @@ def verify_hopf_axioms(sample_size=100, seed=42):
             if sp and {m.left_degree() for m in sp.terms} != {-g}:
                 raise ArithmeticError(f"antipode misses the column grading on {w}")
     return True
+
+
+def _confluence_witness(opts):
+    """The leftmost- and rightmost-redex rewrites agree on sampled words."""
+    rng = random.Random(opts.seed + 1)
+    for _ in range(opts.n(200)):
+        word = [rng.choice("abcd") for _ in range(rng.randrange(7))]
+        if normalize(word, "left") - normalize(word, "right"):
+            return "strategies disagree on " + "".join(word)
+
+
+CHECKS = (
+    Check("hopf-axioms", "hopf",
+          lambda o: verify_hopf_axioms(sample_size=o.n(100), seed=o.seed + 42)),
+    Check("pbw-confluence", "hopf", _confluence_witness),
+)
 
 
 # ---------------------------------------------------------------------------

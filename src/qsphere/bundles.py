@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Monomial
+from .algebra import AlgebraElement, Check, Monomial
 from .algebra import a as _a, b as _b, c as _c, d as _d
 from .calculus import E0, EM, EP, Form, _add_scaled, _nested, d
 from .scalars import ONE, Scalar, qint, two_q
@@ -195,3 +195,6 @@ def bwb_check(n: int):
         if E0 in Dx.terms:
             failures.append((s, t, "horizontality (e0 component)"))
     return failures
+
+
+CHECKS = (Check("bwb-n%02d", "bwb", lambda o, n: bwb_check(n)),)

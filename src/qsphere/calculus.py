@@ -17,9 +17,10 @@ and exterior algebra
     d e0 = q^3 e+ ^ e-,   d e+ = -(q^2+1) e+ ^ e0,   d e- = (q^-2+q^-4) e- ^ e0.
 
 The d e+- values are the unique ones compatible with d^2 = 0 given the
-rest; that compatibility is asserted at import time.  Forms keep their
-algebra coefficients on the far left of each basis word.  Words are
-ordered +, -, 0; e.g. the top form is e+ ^ e- ^ e0.
+rest; that compatibility is checked at import time, and a failure
+raises.  Forms keep their algebra coefficients on the far left of each
+basis word.  Words are ordered +, -, 0; e.g. the top form is
+e+ ^ e- ^ e0.
 
 e+- carry charge +-2 and e0 charge 0; a form descends to the sphere
 (is "basic") precisely when coefficient degree and word charge cancel.
@@ -27,16 +28,20 @@ e+- carry charge +-2 and e0 charge 0; a form descends to the sphere
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 from .algebra import (
     AlgebraElement,
+    Check,
     Combination,
     Monomial,
     _UNIT,
+    _run_items,
     accumulate,
     antipode,
     coproduct,
+    one,
 )
 from .algebra import a as _ga, b as _gb, c as _gc, d as _gd
 from .scalars import ONE, Scalar, qint
@@ -284,7 +289,10 @@ def monopole_curvature(n: int) -> Form:
     om = monopole_omega(n)
     f = d(om) + wedge(om, om)
     expected = Form.of(AlgebraElement.one().scale(_q(3) * qint(n, _q(2))), VOL)
-    assert f == expected
+    if f != expected:
+        raise ArithmeticError(
+            "curvature of the charge-%d monopole is not q^3 [n] e+ ^ e-" % n
+        )
     return f
 
 
@@ -300,8 +308,10 @@ def _sweedler_omega(x: AlgebraElement) -> Form:
 def omega_recursion_check(nmax: int) -> bool:
     """The two Sweedler routes to omega(t^n) for 0 <= |n| <= nmax."""
     for n in range(nmax + 1):
-        assert _sweedler_omega(_ga ** n) == monopole_omega(n), n
-        assert _sweedler_omega(_gd ** n) == monopole_omega(-n), -n
+        if _sweedler_omega(_ga ** n) != monopole_omega(n):
+            raise ArithmeticError("the Sweedler omega of a^%d is not omega(%d)" % (n, n))
+        if _sweedler_omega(_gd ** n) != monopole_omega(-n):
+            raise ArithmeticError("the Sweedler omega of d^%d is not omega(%d)" % (n, -n))
     return True
 
 
@@ -405,8 +415,76 @@ def render_word(w) -> str:
     return "*".join(_WORD_NAMES[x] for x in w)
 
 
-# the stated d e+- values are the unique ones closing the calculus:
-# d^2 must kill the generators
-for _g in (_ga, _gb, _gc, _gd):
-    assert not d(d(_g)), "exterior derivative does not square to zero"
-del _g
+_GENERATORS = {"a": _ga, "b": _gb, "c": _gc, "d": _gd}
+
+
+def _check_d_squared():
+    """The stated d e+- values are the unique ones closing the calculus:
+    d^2 must kill the generators."""
+    for g in _GENERATORS.values():
+        if d(d(g)):
+            raise ArithmeticError("exterior derivative does not square to zero")
+
+
+_check_d_squared()
+
+
+# ---------------------------------------------------------------------------
+# the calculus suite
+
+
+def _commutation_witness(opts):
+    """e . x = q^(c deg x) x . e, with c = 2 for e0 and 1 for e+-."""
+    items = []
+    for w, shift in ((E0, 2), (EP, 1), (EM, 1)):
+        for name, g in _GENERATORS.items():
+            k = next(iter(g.terms)).degree()
+            items.append((
+                "%s past %s" % (render_word(w), name),
+                Form.of(one, w) * g - Form.of(g.scale(_q(shift * k)), w),
+            ))
+    return _run_items(items)
+
+
+def _random_word_element(rng, maxlen=6):
+    x = one
+    for _ in range(rng.randrange(maxlen + 1)):
+        x = x * _GENERATORS[rng.choice("abcd")]
+    return x
+
+
+def _d_squared_witness(opts):
+    rng = random.Random(opts.seed + 2)
+    for _ in range(opts.n(100)):
+        x = _random_word_element(rng)
+        if d(d(x)):
+            return "d^2 != 0 on %r" % x
+
+
+def _exterior_witness(opts):
+    e0, ep, em = (Form.of(one, w) for w in (E0, EP, EM))
+    return _run_items([
+        ("ep wedge ep", wedge(ep, ep)),
+        ("em wedge em", wedge(em, em)),
+        ("e0 wedge e0", wedge(e0, e0)),
+        ("em past ep", wedge(ep, em).scale(_q(2)) + wedge(em, ep)),
+        ("e0 past ep", wedge(e0, ep) + wedge(ep, e0).scale(_q(4))),
+        ("e0 past em", wedge(e0, em) + wedge(em, e0).scale(_q(-4))),
+    ])
+
+
+def _monopole_curvature_family(opts):
+    for n in range(-opts.max_n, opts.max_n + 1):
+        monopole_curvature(n)
+
+
+CHECKS = (
+    Check("commutation-rules", "calculus", _commutation_witness),
+    Check("generator-derivatives", "calculus", lambda o: _run_items(
+        [("d(%s)" % n, d(g) - _D_GEN[n]) for n, g in _GENERATORS.items()]
+    )),
+    Check("d-squared", "calculus", _d_squared_witness),
+    Check("exterior-relations", "calculus", _exterior_witness),
+    Check("monopole-connection", "calculus", lambda o: omega_recursion_check(o.max_n)),
+    Check("monopole-curvature", "calculus", _monopole_curvature_family),
+)

@@ -8,8 +8,13 @@ Two modes share one executable:
 The grammar is deliberately tiny (sums, products, integer powers of
 atoms, nine named operators) and everything the printer emits for
 scalars, algebra elements and forms parses back to the same value, so
-output doubles as input.  Suite reports are deterministic: with the
-same seed and engine version the bytes are identical run over run.
+output doubles as input.
+
+The checks themselves are not defined here.  Each engine module declares
+its own as data beside the maths they check (algebra.CHECKS,
+calculus.CHECKS, ...); this module groups them into suites by name, runs
+them and reports.  Suite reports are deterministic: with the same seed
+and engine version the bytes are identical run over run.
 
 Exit codes: 0 all good, 1 a check failed, 2 bad usage or a bad
 expression.
@@ -19,89 +24,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
-from fractions import Fraction
-from math import isqrt
 
-from . import __version__
-from .algebra import (
-    AlgebraElement,
-    antipode,
-    counit,
-    degree_split,
-    normalize,
-    render_value,
-    verify_hopf_axioms,
-)
+from . import __version__, algebra, bundles, calculus, riemann, sphere, spin
+from .algebra import AlgebraElement, antipode, counit, degree_split, render_value
 from .algebra import a as _ga, b as _gb, c as _gc, d as _gd
-from .bundles import bwb_check
-from .calculus import (
-    E0,
-    EM,
-    EP,
-    Form,
-    TensorForm,
-    monopole_curvature,
-    omega_recursion_check,
-    render_word,
-    wedge,
-)
+from .calculus import E0, EM, EP, Form, TensorForm, wedge
 from .calculus import d as _dop
-from .riemann import (
-    cotorsion,
-    einstein_lift,
-    geometric_lift,
-    nabla,
-    projector_checks,
-    ricci,
-    riemann_tensor,
-    torsion,
-)
-from .scalars import ONE, Scalar, two_q
-from .sphere import (
-    DB,
-    DEL,
-    DELBAR,
-    F0,
-    SphereForm,
-    _matmul3,
-    b0,
-    bm,
-    bp,
-    coaction_matrix,
-    del_split,
-    eigenvalue_on,
-    g_minus_plus,
-    g_plus_minus,
-    hodge_star,
-    laplacian,
-    lift_iY,
-    maxwell_check,
-    metric_g,
-    metric_matrix,
-    one,
-    one_form_relation_check,
-    soldering_check,
-    spin_multiplet,
-    sphere_relations_check,
-    upsilon,
-    wedge_tables_check,
-)
-from .spin import (
-    Spinor,
-    dirac,
-    dirac_commutator_check,
-    dirac_first_order_check,
-    dirac_square_check,
-    gamma_algebra_check,
-    trivialisation_checks,
-)
-
-_q = Scalar.q_power
-
-_GENERATORS = {"a": _ga, "b": _gb, "c": _gc, "d": _gd}
+from .riemann import nabla
+from .scalars import ONE, Scalar
+from .sphere import SphereForm, b0, bm, bp, del_split, hodge_star, laplacian, one
+from .spin import Spinor, dirac
 
 _ATOM_VALUES = {
     "a": _ga,
@@ -432,376 +366,37 @@ def evaluate_text(text):
 
 
 # ---------------------------------------------------------------------------
-# check suites
+# check suites: each module declares its checks beside the maths as CHECKS
 
 
 class _Options:
-    __slots__ = ("seed", "sample", "max_n", "is_zero")
+    """What a check reads from the command line."""
 
-    def __init__(self, seed, sample, max_n, s0):
+    __slots__ = ("seed", "sample", "max_n")
+
+    def __init__(self, seed, sample, max_n):
         self.seed = seed
         self.sample = sample
         self.max_n = max_n
-        self.is_zero = _is_zero_at(s0)
 
     def n(self, default):
+        """The size of a sampled check: --sample when given, else default."""
         return default if self.sample is None else self.sample
 
 
-def _is_zero_at(s0):
-    if s0 is None:
-        return lambda v: not v
-    def num(co):
-        return co.specialize(s0) == 0
-    def zero(v):
-        if isinstance(v, Scalar):
-            return num(v)
-        if isinstance(v, AlgebraElement):
-            return all(num(co) for co in v.terms.values())
-        if isinstance(v, (Form, TensorForm)):
-            return all(zero(x) for x in v.terms.values())
-        if isinstance(v, Spinor):
-            return zero(v.minus_part) and zero(v.plus_part)
-        return not v
-    return zero
+def _builder(checks):
+    return lambda opts: [pair for check in checks for pair in check.thunks(opts)]
 
 
-def _random_word_element(rng, maxlen=6):
-    x = one
-    for _ in range(rng.randrange(maxlen + 1)):
-        x = x * _GENERATORS[rng.choice("abcd")]
-    return x
+_CHECKS = (
+    algebra.CHECKS + calculus.CHECKS + sphere.CHECKS
+    + riemann.CHECKS + spin.CHECKS + bundles.CHECKS
+)
 
-
-def _random_sphere_word(rng, maxlen=3):
-    x = one
-    for _ in range(rng.randrange(maxlen + 1)):
-        x = x * rng.choice((bm, b0, bp))
-    return x
-
-
-def _first_failure(items):
-    for name, diff in items:
-        if diff:
-            return "%s: %r" % (name, diff)
-    return None
-
-
-def _suite_hopf(o):
-    def axioms():
-        verify_hopf_axioms(sample_size=o.n(100), seed=o.seed + 42)
-
-    def confluence():
-        rng = random.Random(o.seed + 1)
-        for _ in range(o.n(200)):
-            word = [rng.choice("abcd") for _ in range(rng.randrange(7))]
-            if not o.is_zero(normalize(word, "left") - normalize(word, "right")):
-                return "strategies disagree on " + "".join(word)
-
-    return [("hopf-axioms", axioms), ("pbw-confluence", confluence)]
-
-
-def _suite_calculus(o):
-    basis = {w: Form.of(one, w) for w in (E0, EP, EM)}
-
-    def commutation():
-        items = []
-        for w, shift in ((E0, 2), (EP, 1), (EM, 1)):
-            for name, g in _GENERATORS.items():
-                k = next(iter(g.terms)).degree()
-                items.append((
-                    "%s past %s" % (render_word(w), name),
-                    basis[w] * g - Form.of(g.scale(_q(shift * k)), w),
-                ))
-        return _first_failure(items)
-
-    def derivatives():
-        want = {
-            "a": Form({E0: _ga, EP: _gb.scale(_q(1))}),
-            "b": Form({EM: _ga, E0: _gb.scale(-_q(-2))}),
-            "c": Form({E0: _gc, EP: _gd.scale(_q(1))}),
-            "d": Form({EM: _gc, E0: _gd.scale(-_q(-2))}),
-        }
-        return _first_failure(
-            [("d(%s)" % n, _dop(g) - want[n]) for n, g in _GENERATORS.items()]
-        )
-
-    def d_squared():
-        rng = random.Random(o.seed + 2)
-        for _ in range(o.n(100)):
-            x = _random_word_element(rng)
-            if not o.is_zero(_dop(_dop(x))):
-                return "d^2 != 0 on %r" % x
-
-    def exterior():
-        e0, ep, em = basis[E0], basis[EP], basis[EM]
-        items = [
-            ("ep wedge ep", wedge(ep, ep)),
-            ("em wedge em", wedge(em, em)),
-            ("e0 wedge e0", wedge(e0, e0)),
-            ("em past ep", wedge(ep, em).scale(_q(2)) + wedge(em, ep)),
-            ("e0 past ep", wedge(e0, ep) + wedge(ep, e0).scale(_q(4))),
-            ("e0 past em", wedge(e0, em) + wedge(em, e0).scale(_q(-4))),
-        ]
-        return _first_failure(items)
-
-    def monopole_connection():
-        omega_recursion_check(o.max_n)
-
-    def monopole_curv():
-        for n in range(-o.max_n, o.max_n + 1):
-            monopole_curvature(n)
-
-    return [
-        ("commutation-rules", commutation),
-        ("generator-derivatives", derivatives),
-        ("d-squared", d_squared),
-        ("exterior-relations", exterior),
-        ("monopole-connection", monopole_connection),
-        ("monopole-curvature", monopole_curv),
-    ]
-
-
-def _suite_sphere(o):
-    def relations_d():
-        diff = (bm * DB["+"]).scale(_q(2)) + bp * DB["-"] - F0 * DB["0"]
-        if diff:
-            return repr(diff)
-
-    return [
-        ("sphere-relations", sphere_relations_check),
-        ("sphere-relations-d", relations_d),
-        ("one-form-bimodule", one_form_relation_check),
-        ("soldering", soldering_check),
-        ("wedge-tables", wedge_tables_check),
-    ]
-
-
-def _suite_metric(o):
-    def wedge_zero():
-        folded = metric_g().wedge_in().as_form()
-        if folded:
-            return repr(folded)
-
-    def chiral_zero():
-        g = metric_g()
-        for w, l in ((EP, "+"), (EM, "-")):
-            if (w, (l,)) in g.terms:
-                return "unexpected %s%s component" % (l, l)
-
-    def invariance():
-        M, G = coaction_matrix(), metric_matrix()
-        Mt = tuple(zip(*M))
-        if _matmul3(Mt, _matmul3(G, M)) != G:
-            return "M^t G M != G"
-
-    return [
-        ("metric-wedge-zero", wedge_zero),
-        ("metric-chiral-zero", chiral_zero),
-        ("metric-invariance", invariance),
-    ]
-
-
-def _suite_hodge(o):
-    def basics():
-        items = [
-            ("star(1)", hodge_star(Form.of(one)) - upsilon()),
-            ("star(area)", hodge_star(upsilon()) - Form.of(one)),
-        ]
-        for i in "-0+":
-            items.append(("star del b%s" % i, hodge_star(DEL[i]) - DEL[i]))
-            items.append(("star delbar b%s" % i, hodge_star(DELBAR[i]) + DELBAR[i]))
-        return _first_failure(items)
-
-    def star_squared():
-        rng = random.Random(o.seed + 3)
-        for _ in range(o.n(25)):
-            x = Form.of(_random_sphere_word(rng)) + _random_sphere_word(rng) * upsilon()
-            for i in "-0+":
-                x = x + _random_sphere_word(rng) * DEL[i]
-                x = x + _random_sphere_word(rng) * DELBAR[i]
-            if not o.is_zero(hodge_star(hodge_star(x)) - x):
-                return "star^2 != id on a sample"
-
-    def lift_family():
-        for alpha in (_q(-2) / 2, _q(-2) / (ONE + _q(-4)), Scalar.from_int(0)):
-            lift_iY(alpha)  # wedging back to the area form is asserted inside
-
-    return [
-        ("star-basics", basics),
-        ("star-squared", star_squared),
-        ("area-lift-family", lift_family),
-    ]
-
-
-_LAM1 = _q(2) * two_q
-
-
-def _suite_laplace(o):
-    def values():
-        items = [
-            ("box bm", laplacian(bm) - bm.scale(_LAM1)),
-            ("box bp", laplacian(bp) - bp.scale(_LAM1)),
-            ("box F0", laplacian(F0) - F0.scale(_LAM1)),
-            ("box 1", laplacian(one)),
-        ]
-        return _first_failure(items)
-
-    def spin1():
-        lam = eigenvalue_on(spin_multiplet(1))
-        if lam != _LAM1:
-            return repr(lam)
-
-    def spin2():
-        lam = eigenvalue_on(spin_multiplet(2))
-        if lam != _LAM1 * (_q(2) + 1 + _q(-2)):
-            return repr(lam)
-
-    return [
-        ("laplace-values", values),
-        ("laplace-spin1", spin1),
-        ("laplace-spin2", spin2),
-    ]
-
-
-def _suite_maxwell(o):
-    def coulomb():
-        for i in "-0+":
-            if not maxwell_check(i)["coulomb"]:
-                return "source db%s" % i
-
-    def massive():
-        want = _q(2) * two_q / 2
-        for i in "-0+":
-            report = maxwell_check(i)
-            if not report["massive"]:
-                return "source db%s" % i
-            if report["mass_squared"] != want:
-                return "mass^2 = %r" % report["mass_squared"]
-
-    return [("maxwell-coulomb", coulomb), ("maxwell-massive", massive)]
-
-
-def _suite_connection(o):
-    def values():
-        g = metric_g()
-        items = [
-            ("nabla db-", nabla(DB["-"]) - two_q * (bm * g)),
-            ("nabla db0", nabla(DB["0"]) - F0 * g),
-            ("nabla db+", nabla(DB["+"]) - two_q * (bp * g)),
-        ]
-        return _first_failure(items)
-
-    def torsion_zero():
-        rng = random.Random(o.seed + 4)
-        for i in "-0+":
-            if torsion(DB[i]):
-                return "torsion on db%s" % i
-        for _ in range(o.n(50)):
-            x = _random_sphere_word(rng) * DB[rng.choice("-0+")]
-            if not o.is_zero(torsion(x)):
-                return "torsion on a sample"
-
-    def cotorsion_zero():
-        bad = cotorsion()
-        if bad:
-            return repr(bad)
-
-    return [
-        ("connection-values", values),
-        ("torsion-zero", torsion_zero),
-        ("cotorsion-zero", cotorsion_zero),
-        ("projector-identities", projector_checks),
-    ]
-
-
-def _suite_curvature(o):
-    def riemann():
-        for i in "-0+":
-            riemann_tensor(DEL[i])  # the eigenvalue is verified inside
-            riemann_tensor(DELBAR[i])
-
-    def ricci_einstein():
-        lam = (Scalar.from_int(2) * _q(-1)) / (ONE + _q(-4))
-        diff = ricci(einstein_lift()) - metric_g().scale(lam)
-        if diff:
-            return repr(diff)
-
-    def ricci_geometric():
-        lift = geometric_lift()
-        want = metric_g().scale(_q(-1) * (ONE + _q(4)) / 2)
-        want += lift.scale(two_q * (ONE - _q(4)) / 2)
-        diff = ricci(lift) - want
-        if diff:
-            return repr(diff)
-
-    def classical_limit():
-        s1 = Fraction(1)
-        for lift in (einstein_lift(), geometric_lift()):
-            diff = ricci(lift) - metric_g()
-            for x in diff.terms.values():
-                if any(co.specialize(s1) != 0 for co in x.terms.values()):
-                    return "Ricci != g at q = 1"
-
-    return [
-        ("Prop-riemann", riemann),
-        ("ricci-einstein-lift", ricci_einstein),
-        ("ricci-geometric-lift", ricci_geometric),
-        ("ricci-classical-limit", classical_limit),
-    ]
-
-
-def _suite_dirac(o):
-    def generators():
-        items = [
-            ("dirac a", dirac(Spinor(minus_part=_ga)) - Spinor(plus_part=_gb)),
-            ("dirac c", dirac(Spinor(minus_part=_gc)) - Spinor(plus_part=_gd)),
-            ("dirac b", dirac(Spinor(plus_part=_gb)) - Spinor(minus_part=_ga.scale(_q(1)))),
-            ("dirac d", dirac(Spinor(plus_part=_gd)) - Spinor(minus_part=_gc.scale(_q(1)))),
-        ]
-        return _first_failure(items)
-
-    def eigen():
-        for sign in (1, -1):
-            ev = Scalar.s_power(1) * sign
-            for m0, p0 in ((_ga, _gb), (_gc, _gd)):
-                sig = Spinor(minus_part=m0.scale(ev), plus_part=p0)
-                if dirac(sig) != sig.scale(ev):
-                    return "sign %+d on (%r, %r)" % (sign, m0, p0)
-
-    def commutator():
-        return dirac_commutator_check(sample_size=o.n(50), seed=o.seed + 7)
-
-    return [
-        ("dirac-generators", generators),
-        ("gamma-algebra", gamma_algebra_check),
-        ("dirac-first-order", dirac_first_order_check),
-        ("dirac-square", dirac_square_check),
-        ("dirac-eigen", eigen),
-        ("dirac-commutator", commutator),
-        ("trivialisation", trivialisation_checks),
-    ]
-
-
-def _suite_bwb(o):
-    def check(n):
-        return lambda: bwb_check(n)
-
-    return [("bwb-n%02d" % n, check(n)) for n in range(o.max_n + 1)]
-
-
+# suite name -> (options -> (anchor, thunk) pairs); run_suite reads it per call
 _SUITE_BUILDERS = {
-    "hopf": _suite_hopf,
-    "calculus": _suite_calculus,
-    "sphere": _suite_sphere,
-    "metric": _suite_metric,
-    "hodge": _suite_hodge,
-    "laplace": _suite_laplace,
-    "maxwell": _suite_maxwell,
-    "connection": _suite_connection,
-    "curvature": _suite_curvature,
-    "dirac": _suite_dirac,
-    "bwb": _suite_bwb,
+    suite: _builder([c for c in _CHECKS if c.suite == suite])
+    for suite in dict.fromkeys(c.suite for c in _CHECKS)
 }
 
 SUITE_NAMES = tuple(_SUITE_BUILDERS) + ("all",)
@@ -821,24 +416,16 @@ def _witness(result):
     return str(result)
 
 
-def run_suite(name, seed=0, sample=None, max_n=6, q_spec=None):
+def run_suite(name, seed=0, sample=None, max_n=6):
     """Run one named suite (or "all") and return the report dict."""
     if name not in SUITE_NAMES:
         raise ValueError("unknown suite %r" % name)
     if max_n < 0 or (sample is not None and sample < 0):
         raise ValueError("max_n and sample must not be negative")
-    s0 = None
-    if q_spec is not None:
-        s0 = _sqrt_of(Fraction(q_spec))
-        if s0 is None:
-            raise ValueError("q_spec must be a positive square of a rational")
-    opts = _Options(seed, sample, max_n, s0)
-    if name == "all":
-        pairs = [p for n in _SUITE_BUILDERS for p in _SUITE_BUILDERS[n](opts)]
-    else:
-        pairs = _SUITE_BUILDERS[name](opts)
+    opts = _Options(seed, sample, max_n)
+    names = _SUITE_BUILDERS if name == "all" else (name,)
     results = []
-    for anchor, thunk in pairs:
+    for anchor, thunk in [p for n in names for p in _SUITE_BUILDERS[n](opts)]:
         try:
             witness = _witness(thunk())
         except Exception as exc:
@@ -856,17 +443,6 @@ def run_suite(name, seed=0, sample=None, max_n=6, q_spec=None):
         "seed": seed,
         "results": results,
     }
-
-
-def _sqrt_of(q0):
-    """The positive rational square root of a Fraction, or None."""
-    if q0 <= 0:
-        return None
-    p, r = q0.numerator, q0.denominator
-    sp, sr = isqrt(p), isqrt(r)
-    if sp * sp != p or sr * sr != r:
-        return None
-    return Fraction(sp, sr)
 
 
 def format_report(report, quiet=False):
@@ -903,8 +479,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for samples")
     parser.add_argument("--sample", type=int, default=None,
                         help="override the per-check sample sizes")
-    parser.add_argument("--q-spec", dest="q_spec", default=None, metavar="RAT",
-                        help="rational square q value for numeric spot checks")
     parser.add_argument("--json", dest="json_path", default=None, metavar="PATH",
                         help="also write the report as JSON")
     parser.add_argument("--quiet", action="store_true",
@@ -917,15 +491,6 @@ def main(argv=None):
         parser.error("--max-n must not be negative")
     if args.sample is not None and args.sample < 0:
         parser.error("--sample must not be negative")
-
-    q_spec = None
-    if args.q_spec is not None:
-        try:
-            q_spec = Fraction(args.q_spec)
-        except (ValueError, ZeroDivisionError):
-            parser.error("--q-spec must be a rational like 4 or 9/4")
-        if _sqrt_of(q_spec) is None:
-            parser.error("--q-spec must be a positive square of a rational")
 
     if args.expr is not None:
         try:
@@ -950,7 +515,6 @@ def main(argv=None):
         seed=args.seed,
         sample=args.sample,
         max_n=args.max_n,
-        q_spec=q_spec,
     )
     sys.stdout.write(format_report(report, quiet=args.quiet))
     if args.json_path:

@@ -22,16 +22,21 @@ bundles, which keeps every curvature computation deterministic.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement
+import random
+from fractions import Fraction
+
+from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness
 from .bundles import _covariant_D_mono, partition_of_unity
 from .calculus import EM, EP, Form, TensorForm, _add_scaled, _nested, d, push_left, wedge
 from .scalars import ONE, Scalar, two_q
 from .sphere import (
     DB,
+    DEL,
+    DELBAR,
     F0,
     SphereForm,
     _fm,
-    _run_items,
+    _random_sphere_word,
     bm,
     bp,
     del_split,
@@ -278,3 +283,66 @@ def einstein_lift() -> TensorForm:
 def geometric_lift() -> TensorForm:
     """The symmetric lift: minus the second-leg star of the metric, normalized."""
     return star_second_leg(metric_g()).scale(-(_q(-1) / two_q))
+
+
+# ---------------------------------------------------------------------------
+# the connection and curvature suites
+
+
+def _connection_values_witness(opts):
+    g = metric_g()
+    return _run_items([
+        ("nabla db-", nabla(DB["-"]) - two_q * (bm * g)),
+        ("nabla db0", nabla(DB["0"]) - F0 * g),
+        ("nabla db+", nabla(DB["+"]) - two_q * (bp * g)),
+    ])
+
+
+def _torsion_witness(opts):
+    rng = random.Random(opts.seed + 4)
+    for i in "-0+":
+        if torsion(DB[i]):
+            return "torsion on db%s" % i
+    for _ in range(opts.n(50)):
+        x = _random_sphere_word(rng) * DB[rng.choice("-0+")]
+        if torsion(x):
+            return "torsion on a sample"
+
+
+def _riemann_family(opts):
+    for i in "-0+":
+        riemann_tensor(DEL[i])  # raises unless the chirality scalar comes out
+        riemann_tensor(DELBAR[i])
+
+
+def _ricci_einstein_witness(opts):
+    lam = (Scalar.from_int(2) * _q(-1)) / (ONE + _q(-4))
+    return _zero_or_witness(ricci(einstein_lift()) - metric_g().scale(lam))
+
+
+def _ricci_geometric_witness(opts):
+    lift = geometric_lift()
+    want = metric_g().scale(_q(-1) * (ONE + _q(4)) / 2)
+    want += lift.scale(two_q * (ONE - _q(4)) / 2)
+    return _zero_or_witness(ricci(lift) - want)
+
+
+def _classical_limit_witness(opts):
+    s1 = Fraction(1)
+    for lift in (einstein_lift(), geometric_lift()):
+        diff = ricci(lift) - metric_g()
+        for x in diff.terms.values():
+            if any(co.specialize(s1) != 0 for co in x.terms.values()):
+                return "Ricci != g at q = 1"
+
+
+CHECKS = (
+    Check("connection-values", "connection", _connection_values_witness),
+    Check("torsion-zero", "connection", _torsion_witness),
+    Check("cotorsion-zero", "connection", lambda o: _zero_or_witness(cotorsion())),
+    Check("projector-identities", "connection", lambda o: projector_checks()),
+    Check("Prop-riemann", "curvature", _riemann_family),
+    Check("ricci-einstein-lift", "curvature", _ricci_einstein_witness),
+    Check("ricci-geometric-lift", "curvature", _ricci_geometric_witness),
+    Check("ricci-classical-limit", "curvature", _classical_limit_witness),
+)

@@ -18,7 +18,9 @@ e0-containing words cancel) -- several checks below lean on that.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement
+import random
+
+from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness
 from .algebra import a as _a, b as _b, c as _c, d as _d
 from .algebra import coproduct
 from .calculus import (
@@ -107,22 +109,6 @@ def upsilon() -> Form:
     return Form.of(one, VOL)
 
 
-def _zero_or_witness(x):
-    """None when x vanishes, a rendered witness string otherwise."""
-    if not x:
-        return None
-    return repr(x)
-
-
-def _run_items(items):
-    failures = []
-    for name, diff in items:
-        w = _zero_or_witness(diff)
-        if w is not None:
-            failures.append((name, w))
-    return failures
-
-
 def sphere_relations_check():
     """The defining relations of the sphere generators; returns failures."""
     items = [
@@ -166,12 +152,17 @@ def soldering_check():
     return _run_items(items)
 
 
+def _dsrel_left():
+    """q^2 bm db+ + bp db- - F0 db0: the sphere relation differentiated."""
+    return _q(2) * (bm * DB["+"]) + bp * DB["-"] - F0 * DB["0"]
+
+
 def one_form_relation_check():
     """The sphere one-form relation, its chiral halves, and the full
     bimodule commutation table, all verified upstairs."""
     db0, dbp, dbm = DB["0"], DB["+"], DB["-"]
     items = [
-        ("dSrel-left", _q(2) * (bm * dbp) + bp * dbm - F0 * db0),
+        ("dSrel-left", _dsrel_left()),
         ("dSrel-right", _q(2) * (dbm * bp) + dbp * bm - db0 * F0),
         (
             "dShol-del",
@@ -294,20 +285,48 @@ def metric_matrix():
     ]
 
 
-def metric_g() -> TensorForm:
-    """The q-metric q^2 db- (x) db+ + db+ (x) db- - [2]_q db0 (x) db0."""
-    g = (
+def _metric_sum() -> TensorForm:
+    return (
         _q(2) * tensor(DB["-"], DB["+"])
         + tensor(DB["+"], DB["-"])
         - two_q * tensor(DB["0"], DB["0"])
     )
-    assert g.wedge_in().as_form() == 0, "metric is not q-symmetric"
-    assert g.is_basic(), "metric does not descend"
-    assert set(g.terms) <= {(EP, ("-",)), (EM, ("+",))}, "metric has chiral components"
-    # invariance of the coefficient matrix under the coaction
+
+
+def _symmetry_witness(g):
+    """None when g wedges to zero (is q-symmetric)."""
+    return _zero_or_witness(g.wedge_in().as_form())
+
+
+_MIXED = frozenset(((EP, ("-",)), (EM, ("+",))))
+
+
+def _chiral_witness(g):
+    """None when g has only the mixed e+ (x) e- and e- (x) e+ components."""
+    extra = sorted("".join(w + labels) for w, labels in set(g.terms) - _MIXED)
+    if extra:
+        return "unexpected %s component" % ", ".join(extra)
+
+
+def _invariance_witness():
+    """None when the metric coefficients are invariant under the coaction."""
     M, G = coaction_matrix(), metric_matrix()
     Mt = [[M[j][i] for j in range(3)] for i in range(3)]
-    assert _matmul3(Mt, _matmul3(G, M)) == G, "metric coefficients not invariant"
+    if _matmul3(Mt, _matmul3(G, M)) != G:
+        return "M^t G M != G"
+
+
+def metric_g() -> TensorForm:
+    """The q-metric q^2 db- (x) db+ + db+ (x) db- - [2]_q db0 (x) db0."""
+    g = _metric_sum()
+    if _symmetry_witness(g):
+        raise ArithmeticError("metric is not q-symmetric")
+    if not g.is_basic():
+        raise ArithmeticError("metric does not descend")
+    if _chiral_witness(g):
+        raise ArithmeticError("metric has chiral components")
+    if _invariance_witness():
+        raise ArithmeticError("metric coefficients not invariant")
     return g
 
 
@@ -352,11 +371,20 @@ def hodge_star(x):
 _ALPHA_GEOMETRIC = _q(-2) / 2
 
 
+def _lift_sum(alpha):
+    return alpha * g_plus_minus() + (alpha - 2 * _ALPHA_GEOMETRIC) * g_minus_plus()
+
+
+def _lift_witness(lift):
+    """None when the lift wedges back to the area form."""
+    return _zero_or_witness(lift.wedge_in().as_form() - upsilon())
+
+
 def lift_iY(alpha: Scalar) -> TensorForm:
     """The family of lifts of the area form: alpha g_{+-} + beta g_{-+}."""
-    beta = alpha - 2 * _ALPHA_GEOMETRIC
-    lift = alpha * g_plus_minus() + beta * g_minus_plus()
-    assert lift.wedge_in().as_form() == upsilon(), "lift does not wedge to the area form"
+    lift = _lift_sum(alpha)
+    if _lift_witness(lift):
+        raise ArithmeticError("lift does not wedge to the area form")
     return lift
 
 
@@ -392,7 +420,8 @@ def laplacian(f) -> AlgebraElement:
     # the -1/2 d*d route must agree
     df = d(_el(f))
     check = d(hodge_star(df)).scale(Scalar.from_fraction(-1) / 2)
-    assert check == Form({VOL: h}), "Laplacian routes disagree"
+    if check != Form({VOL: h}):
+        raise ArithmeticError("Laplacian routes disagree")
     return h
 
 
@@ -529,9 +558,10 @@ def spin_multiplet(ell: int):
         acc = buckets.setdefault(m1, AlgebraElement.zero())
         buckets[m1] = acc + AlgebraElement({m2: co})
     out = [buckets[m] for m in sorted(buckets, key=lambda m: -m.k)]
-    assert len(out) == 2 * ell + 1
-    for v in out:
-        assert SphereElement(v)
+    if len(out) != 2 * ell + 1:
+        raise ArithmeticError("spin-%d multiplet has %d members" % (ell, len(out)))
+    if any(m.degree() for v in out for m in v.terms):
+        raise ArithmeticError("spin-%d multiplet leaves the sphere" % ell)
     return out
 
 
@@ -543,9 +573,105 @@ def eigenvalue_on(elements):
         hv = laplacian(v)
         m, co = next(iter(v.terms.items()))
         cand = hv.terms.get(m, Scalar.from_int(0)) / co
-        assert hv == v.scale(cand), "not an exact eigenvector"
+        if hv != v.scale(cand):
+            raise ArithmeticError("not an exact eigenvector")
         if lam is None:
             lam = cand
-        else:
-            assert lam == cand, "eigenvalue is not uniform on the multiplet"
+        elif lam != cand:
+            raise ArithmeticError("eigenvalue is not uniform on the multiplet")
     return lam
+
+
+# ---------------------------------------------------------------------------
+# the sphere, metric, hodge, laplace and maxwell suites
+
+
+def _random_sphere_word(rng, maxlen=3):
+    x = one
+    for _ in range(rng.randrange(maxlen + 1)):
+        x = x * rng.choice((bm, b0, bp))
+    return x
+
+
+def _star_basics_witness(opts):
+    items = [
+        ("star(1)", hodge_star(Form.of(one)) - upsilon()),
+        ("star(area)", hodge_star(upsilon()) - Form.of(one)),
+    ]
+    for i in "-0+":
+        items.append(("star del b%s" % i, hodge_star(DEL[i]) - DEL[i]))
+        items.append(("star delbar b%s" % i, hodge_star(DELBAR[i]) + DELBAR[i]))
+    return _run_items(items)
+
+
+def _star_squared_witness(opts):
+    rng = random.Random(opts.seed + 3)
+    for _ in range(opts.n(25)):
+        x = Form.of(_random_sphere_word(rng)) + _random_sphere_word(rng) * upsilon()
+        for i in "-0+":
+            x = x + _random_sphere_word(rng) * DEL[i]
+            x = x + _random_sphere_word(rng) * DELBAR[i]
+        if hodge_star(hodge_star(x)) - x:
+            return "star^2 != id on a sample"
+
+
+def _lift_family_witness(opts):
+    for alpha in (_q(-2) / 2, _q(-2) / (ONE + _q(-4)), Scalar.from_int(0)):
+        w = _lift_witness(_lift_sum(alpha))
+        if w:
+            return "alpha = %r: %s" % (alpha, w)
+
+
+_LAM1 = _q(2) * two_q  # the Laplace eigenvalue on spin 1
+
+
+def _laplace_values_witness(opts):
+    return _run_items([
+        ("box bm", laplacian(bm) - bm.scale(_LAM1)),
+        ("box bp", laplacian(bp) - bp.scale(_LAM1)),
+        ("box F0", laplacian(F0) - F0.scale(_LAM1)),
+        ("box 1", laplacian(one)),
+    ])
+
+
+def _spin_witness(ell, want):
+    lam = eigenvalue_on(spin_multiplet(ell))
+    if lam != want:
+        return repr(lam)
+
+
+def _coulomb_witness(opts):
+    for i in "-0+":
+        if not maxwell_check(i)["coulomb"]:
+            return "source db%s" % i
+
+
+def _massive_witness(opts):
+    want = _LAM1 / 2
+    for i in "-0+":
+        report = maxwell_check(i)
+        if not report["massive"]:
+            return "source db%s" % i
+        if report["mass_squared"] != want:
+            return "mass^2 = %r" % report["mass_squared"]
+
+
+CHECKS = (
+    Check("sphere-relations", "sphere", lambda o: sphere_relations_check()),
+    Check("sphere-relations-d", "sphere", lambda o: _zero_or_witness(_dsrel_left())),
+    Check("one-form-bimodule", "sphere", lambda o: one_form_relation_check()),
+    Check("soldering", "sphere", lambda o: soldering_check()),
+    Check("wedge-tables", "sphere", lambda o: wedge_tables_check()),
+    Check("metric-wedge-zero", "metric", lambda o: _symmetry_witness(_metric_sum())),
+    Check("metric-chiral-zero", "metric", lambda o: _chiral_witness(_metric_sum())),
+    Check("metric-invariance", "metric", lambda o: _invariance_witness()),
+    Check("star-basics", "hodge", _star_basics_witness),
+    Check("star-squared", "hodge", _star_squared_witness),
+    Check("area-lift-family", "hodge", _lift_family_witness),
+    Check("laplace-values", "laplace", _laplace_values_witness),
+    Check("laplace-spin1", "laplace", lambda o: _spin_witness(1, _LAM1)),
+    Check("laplace-spin2", "laplace",
+          lambda o: _spin_witness(2, _LAM1 * (_q(2) + 1 + _q(-2)))),
+    Check("maxwell-coulomb", "maxwell", _coulomb_witness),
+    Check("maxwell-massive", "maxwell", _massive_witness),
+)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Monomial, accumulate
+from .algebra import AlgebraElement, Check, Monomial, _run_items, accumulate, render_value
 from .algebra import a as _a, b as _b, c as _c, d as _d
 from .bundles import Section, covariant_D, extract_coeffs, partition_of_unity
 from .calculus import EM, EP, Form, TensorForm, d
@@ -41,7 +41,6 @@ from .sphere import (
     F0,
     GENS,
     SphereForm,
-    _run_items,
     b0,
     bm,
     bp,
@@ -116,7 +115,8 @@ class Spinor:
         return NotImplemented
 
     def __repr__(self):
-        return f"Spinor({self.minus_part!r}, {self.plus_part!r})"
+        """CLI text: both parts in one element, which dirac() splits by degree."""
+        return render_value(self.minus_part + self.plus_part)
 
 
 GENERATOR_SPINORS = (
@@ -500,3 +500,38 @@ def trivialisation_checks():
     items.append(("triv-eigenrow", dirac(sigma) - sigma.scale(LAMBDA_INV)))
 
     return _run_items(items)
+
+
+# ---------------------------------------------------------------------------
+# the dirac suite
+
+
+def _dirac_generators_witness(opts):
+    return _run_items([
+        ("dirac a", dirac(Spinor(minus_part=_a)) - Spinor(plus_part=_b)),
+        ("dirac c", dirac(Spinor(minus_part=_c)) - Spinor(plus_part=_d)),
+        ("dirac b", dirac(Spinor(plus_part=_b)) - Spinor(minus_part=_a.scale(_q(1)))),
+        ("dirac d", dirac(Spinor(plus_part=_d)) - Spinor(minus_part=_c.scale(_q(1)))),
+    ])
+
+
+def _dirac_eigen_witness(opts):
+    """The eigen-spinors with eigenvalues +-q^(1/2)."""
+    for sign in (1, -1):
+        ev = LAMBDA_INV * sign
+        for m0, p0 in ((_a, _b), (_c, _d)):
+            sig = Spinor(minus_part=m0.scale(ev), plus_part=p0)
+            if dirac(sig) != sig.scale(ev):
+                return "sign %+d on (%r, %r)" % (sign, m0, p0)
+
+
+CHECKS = (
+    Check("dirac-generators", "dirac", _dirac_generators_witness),
+    Check("gamma-algebra", "dirac", lambda o: gamma_algebra_check()),
+    Check("dirac-first-order", "dirac", lambda o: dirac_first_order_check()),
+    Check("dirac-square", "dirac", lambda o: dirac_square_check()),
+    Check("dirac-eigen", "dirac", _dirac_eigen_witness),
+    Check("dirac-commutator", "dirac",
+          lambda o: dirac_commutator_check(sample_size=o.n(50), seed=o.seed + 7)),
+    Check("trivialisation", "dirac", lambda o: trivialisation_checks()),
+)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qsphere import calculus
 from qsphere.algebra import a, b, c, d as gd, degree_split, normalize, one
 from qsphere.calculus import (
     E0,
@@ -201,3 +202,37 @@ def test_tensor_is_basic():
     t = tensor(Form({EP: gd * gd}), Form({EM: c * c}))
     assert t.is_basic()
     assert not tensor(basis(EP), Form({EM: c * c})).is_basic()
+
+
+# Each guard raises ArithmeticError when its identity fails, so it still
+# fires under python -O; each test below injects one fault.
+
+
+def test_monopole_curvature_guard_raises(monkeypatch):
+    real = calculus.monopole_omega
+    monkeypatch.setattr(calculus, "monopole_omega", lambda n: real(n + 1))
+    with pytest.raises(ArithmeticError, match="charge-1 monopole"):
+        monopole_curvature(1)
+
+
+@pytest.mark.parametrize("shift, message", [
+    (lambda n: n + 1 if n > 0 else n, "of a\\^1 "),
+    (lambda n: n - 1 if n < 0 else n, "of d\\^1 "),
+], ids=["a-route", "d-route"])
+def test_omega_recursion_guards_raise(monkeypatch, shift, message):
+    real = calculus.monopole_omega
+    monkeypatch.setattr(calculus, "monopole_omega", lambda n: real(shift(n)))
+    with pytest.raises(ArithmeticError, match=message):
+        omega_recursion_check(2)
+
+
+def test_d_squared_guard_raises(monkeypatch):
+    # a wrong d e0 breaks d^2 = 0; _d_word caches d on basis words
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(calculus._D_WORD_BASE, "0", Form({VOL: one.scale(q2(2))}))
+            _d_word.cache_clear()
+            with pytest.raises(ArithmeticError, match="square to zero"):
+                calculus._check_d_squared()
+    finally:
+        _d_word.cache_clear()

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qsphere.algebra import AlgebraElement, a, b, c, d
-from qsphere.calculus import EM, EP, VOL, Form, d as dd, wedge
+from qsphere import sphere
+from qsphere.algebra import AlgebraElement, TensorSquare, a, b, c, d
+from qsphere.calculus import EM, EP, VOL, Form, TensorForm, d as dd, tensor, wedge
 from qsphere.scalars import Scalar, mu, specialize, two_q
 from qsphere.sphere import (
     DB,
@@ -254,3 +255,63 @@ def test_proportionality_helper():
     assert proportionality(DB["+"].scale(q(5)), DB["+"]) == q(5)
     assert proportionality(DB["+"], DB["-"]) is None
     assert proportionality(Form.zero(), DB["+"]) is None
+
+
+# Each library guard raises ArithmeticError when its identity fails, so it
+# still fires under python -O; each test below injects one fault.
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda g: g + tensor(DB["+"], DB["-"]), "not q-symmetric"),
+    (lambda g: a * g, "does not descend"),
+    (lambda g: g + TensorForm({(EP, ("+",)): b ** 4}), "chiral components"),
+], ids=["symmetry", "basic", "chiral"])
+def test_metric_guards_raise(monkeypatch, fault, message):
+    real = sphere._metric_sum
+    monkeypatch.setattr(sphere, "_metric_sum", lambda: fault(real()))
+    with pytest.raises(ArithmeticError, match=message):
+        metric_g()
+
+
+def test_metric_invariance_guard_raises(monkeypatch):
+    real = sphere.metric_matrix
+
+    def skewed():
+        G = real()
+        G[1][1] = G[1][1].scale(2)
+        return G
+
+    monkeypatch.setattr(sphere, "metric_matrix", skewed)
+    with pytest.raises(ArithmeticError, match="not invariant"):
+        metric_g()
+
+
+def test_lift_guard_raises(monkeypatch):
+    monkeypatch.setattr(sphere, "_ALPHA_GEOMETRIC", q(-2) / 3)
+    with pytest.raises(ArithmeticError, match="area form"):
+        lift_iY(q(-2) / 2)
+
+
+def test_laplacian_guard_raises(monkeypatch):
+    real = sphere.hodge_star
+    monkeypatch.setattr(sphere, "hodge_star", lambda x: real(x).scale(2))
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        laplacian(bp)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda t: TensorSquare._wrap(dict(list(t.terms.items())[:1])), "members"),
+    (lambda t: t * TensorSquare.of(one, a), "leaves the sphere"),
+], ids=["count", "degree"])
+def test_spin_multiplet_guards_raise(monkeypatch, fault, message):
+    real = sphere.coproduct
+    monkeypatch.setattr(sphere, "coproduct", lambda x: fault(real(x)))
+    with pytest.raises(ArithmeticError, match=message):
+        spin_multiplet(1)
+
+
+def test_eigenvalue_guards_raise():
+    with pytest.raises(ArithmeticError, match="not an exact eigenvector"):
+        eigenvalue_on([b0])
+    with pytest.raises(ArithmeticError, match="not uniform"):
+        eigenvalue_on([bp, bp * bp])
