@@ -324,10 +324,6 @@ class AlgebraElement(Combination):
             out = out * self
         return out
 
-    def is_homogeneous(self):
-        degs = {m.degree() for m in self.terms}
-        return len(degs) <= 1
-
     def degree(self):
         """Degree of a homogeneous element (0 for the zero element)."""
         degs = {m.degree() for m in self.terms}

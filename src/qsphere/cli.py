@@ -28,7 +28,7 @@ import re
 import sys
 
 from . import __version__, algebra, bundles, calculus, riemann, sphere, spin
-from .algebra import AlgebraElement, antipode, counit, degree_split, render_value
+from .algebra import AlgebraElement, antipode, counit, render_value
 from .algebra import a as _ga, b as _gb, c as _gc, d as _gd
 from .calculus import E0, EM, EP, Form, TensorForm, wedge
 from .calculus import d as _dop
@@ -308,16 +308,9 @@ def _fn_nabla(v):
 
 def _fn_dirac(v):
     x = _as_element(v, "dirac")
-    parts = degree_split(x)
-    if set(parts) - {1, -1}:
+    if any(m.degree() not in (1, -1) for m in x.terms):
         raise EvalError("dirac() needs components of charge +1 and -1 only")
-    out = dirac(
-        Spinor(
-            minus_part=parts.get(1, AlgebraElement.zero()),
-            plus_part=parts.get(-1, AlgebraElement.zero()),
-        )
-    )
-    return out.minus_part + out.plus_part
+    return AlgebraElement._wrap(dirac(Spinor._wrap(x.terms)).terms)
 
 
 def _fn_lap(v):

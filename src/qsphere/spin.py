@@ -2,7 +2,9 @@
 
 Sections of the two spinor bundles are the degree +-1 subspaces
 upstairs: S- is degree +1 (spanned over the sphere by a, c) and S+ is
-degree -1 (spanned by b, d).  The Clifford action gamma eats a basic
+degree -1 (spanned by b, d).  A Spinor is one Combination keyed by
+monomial, whose degree names its part; minus_part and plus_part are
+views built on demand.  The Clifford action gamma eats a basic
 one-form and a spinor: the e+ coefficient maps S- to S+, the e-
 coefficient maps S+ to S-, and the two cross pairings act by zero.
 The Dirac operator is gamma composed with the charge +-1 monopole
@@ -28,7 +30,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Check, Monomial, _run_items, accumulate, render_value
+from .algebra import AlgebraElement, Check, Combination, Monomial, _run_items, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d
 from .bundles import Section, covariant_D, extract_coeffs, partition_of_unity
 from .calculus import EM, EP, Form, TensorForm, d
@@ -65,58 +67,45 @@ DELBARC = {i: DELBAR[i].coefficient(EM) for i in GENS}
 _GENS_SQ = {i: GENS[i] * GENS[i] for i in GENS}
 
 
-class Spinor:
-    """A section of S- (+) S+: a degree +1 part and a degree -1 part."""
+class Spinor(Combination):
+    """A section of S- (+) S+, held as one {Monomial: Scalar} dict.
 
-    __slots__ = ("minus_part", "plus_part")
+    Every monomial has degree +1 (the S- part) or -1 (the S+ part), so
+    the degree of a monomial tells its part.  minus_part and plus_part
+    are read-only views, each a freshly built AlgebraElement.
+    """
+
+    __slots__ = ()
+
+    _pieces = AlgebraElement._pieces  # printed as one element, the input dirac() takes
 
     def __init__(self, minus_part=None, plus_part=None):
-        minus_part = _zero if minus_part is None else minus_part
-        plus_part = _zero if plus_part is None else plus_part
-        if any(m.degree() != 1 for m in minus_part.terms):
-            raise ValueError("the S- part must have degree +1")
-        if any(m.degree() != -1 for m in plus_part.terms):
-            raise ValueError("the S+ part must have degree -1")
-        self.minus_part = minus_part
-        self.plus_part = plus_part
+        self.terms = {}
+        for part, n, name in ((minus_part, 1, "S-"), (plus_part, -1, "S+")):
+            if part is None:
+                continue
+            if any(m.degree() != n for m in part.terms):
+                raise ValueError("the %s part must have degree %+d" % (name, n))
+            self.terms.update(part.terms)
 
-    def __bool__(self):
-        return bool(self.minus_part) or bool(self.plus_part)
+    def _part(self, n):
+        return AlgebraElement._wrap({m: co for m, co in self.terms.items() if m.degree() == n})
 
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self
-        if not isinstance(other, Spinor):
-            return NotImplemented
-        return (
-            self.minus_part == other.minus_part
-            and self.plus_part == other.plus_part
-        )
+    @property
+    def minus_part(self):
+        return self._part(1)
 
-    def __add__(self, other):
-        return Spinor(
-            self.minus_part + other.minus_part, self.plus_part + other.plus_part
-        )
-
-    def __neg__(self):
-        return Spinor(-self.minus_part, -self.plus_part)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, co):
-        return Spinor(self.minus_part.scale(co), self.plus_part.scale(co))
+    @property
+    def plus_part(self):
+        return self._part(-1)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
         if isinstance(other, AlgebraElement):
+            # per part, so a left factor of nonzero degree raises
             return Spinor(other * self.minus_part, other * self.plus_part)
         return NotImplemented
-
-    def __repr__(self):
-        """CLI text: both parts in one element, which dirac() splits by degree."""
-        return render_value(self.minus_part + self.plus_part)
 
 
 GENERATOR_SPINORS = (
@@ -166,14 +155,14 @@ def _basic_spinor_pairs(h: Form, n: int):
 @lru_cache(maxsize=None)
 def _dirac_mono(m: Monomial):
     """dirac of the spinor m (in S- for deg m = 1, in S+ for deg m = -1)
-    as its (S-, S+) parts, each a tuple of (Monomial, Scalar) pairs: the
-    memoised table that dirac extends linearly."""
+    as a tuple of (Monomial, Scalar) pairs: the memoised table that dirac
+    extends linearly."""
     n = m.degree()
     x = AlgebraElement({m: ONE})
     out = Spinor()
     for omega, y in _basic_spinor_pairs(covariant_D(Section(x, n)), n):
         out = out + gamma(omega, Spinor(minus_part=y) if n == 1 else Spinor(plus_part=y))
-    return tuple(out.minus_part.terms.items()), tuple(out.plus_part.terms.items())
+    return tuple(out.terms.items())
 
 
 def dirac(sigma: Spinor) -> Spinor:
@@ -181,13 +170,10 @@ def dirac(sigma: Spinor) -> Spinor:
 
     Extends the per-monomial table linearly into a freshly built spinor.
     """
-    minus, plus = {}, {}
-    for part in (sigma.minus_part, sigma.plus_part):
-        for m, co in part.terms.items():
-            image_minus, image_plus = _dirac_mono(m)
-            accumulate(minus, ((k, co * c) for k, c in image_minus))
-            accumulate(plus, ((k, co * c) for k, c in image_plus))
-    return Spinor(AlgebraElement._wrap(minus), AlgebraElement._wrap(plus))
+    out = {}
+    for m, co in sigma.terms.items():
+        accumulate(out, ((k, co * c) for k, c in _dirac_mono(m)))
+    return Spinor._wrap(out)
 
 
 def gamma_algebra_check():
@@ -331,17 +317,24 @@ def dirac_commutator_check(sample_size=50, seed=7):
 # the trivialisation
 
 
-class SpinorRow:
-    """A spinor in the trivialised picture: a row 2-vector over the sphere."""
+class SpinorRow(tuple):
+    """A spinor in the trivialised picture: a row 2-vector (f, g) over the sphere."""
 
-    __slots__ = ("f", "g")
+    __slots__ = ()
 
-    def __init__(self, f: AlgebraElement, g: AlgebraElement):
+    def __new__(cls, f: AlgebraElement, g: AlgebraElement):
         for x in (f, g):
             if any(m.degree() != 0 for m in x.terms):
                 raise ValueError("row entries must be sphere elements")
-        self.f = f
-        self.g = g
+        return tuple.__new__(cls, (f, g))
+
+    @property
+    def f(self):
+        return self[0]
+
+    @property
+    def g(self):
+        return self[1]
 
     def to_spinor(self) -> Spinor:
         """Pair the row with the column (a + L b, c + L d), split by degree."""
@@ -357,20 +350,6 @@ class SpinorRow:
             m * _d - (p * _c).scale(LAMBDA_INV * _q(-1)),
             -((m * _b).scale(_q(1))) + (p * _a).scale(LAMBDA_INV),
         )
-
-    def __bool__(self):
-        return bool(self.f) or bool(self.g)
-
-    def __eq__(self, other):
-        if not isinstance(other, SpinorRow):
-            return NotImplemented
-        return self.f == other.f and self.g == other.g
-
-    def __sub__(self, other):
-        return SpinorRow(self.f - other.f, self.g - other.g)
-
-    def __repr__(self):
-        return f"SpinorRow({self.f!r}, {self.g!r})"
 
 
 def projector_e():
@@ -420,7 +399,7 @@ def transported_dirac(row: SpinorRow, coeffs=canonical_coefficients) -> SpinorRo
     the part of the right-acting derivative entries.
     """
     e = projector_e()
-    f, g = row.f, row.g
+    f, g = row
     fm, f0, fp = coeffs(f)
     gm, g0, gp = coeffs(g)
 

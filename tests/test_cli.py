@@ -23,8 +23,9 @@ from qsphere.cli import (
     render_value,
     run_suite,
 )
-from qsphere.scalars import Scalar
-from qsphere.spin import Spinor
+from qsphere.scalars import ONE, Scalar, two_q
+from qsphere.sphere import b0, bm, bp, one
+from qsphere.spin import GENERATOR_SPINORS, Spinor
 
 q = Scalar.q_power
 GENS = (a, b, c, gd)
@@ -52,6 +53,21 @@ def random_form(rng):
     out = out + random_element(rng, 2) * dd(random_element(rng, 2))
     if rng.random() < 0.5:
         out = out + wedge(dd(random_element(rng, 1)), dd(random_element(rng, 1)))
+    return out
+
+
+# non-unit coefficients, among them a true rational function and odd powers of s
+SPINOR_COEFFS = (Scalar.from_int(-2), q(3), Scalar.s_power(-1), Scalar.s_power(3),
+                 ONE / (ONE + q(-4)), q(-1) / two_q)
+
+
+def random_spinor(rng):
+    out = Spinor()
+    for _ in range(rng.randrange(1, 4)):
+        f = one
+        for _ in range(rng.randrange(3)):
+            f = f * rng.choice((b0, bp, bm))
+        out = out + (f * rng.choice(GENERATOR_SPINORS)).scale(rng.choice(SPINOR_COEFFS))
     return out
 
 
@@ -100,7 +116,7 @@ def test_syntax_error_positions():
 
 def test_eval_type_errors():
     for bad in ("dirac(b0)", "lap(a)", "del(a)", "star(e0)", "nabla(b0)",
-                "b0^-1", "ep + nabla(d(b0))"):
+                "b0^-1", "ep + nabla(d(b0))", "dirac(a*a)"):
         with pytest.raises(EvalError):
             evaluate_text(bad)
 
@@ -170,6 +186,7 @@ def test_combination_group_laws():
         random_form,
         lambda r: coproduct(random_element(r, 2)),
         random_tensor_form,
+        random_spinor,
     )
     for make in kinds:
         for _ in range(20):

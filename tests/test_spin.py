@@ -69,8 +69,7 @@ def test_dirac_table_matches_whole_element_formula():
         got = dirac(sigma)
         assert got == want
         # every result is built afresh: mutating one leaves the next intact
-        got.minus_part.terms.clear()
-        got.plus_part.terms.clear()
+        got.terms.clear()
         assert dirac(sigma) == want
 
 
@@ -91,6 +90,16 @@ def test_spinor_types_validate():
         Spinor(minus_part=one)
     with pytest.raises(ValueError):
         SpinorRow(a, one)
+    # a left factor acts on each part: a^2 * b has degree +1, an S- term,
+    # but it would have come out of S+, so a factor of nonzero degree raises
+    with pytest.raises(ValueError):
+        a * Spinor(minus_part=a)
+    with pytest.raises(ValueError):
+        (a * a) * Spinor(plus_part=b)
+    row = SpinorRow(bp, b0 * b0)
+    sig = row.to_spinor()
+    back = SpinorRow.from_spinor(sig)
+    assert type(back) is SpinorRow and back == row and back != SpinorRow(b0 * b0, bp)
     with pytest.raises(ValueError):
         gamma(Form.of(one, "0"), GENERATOR_SPINORS[0])
     with pytest.raises(ValueError):
@@ -195,9 +204,9 @@ def test_row_spinor_roundtrip():
         assert SpinorRow.from_spinor(sig).to_spinor() == sig
         # chirality summands land in the matching idempotent summand
         minus_row = SpinorRow.from_spinor(Spinor(minus_part=f * rng.choice([a, c])))
-        assert not any(_row_mat((minus_row.f, minus_row.g), e))
+        assert not any(_row_mat(minus_row, e))
         plus_row = SpinorRow.from_spinor(Spinor(plus_part=f * rng.choice([b, d])))
-        assert not any(_row_mat((plus_row.f, plus_row.g), one_minus_e))
+        assert not any(_row_mat(plus_row, one_minus_e))
 
 
 def test_transported_coefficient_independence():
