@@ -13,9 +13,11 @@ monomial, when its image enters the memoised table behind covariant_D.
 Each small charge carries a fixed "partition of unity" -- a finite dual
 basis exhibiting the bundle as a direct summand of a free module.  The
 charge +-2 partitions drive the canonical extraction of sphere-valued
-coefficients from horizontal one-forms; the coefficients of such an
-expansion are not unique, so fixing the partitions once keeps every
-downstream formula deterministic.
+coefficients from horizontal one-forms, and basic_pairs inserts a
+partition to split a charged form into basic form (x) section pairs
+(the legs of the Levi-Civita tensors, the spinor tails of the Dirac
+operator); such expansions are not unique, so fixing the partitions
+once keeps every downstream formula deterministic.
 """
 
 from __future__ import annotations
@@ -128,6 +130,25 @@ def partition_of_unity(n: int) -> Partition:
     else:
         raise ValueError(f"no partition of unity stored for charge {n}")
     return Partition(n, pairs)
+
+
+def basic_pairs(h: Form, n: int):
+    """Split a form whose coefficients carry surplus charge n into
+    (basic form, y_r) pairs with h = sum omega_r y_r.
+
+    Inserting 1 = sum x_r y_r of the charge-n partition moves the
+    surplus degree out of each coefficient and onto y_r; x_r crosses
+    the exterior word on its way and picks up its crossing factor.
+    """
+    part = partition_of_unity(n)
+    pairs = []
+    for w, x in h.terms.items():
+        shift = -n * w.crossing()
+        for xr, yr in part.pairs:
+            omega = Form({w: (x * xr).scale(_q(shift))})
+            if omega:
+                pairs.append((omega, yr))
+    return pairs
 
 
 def extract_coeffs(h: Form):

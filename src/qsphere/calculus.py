@@ -382,11 +382,12 @@ class TensorForm(Combination):
 
 def tensor(x: Form, y: Form) -> TensorForm:
     """x (x) y for a one-form y with charged components only."""
+    if set(y.terms) - {EP, EM}:
+        raise ValueError("second leg must be a charged basis one-form")
+
     def terms():
         for w1, x1 in x.terms.items():
             for w2, x2 in y.terms.items():
-                if w2 not in (EP, EM):
-                    raise ValueError("second leg must be a charged basis one-form")
                 yield (w1, (w2[0],)), x1 * push_left(w1, x2)
 
     return TensorForm._wrap(accumulate({}, terms()))
@@ -394,12 +395,13 @@ def tensor(x: Form, y: Form) -> TensorForm:
 
 def tensor_append(tf: TensorForm, y: Form) -> TensorForm:
     """tf (x) y, again for a charged one-form y."""
+    if set(y.terms) - {EP, EM}:
+        raise ValueError("appended leg must be a charged basis one-form")
+
     def terms():
         for (w, labels), x in tf.terms.items():
             crossings = w.crossing() + len(labels)
             for w2, x2 in y.terms.items():
-                if w2 not in (EP, EM):
-                    raise ValueError("appended leg must be a charged basis one-form")
                 yield (w, labels + (w2[0],)), x * push_left_n(crossings, x2)
 
     return TensorForm._wrap(accumulate({}, terms()))

@@ -16,8 +16,9 @@ lift itself.
 
 Decomposing a two-legged tensor into sums of honest form (x) form pairs
 (needed to differentiate the second leg) is not canonical; it is done
-here by inserting the fixed partitions of unity of the charge -+2
-bundles, which keeps every curvature computation deterministic.
+by bundles.basic_pairs, which inserts the fixed partitions of unity of
+the charge -+2 bundles and so keeps every curvature computation
+deterministic.
 """
 
 from __future__ import annotations
@@ -25,20 +26,24 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness
-from .bundles import _covariant_D_mono, partition_of_unity
-from .calculus import EM, EP, Form, TensorForm, _add_scaled, _nested, d, push_left, wedge
+from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness, accumulate
+from .bundles import _covariant_D_mono, basic_pairs
+from .calculus import EM, EP, Form, TensorForm, _add_scaled, _nested, d, tensor, wedge
 from .scalars import ONE, Scalar, two_q
 from .sphere import (
     DB,
     DEL,
     DELBAR,
     F0,
+    G_PRESENTATION,
     SphereForm,
     _fm,
+    _matmul,
     _random_sphere_word,
+    _scale_by_last_leg,
     bm,
     bp,
+    chiral_split,
     del_split,
     metric_g,
     one,
@@ -49,39 +54,19 @@ from .sphere import (
 _q = Scalar.q_power
 
 
-def tensor_attach(omega: Form, eta: Form) -> TensorForm:
-    """omega (x) eta over the sphere, for eta a horizontal one-form.
-
-    Each e+/e- term of eta contributes a leg; its coefficient crosses
-    omega's exterior word on the way to the far left.
-    """
-    out = TensorForm()
-    for wb, y in eta.terms.items():
-        if wb not in (EP, EM):
-            raise ValueError("second tensor factor must be a horizontal one-form")
-        for v, z in omega.terms.items():
-            out = out + TensorForm({(v, (wb[0],)): z * push_left(v, y)})
-    return out
-
-
 def decompose_legs(tf: TensorForm):
     """Rewrite a one-legged tensor as a list of (omega_r, eta_r) form pairs.
 
     The leg e^b is padded with 1 = sum x_r y_r at charge -+2 so that
-    eta_r = y_r e^b is basic; x_r moves across the tensor sign and picks
-    up the crossing factor of omega's exterior word.
+    eta_r = y_r e^b is basic (bundles.basic_pairs).
     """
     pairs = []
     for (w, labels), x in tf.terms.items():
         if len(labels) != 1:
             raise ValueError("expected exactly one tensor leg")
         beta = labels[0]
-        part = partition_of_unity(-2 if beta == "+" else 2)
-        shift = (2 if beta == "+" else -2) * w.crossing()
-        for xr, yr in part.pairs:
-            omega = Form({w: (x * xr).scale(_q(shift))})
-            if omega:
-                pairs.append((omega, Form.of(yr, beta)))
+        for omega, yr in basic_pairs(Form._wrap({w: x}), -2 if beta == "+" else 2):
+            pairs.append((omega, Form.of(yr, beta)))
     return pairs
 
 
@@ -122,7 +107,7 @@ class Connection1:
         for f, tau in samples:
             t = _fm(tau)
             lhs = self.apply(f * t)
-            rhs = tensor_attach(d(f), t) + f * self.apply(t)
+            rhs = tensor(d(f), t) + f * self.apply(t)
             if lhs != rhs:
                 bad.append((f, tau))
         return bad
@@ -137,23 +122,21 @@ def torsion(tau) -> Form:
     return nabla(t).wedge_in().as_form() - d(t)
 
 
-# the metric as an explicit sum of basic (x) basic pairs, coefficients out front
-G_PRESENTATION = ((_q(2), "-", "+"), (ONE, "+", "-"), (-two_q, "0", "0"))
+def _wedge_first(omega: Form, tf: TensorForm, co=ONE):
+    """The terms of co . omega wedged into the first leg of tf."""
+    for (v, labels), x in tf.terms.items():
+        for u, z in wedge(omega, Form._wrap({v: x})).terms.items():
+            yield (u, labels), z.scale(co)
 
 
 def cotorsion_parts():
     """The (nabla wedge id) and (id wedge nabla) halves applied to the metric."""
-    left = TensorForm()
-    right = TensorForm()
+    left, right = {}, {}
     for co, i, j in G_PRESENTATION:
         ti, tj = DB[i], DB[j]
-        left = left + tensor_attach(nabla(ti).wedge_in().as_form(), tj).scale(co)
-        for (v, labels), x in nabla(tj).terms.items():
-            ww = wedge(ti, Form({v: x}))
-            right = right + TensorForm(
-                {(u, labels): z for u, z in ww.terms.items()}
-            ).scale(co)
-    return left, right
+        accumulate(left, tensor(nabla(ti).wedge_in().as_form(), tj).scale(co).terms.items())
+        accumulate(right, _wedge_first(ti, nabla(tj), co))
+    return TensorForm._wrap(left), TensorForm._wrap(right)
 
 
 def cotorsion() -> TensorForm:
@@ -185,50 +168,44 @@ def projector_checks():
     """Itemized identities tying the projector to the connection."""
     E = ProjectorE()
     db = (DB["-"], DB["0"], DB["+"])
-    items = []
+    row, M = [E.row], E.matrix()
+    col, dbcol = [[x] for x in E.col], [[t] for t in db]
+    items = [
+        ("rowcol", _matmul(row, col)[0][0] - one),
+        ("rowdb", _matmul(row, dbcol)[0][0]),
+    ]
 
-    dot = sum((rk * ck for rk, ck in zip(E.row, E.col)), AlgebraElement.zero())
-    items.append(("rowcol", dot - one))
-    items.append(("rowdb", sum((rk * t for rk, t in zip(E.row, db)), Form.zero())))
-
-    M = E.matrix()
+    MM, Mdb = _matmul(M, M), _matmul(M, dbcol)
     for i in range(3):
         for j in range(3):
-            sq = sum((M[i][k] * M[k][j] for k in range(3)), AlgebraElement.zero())
-            items.append((f"EE-{i}{j}", sq - M[i][j]))
-        items.append((f"Edb-{i}", sum((M[i][k] * db[k] for k in range(3)), Form.zero())))
+            items.append((f"EE-{i}{j}", MM[i][j] - M[i][j]))
+        items.append((f"Edb-{i}", Mdb[i][0]))
 
     # -E dE reproduces the connection on the generators' differentials
     for j in range(3):
-        recomb = TensorForm()
-        for i in range(3):
-            recomb = recomb + tensor_attach(d(M[j][i]), db[i])
+        recomb = sum((tensor(d(M[j][i]), db[i]) for i in range(3)), TensorForm())
         items.append((f"nablaE-{j}", nabla(db[j]) + recomb))
 
     # the same recombination on the bare row gives minus the metric
-    drow = TensorForm()
-    for j in range(3):
-        drow = drow + tensor_attach(d(E.row[j]), db[j])
+    drow = sum((tensor(d(E.row[j]), db[j]) for j in range(3)), TensorForm())
     items.append(("drowdb", drow + metric_g()))
 
     # each chirality of dE annihilates the matching chirality of db
     for j in range(3):
-        hol = TensorForm()
-        ahol = TensorForm()
+        hol = ahol = TensorForm()
         for i in range(3):
             de, debar = del_split(M[j][i])
-            dbi, dbari = del_split_form(db[i])
-            hol = hol + tensor_attach(de, dbi)
-            ahol = ahol + tensor_attach(debar, dbari)
+            dbi, dbari = chiral_split(db[i])
+            hol = hol + tensor(de, dbi)
+            ahol = ahol + tensor(debar, dbari)
         items.append((f"holE-{j}", hol))
         items.append((f"aholE-{j}", ahol))
 
     return _run_items(items)
 
 
-def del_split_form(tau: Form):
-    """(e+ part, e- part) of a one-form."""
-    return Form({EP: tau.coefficient(EP)}), Form({EM: tau.coefficient(EM)})
+# the curvature acts on an e- leg by [2]_q and on an e+ leg by -q^4 [2]_q
+_CHIRALITY = {"-": two_q, "+": -(_q(4) * two_q)}
 
 
 def riemann_tensor(tau) -> TensorForm:
@@ -241,18 +218,12 @@ def riemann_tensor(tau) -> TensorForm:
     returned.
     """
     t = _fm(tau)
-    total = TensorForm()
+    acc = {}
     for omega, eta in decompose_legs(nabla(t)):
-        for (v, labels), x in nabla(eta).terms.items():
-            ww = wedge(omega, Form({v: x}))
-            total = total + TensorForm({(u, labels): z for u, z in ww.terms.items()})
-        total = total - tensor_attach(d(omega), eta)
-    up = upsilon()
-    expected = tensor_attach(up, Form({EM: t.coefficient(EM)})).scale(two_q)
-    expected = expected - tensor_attach(up, Form({EP: t.coefficient(EP)})).scale(
-        _q(4) * two_q
-    )
-    if total != expected:
+        accumulate(acc, _wedge_first(omega, nabla(eta)))
+        accumulate(acc, (-tensor(d(omega), eta)).terms.items())
+    total = TensorForm._wrap(acc)
+    if total != _scale_by_last_leg(tensor(upsilon(), t), _CHIRALITY):
         raise RuntimeError("curvature is not the area form times the chirality scalar")
     return total
 
@@ -266,11 +237,7 @@ def ricci(lift: TensorForm) -> TensorForm:
     """
     if not lift.is_basic():
         raise ValueError("the lift must be basic to cross the curvature")
-    out = TensorForm()
-    for (w, labels), x in lift.terms.items():
-        lam = two_q if labels[-1] == "-" else -(_q(4) * two_q)
-        out = out + TensorForm({(w, labels): x.scale(lam)})
-    return out
+    return _scale_by_last_leg(lift, _CHIRALITY)
 
 
 def einstein_lift() -> TensorForm:

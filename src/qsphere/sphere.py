@@ -19,14 +19,17 @@ e0-containing words cancel) -- several checks below lean on that.
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 
-from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness
+from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d
 from .algebra import coproduct
 from .calculus import (
     E0,
     EM,
     EP,
+    SCALAR_WORD,
     VOL,
     Form,
     TensorForm,
@@ -89,15 +92,17 @@ def _fm(x) -> Form:
     return x.value if isinstance(x, SphereForm) else x
 
 
+def chiral_split(tau: Form):
+    """(e+ part, e- part) of a one-form: its del and delbar halves."""
+    return Form({EP: tau.coefficient(EP)}), Form({EM: tau.coefficient(EM)})
+
+
 def del_split(f):
     """(del f, delbar f): the e+ and e- parts of df for a sphere function."""
     df = d(_el(f))
     if E0 in df.terms:
         raise RuntimeError("df acquired an e0 part on a degree-0 element")
-    return (
-        Form({EP: df.coefficient(EP)}),
-        Form({EM: df.coefficient(EM)}),
-    )
+    return chiral_split(df)
 
 
 DB = {i: d(GENS[i]) for i in GENS}
@@ -256,13 +261,12 @@ def one_form_relation_check():
 # metric and Hodge theory
 
 
-def _matmul3(X, Y):
+def _matmul(X, Y):
+    """The product XY of matrices given as row lists, as a list of row lists;
+    a row vector is a 1 x n matrix and a column vector an n x 1 matrix."""
     return [
-        [
-            sum((X[i][k] * Y[k][j] for k in range(3)), AlgebraElement.zero())
-            for j in range(3)
-        ]
-        for i in range(3)
+        [reduce(add, (X[i][k] * Y[k][j] for k in range(len(Y)))) for j in range(len(Y[0]))]
+        for i in range(len(X))
     ]
 
 
@@ -285,12 +289,20 @@ def metric_matrix():
     ]
 
 
+# the metric as a sum of basic (x) basic pairs, coefficients out front
+G_PRESENTATION = ((_q(2), "-", "+"), (ONE, "+", "-"), (-two_q, "0", "0"))
+
+
+def _metric_over(left, right) -> TensorForm:
+    """sum co . left_i (x) right_j over the terms (co, i, j) of G_PRESENTATION."""
+    acc = {}
+    for co, i, j in G_PRESENTATION:
+        accumulate(acc, tensor(left[i], right[j]).scale(co).terms.items())
+    return TensorForm._wrap(acc)
+
+
 def _metric_sum() -> TensorForm:
-    return (
-        _q(2) * tensor(DB["-"], DB["+"])
-        + tensor(DB["+"], DB["-"])
-        - two_q * tensor(DB["0"], DB["0"])
-    )
+    return _metric_over(DB, DB)
 
 
 def _symmetry_witness(g):
@@ -312,7 +324,7 @@ def _invariance_witness():
     """None when the metric coefficients are invariant under the coaction."""
     M, G = coaction_matrix(), metric_matrix()
     Mt = [[M[j][i] for j in range(3)] for i in range(3)]
-    if _matmul3(Mt, _matmul3(G, M)) != G:
+    if _matmul(Mt, _matmul(G, M)) != G:
         return "M^t G M != G"
 
 
@@ -331,36 +343,29 @@ def metric_g() -> TensorForm:
 
 
 def g_plus_minus() -> TensorForm:
-    return (
-        _q(2) * tensor(DEL["-"], DELBAR["+"])
-        + tensor(DEL["+"], DELBAR["-"])
-        - two_q * tensor(DEL["0"], DELBAR["0"])
-    )
+    return _metric_over(DEL, DELBAR)
 
 
 def g_minus_plus() -> TensorForm:
-    return (
-        _q(2) * tensor(DELBAR["-"], DEL["+"])
-        + tensor(DELBAR["+"], DEL["-"])
-        - two_q * tensor(DELBAR["0"], DEL["0"])
-    )
+    return _metric_over(DELBAR, DEL)
+
+
+# the Hodge star on the basis words, as (image word, sign)
+_STAR = {EP: (EP, 1), EM: (EM, -1), VOL: (SCALAR_WORD, 1), SCALAR_WORD: (VOL, 1)}
 
 
 def hodge_star(x):
     """The Hodge star: +1 on e+, -1 on e-, *1 = Y and *Y = 1."""
     xf = _fm(x)
-    out = Form()
-    for w, coeff in xf.terms.items():
-        if w == EP:
-            out = out + Form({EP: coeff})
-        elif w == EM:
-            out = out + Form({EM: -coeff})
-        elif w == VOL:
-            out = out + Form({(): coeff})
-        elif w == ():
-            out = out + Form({VOL: coeff})
-        else:
-            raise ValueError("Hodge star is only defined on sphere forms")
+
+    def terms():
+        for w, coeff in xf.terms.items():
+            if w not in _STAR:
+                raise ValueError("Hodge star is only defined on sphere forms")
+            v, sign = _STAR[w]
+            yield v, coeff if sign > 0 else -coeff
+
+    out = Form._wrap(accumulate({}, terms()))
     return SphereForm(out) if isinstance(x, SphereForm) else out
 
 
@@ -390,24 +395,29 @@ def lift_iY(alpha: Scalar) -> TensorForm:
 
 def star_first_leg(tf: TensorForm) -> TensorForm:
     """Hodge star applied to the first tensor leg (one-form words only)."""
-    out = TensorForm()
-    for (w, labels), x in tf.terms.items():
-        sign = {EP: 1, EM: -1}.get(w)
-        if sign is None:
-            raise ValueError("first leg is not a basis one-form")
-        out += TensorForm({(w, labels): x if sign > 0 else -x})
-    return out
+    def terms():
+        for (w, labels), x in tf.terms.items():
+            if w not in (EP, EM):
+                raise ValueError("first leg is not a basis one-form")
+            yield (w, labels), x if w == EP else -x
+
+    return TensorForm._wrap(accumulate({}, terms()))
+
+
+def _scale_by_last_leg(tf: TensorForm, by) -> TensorForm:
+    """Each term of tf scaled by the Scalar by[label] of its last leg."""
+    def terms():
+        for (w, labels), x in tf.terms.items():
+            if not labels:
+                raise ValueError("no tensor leg to act on")
+            yield (w, labels), x.scale(by[labels[-1]])
+
+    return TensorForm._wrap(accumulate({}, terms()))
 
 
 def star_second_leg(tf: TensorForm) -> TensorForm:
     """Hodge star applied to the last tensor leg."""
-    out = TensorForm()
-    for (w, labels), x in tf.terms.items():
-        if not labels:
-            raise ValueError("no tensor leg to act on")
-        sign = 1 if labels[-1] == "+" else -1
-        out += TensorForm({(w, labels): x if sign > 0 else -x})
-    return out
+    return _scale_by_last_leg(tf, {"+": ONE, "-": -ONE})
 
 
 def laplacian(f) -> AlgebraElement:
@@ -570,6 +580,8 @@ def eigenvalue_on(elements):
     if any element fails to be an exact eigenvector or values differ."""
     lam = None
     for v in elements:
+        if not v:
+            raise ValueError("the zero vector has no eigenvalue")
         hv = laplacian(v)
         m, co = next(iter(v.terms.items()))
         cand = hv.terms.get(m, Scalar.from_int(0)) / co
@@ -579,6 +591,8 @@ def eigenvalue_on(elements):
             lam = cand
         elif lam != cand:
             raise ArithmeticError("eigenvalue is not uniform on the multiplet")
+    if lam is None:
+        raise ValueError("an empty span has no eigenvalue")
     return lam
 
 

@@ -32,8 +32,8 @@ from functools import lru_cache
 
 from .algebra import AlgebraElement, Check, Combination, Monomial, _run_items, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d
-from .bundles import Section, covariant_D, extract_coeffs, partition_of_unity
-from .calculus import EM, EP, Form, TensorForm, d
+from .bundles import Section, basic_pairs, covariant_D, extract_coeffs
+from .calculus import EM, EP, TensorForm, d
 from .riemann import decompose_legs
 from .scalars import ONE, Scalar, two_q
 from .sphere import (
@@ -43,6 +43,7 @@ from .sphere import (
     F0,
     GENS,
     SphereForm,
+    _matmul,
     b0,
     bm,
     bp,
@@ -129,27 +130,10 @@ def gamma(omega, sigma: Spinor) -> Spinor:
 
 def gamma_gamma(tf: TensorForm, sigma: Spinor) -> Spinor:
     """gamma applied twice through a two-legged tensor (inner leg first)."""
-    out = Spinor()
+    out = {}
     for omega, eta in decompose_legs(tf):
-        out = out + gamma(omega, gamma(eta, sigma))
-    return out
-
-
-def _basic_spinor_pairs(h: Form, n: int):
-    """Split a form with charge-n spinor tail into basic form x spinor pairs.
-
-    Inserting 1 = sum x_r y_r of the charge-n partition moves the
-    surplus degree out of the form coefficient and onto y_r.
-    """
-    part = partition_of_unity(n)
-    pairs = []
-    for w, x in h.terms.items():
-        shift = -n * w.crossing()
-        for xr, yr in part.pairs:
-            omega = Form({w: (x * xr).scale(_q(shift))})
-            if omega:
-                pairs.append((omega, yr))
-    return pairs
+        accumulate(out, gamma(omega, gamma(eta, sigma)).terms.items())
+    return Spinor._wrap(out)
 
 
 @lru_cache(maxsize=None)
@@ -159,10 +143,11 @@ def _dirac_mono(m: Monomial):
     extends linearly."""
     n = m.degree()
     x = AlgebraElement({m: ONE})
-    out = Spinor()
-    for omega, y in _basic_spinor_pairs(covariant_D(Section(x, n)), n):
-        out = out + gamma(omega, Spinor(minus_part=y) if n == 1 else Spinor(plus_part=y))
-    return tuple(out.terms.items())
+    out = {}
+    for omega, y in basic_pairs(covariant_D(Section(x, n)), n):
+        sigma = Spinor(minus_part=y) if n == 1 else Spinor(plus_part=y)
+        accumulate(out, gamma(omega, sigma).terms.items())
+    return tuple(out.items())
 
 
 def dirac(sigma: Spinor) -> Spinor:
@@ -360,21 +345,6 @@ def projector_e():
     )
 
 
-def _mat_mul(X, Y):
-    return tuple(
-        tuple(X[i][0] * Y[0][j] + X[i][1] * Y[1][j] for j in range(2))
-        for i in range(2)
-    )
-
-
-def _mat_col(X, v):
-    return tuple(X[i][0] * v[0] + X[i][1] * v[1] for i in range(2))
-
-
-def _row_mat(v, X):
-    return tuple(v[0] * X[0][j] + v[1] * X[1][j] for j in range(2))
-
-
 def _mat_sub(X, Y):
     return tuple(tuple(X[i][j] - Y[i][j] for j in range(2)) for i in range(2))
 
@@ -406,12 +376,12 @@ def transported_dirac(row: SpinorRow, coeffs=canonical_coefficients) -> SpinorRo
     out = [f.scale(LAMBDA * _q(1)), g.scale(LAMBDA * _q(1))]
 
     u = (fm * bm + f0 * b0 + fp * bp, gm * bm + g0 * b0 + gp * bp)
-    ue = _row_mat(u, e)
+    (ue,) = _matmul([u], e)
     for j in range(2):
         out[j] = out[j] + (u[j] + ue[j].scale(_q(4) - 1)).scale(LAMBDA * _q(-1))
 
-    third = _row_mat((f0 - gm, fp.scale(_q(-1))), e)
-    fourth = _row_mat((-gm, fp.scale(_q(-1)) - g0), _mat_sub(_ID2, e))
+    (third,) = _matmul([(f0 - gm, fp.scale(_q(-1)))], e)
+    (fourth,) = _matmul([(-gm, fp.scale(_q(-1)) - g0)], _mat_sub(_ID2, e))
     for j in range(2):
         out[j] = out[j] + third[j].scale(LAMBDA * _q(2)) - fourth[j].scale(LAMBDA)
 
@@ -433,19 +403,20 @@ def trivialisation_checks():
     delbare = tuple(tuple(del_split(x)[1] for x in r) for r in e)
     items = []
 
-    ee = _mat_mul(e, e)
+    ac, bd = [[_a], [_c]], [[_b], [_d]]  # the columns of S- and S+ generators
+    ee = _matmul(e, e)
     for i in range(2):
         for j in range(2):
             items.append((f"triv-idem-{i}{j}", ee[i][j] - e[i][j]))
 
-    for i, x in enumerate(_mat_col(e, (_a, _c))):
+    for i, (x,) in enumerate(_matmul(e, ac)):
         items.append((f"triv-ker-minus-{i}", x))
-    for i, x in enumerate(_mat_col(f1, (_b, _d))):
+    for i, (x,) in enumerate(_matmul(f1, bd)):
         items.append((f"triv-ker-plus-{i}", x))
 
-    ede = _mat_mul(e, de)
-    dee = _mat_mul(de, e)
-    f1df1 = _mat_mul(f1, tuple(tuple(-x for x in r) for r in de))
+    ede = _matmul(e, de)
+    dee = _matmul(de, e)
+    f1df1 = _matmul(f1, [[-x for x in r] for r in de])
     for i in range(2):
         for j in range(2):
             items.append((f"triv-del-{i}{j}", dele[i][j] - ede[i][j]))
@@ -454,14 +425,14 @@ def trivialisation_checks():
 
     Dminus = (covariant_D(Section(_a, 1)), covariant_D(Section(_c, 1)))
     Dplus = (covariant_D(Section(_b, -1)), covariant_D(Section(_d, -1)))
-    edeac = _mat_col(ede, (_a, _c))
-    deebd = _mat_col(dee, (_b, _d))
+    edeac = _matmul(ede, ac)
+    deebd = _matmul(dee, bd)
     for i in range(2):
-        items.append((f"triv-D-minus-{i}", Dminus[i] + edeac[i]))
-        items.append((f"triv-D-plus-{i}", Dplus[i] - deebd[i]))
-    for i, x in enumerate(_mat_col(dele, (_b, _d))):
+        items.append((f"triv-D-minus-{i}", Dminus[i] + edeac[i][0]))
+        items.append((f"triv-D-plus-{i}", Dplus[i] - deebd[i][0]))
+    for i, (x,) in enumerate(_matmul(dele, bd)):
         items.append((f"triv-del-plus-{i}", x))
-    for i, x in enumerate(_mat_col(delbare, (_a, _c))):
+    for i, (x,) in enumerate(_matmul(delbare, ac)):
         items.append((f"triv-delbar-minus-{i}", x))
 
     rng = random.Random(7)

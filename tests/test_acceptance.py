@@ -21,6 +21,7 @@ from qsphere.calculus import (
     monopole_curvature,
     monopole_omega,
     omega_recursion_check,
+    tensor,
     wedge,
 )
 from qsphere.cli import (
@@ -39,7 +40,6 @@ from qsphere.riemann import (
     projector_checks,
     ricci,
     riemann_tensor,
-    tensor_attach,
     torsion,
 )
 from qsphere.scalars import ONE, Scalar, qint, specialize, two_q
@@ -48,7 +48,7 @@ from qsphere.sphere import (
     DEL,
     DELBAR,
     F0,
-    _matmul3,
+    _matmul,
     b0,
     bm,
     bp,
@@ -148,7 +148,7 @@ def test_metric_and_hodge_identities():
     for w, l in ((EP, "+"), (EM, "-")):
         assert (w, (l,)) not in g.terms  # no ++ or -- components
     M, G = coaction_matrix(), metric_matrix()
-    assert _matmul3(tuple(zip(*M)), _matmul3(G, M)) == G
+    assert _matmul(tuple(zip(*M)), _matmul(G, M)) == G
     # the star squares to the identity on seeded mixed forms
     rng = random.Random(9)
     for _ in range(25):
@@ -196,8 +196,8 @@ def test_connection_torsion_free():
 def test_riemann_and_ricci():
     up = upsilon()
     for i in "-0+":
-        assert riemann_tensor(DELBAR[i]) == tensor_attach(up, DELBAR[i]).scale(two_q)
-        assert riemann_tensor(DEL[i]) == tensor_attach(up, DEL[i]).scale(
+        assert riemann_tensor(DELBAR[i]) == tensor(up, DELBAR[i]).scale(two_q)
+        assert riemann_tensor(DEL[i]) == tensor(up, DEL[i]).scale(
             -(q(4) * two_q)
         )
     g = metric_g()

@@ -191,6 +191,11 @@ def test_tensor_leg_checks_raise():
         tensor(basis(EP), basis(E0))
     with pytest.raises(ValueError):
         tensor_append(tensor(basis(EP), basis(EM)), basis(E0))
+    # the leg is checked even when the first factor is empty
+    with pytest.raises(ValueError):
+        tensor(Form.zero(), basis(E0))
+    with pytest.raises(ValueError):
+        tensor_append(TensorForm(), basis(E0))
     with pytest.raises(ValueError):
         tensor(basis(EP), basis(EM)).as_form()
     with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from qsphere import riemann
 from qsphere.algebra import a
-from qsphere.calculus import EP, Form, TensorForm, d
+from qsphere.calculus import EP, Form, TensorForm, d, tensor
 from qsphere.riemann import (
     LEVI_CIVITA,
     Connection1,
@@ -18,7 +19,6 @@ from qsphere.riemann import (
     projector_checks,
     ricci,
     riemann_tensor,
-    tensor_attach,
     torsion,
 )
 from qsphere.scalars import ONE, Scalar, qint, specialize, two_q
@@ -120,7 +120,7 @@ def test_nabla_leibniz():
     ]
     assert LEVI_CIVITA.leibniz_failures(samples) == []
     for f, tau in samples[:5]:
-        assert nabla(f * tau) == tensor_attach(d(f), tau) + f * nabla(tau)
+        assert nabla(f * tau) == tensor(d(f), tau) + f * nabla(tau)
 
 
 def test_torsion_vanishes():
@@ -159,15 +159,15 @@ def test_decompose_legs_recombines():
         nt = nabla(tau)
         back = TensorForm()
         for omega, eta in decompose_legs(nt):
-            back = back + tensor_attach(omega, eta)
+            back = back + tensor(omega, eta)
         assert back == nt
 
 
 def test_riemann_is_area_times_chirality_scalar():
     up = upsilon()
     for i in "-0+":
-        assert riemann_tensor(DELBAR[i]) == tensor_attach(up, DELBAR[i]).scale(two_q)
-        assert riemann_tensor(DEL[i]) == tensor_attach(up, DEL[i]).scale(
+        assert riemann_tensor(DELBAR[i]) == tensor(up, DELBAR[i]).scale(two_q)
+        assert riemann_tensor(DEL[i]) == tensor(up, DEL[i]).scale(
             -(q(4) * two_q)
         )
         # mixed chirality input passes the internal verification too
@@ -210,8 +210,39 @@ def test_ricci_linearity_and_guards():
     assert ricci(lift + g.scale(c)) == ricci(lift) + ricci(g).scale(c)
     with pytest.raises(ValueError):
         ricci(TensorForm({((), ("+",)): one}))  # charge does not cancel
+    with pytest.raises(ValueError, match="no tensor leg"):
+        ricci(TensorForm({((), ()): one}))  # basic, but no leg to act on
 
 
 def test_connection_wrapper():
     custom = Connection1(nabla)
     assert custom(DB["0"]) == nabla(DB["0"])
+
+
+# One fault injected into the data behind each check body: the check must
+# report it (a failure list entry, a nonzero tensor or a raise).
+
+
+def test_projector_fault_is_reported(monkeypatch):
+    class Skewed(riemann.ProjectorE):
+        def __init__(self):
+            super().__init__()
+            self.col = (self.col[0].scale(2),) + self.col[1:]
+
+    monkeypatch.setattr(riemann, "ProjectorE", Skewed)
+    names = [name for name, _ in projector_checks()]
+    assert "rowcol" in names
+    assert "EE-00" in names
+
+
+def test_cotorsion_fault_is_reported(monkeypatch):
+    (co, i, j), *rest = riemann.G_PRESENTATION
+    monkeypatch.setattr(riemann, "G_PRESENTATION", ((2 * co, i, j), *rest))
+    assert cotorsion() != 0
+
+
+def test_riemann_splitter_fault_raises(monkeypatch):
+    real = riemann.basic_pairs
+    monkeypatch.setattr(riemann, "basic_pairs", lambda h, n: real(h, n)[1:])
+    with pytest.raises(RuntimeError, match="chirality scalar"):
+        riemann_tensor(DB["+"])

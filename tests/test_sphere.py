@@ -315,3 +315,9 @@ def test_eigenvalue_guards_raise():
         eigenvalue_on([b0])
     with pytest.raises(ArithmeticError, match="not uniform"):
         eigenvalue_on([bp, bp * bp])
+    with pytest.raises(ValueError, match="empty span"):
+        eigenvalue_on([])
+    with pytest.raises(ValueError, match="zero vector"):
+        eigenvalue_on([AlgebraElement()])
+    with pytest.raises(ValueError, match="zero vector"):
+        eigenvalue_on([bp, AlgebraElement()])

@@ -3,20 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from qsphere import spin
 from qsphere.algebra import a, b, c, d
-from qsphere.bundles import Section, covariant_D
+from qsphere.bundles import Section, basic_pairs, covariant_D
 from qsphere.calculus import Form, d as dd
 from qsphere.riemann import nabla
 from qsphere.scalars import ONE, Scalar, qint, specialize, two_q
-from qsphere.sphere import DB, DEL, F0, b0, bm, bp, del_split, one
+from qsphere.sphere import DB, DEL, F0, _matmul, b0, bm, bp, del_split, one
 from qsphere.spin import (
     GENERATOR_SPINORS,
     LAMBDA,
     LAMBDA_INV,
     SpinorRow,
     Spinor,
-    _basic_spinor_pairs,
-    _row_mat,
     canonical_coefficients,
     dirac,
     dirac_commutator_check,
@@ -49,7 +48,7 @@ def reference_dirac(sigma):
     out = Spinor()
     for part, n in ((sigma.minus_part, 1), (sigma.plus_part, -1)):
         D = dd(part) - Form.of(part.scale(qint(n, q(2))), "0")
-        for omega, y in _basic_spinor_pairs(D, n):
+        for omega, y in basic_pairs(D, n):
             out = out + gamma(omega, Spinor(minus_part=y) if n == 1 else Spinor(plus_part=y))
     return out
 
@@ -204,9 +203,9 @@ def test_row_spinor_roundtrip():
         assert SpinorRow.from_spinor(sig).to_spinor() == sig
         # chirality summands land in the matching idempotent summand
         minus_row = SpinorRow.from_spinor(Spinor(minus_part=f * rng.choice([a, c])))
-        assert not any(_row_mat(minus_row, e))
+        assert not any(_matmul([minus_row], e)[0])
         plus_row = SpinorRow.from_spinor(Spinor(plus_part=f * rng.choice([b, d])))
-        assert not any(_row_mat(plus_row, one_minus_e))
+        assert not any(_matmul([plus_row], one_minus_e)[0])
 
 
 def test_transported_coefficient_independence():
@@ -222,3 +221,16 @@ def test_transported_coefficient_independence():
     for t in range(10):
         row = SpinorRow(random_sphere_element(rng), random_sphere_element(rng))
         assert transported_dirac(row, coeffs=shifted) == transported_dirac(row)
+
+
+def test_trivialisation_fault_is_reported(monkeypatch):
+    real = spin.projector_e
+
+    def skewed():
+        e = [list(r) for r in real()]
+        e[0][0] = e[0][0].scale(2)
+        return e
+
+    monkeypatch.setattr(spin, "projector_e", skewed)
+    names = [name for name, _ in trivialisation_checks()]
+    assert "triv-idem-00" in names
