@@ -16,6 +16,12 @@ calculus.CHECKS, ...); this module groups them into suites by name, runs
 them and reports.  Suite reports are deterministic: with the same seed
 and engine version the bytes are identical run over run.
 
+Importing this module loads only the scalars, the algebra and the
+calculus.  Each geometry layer is imported by the first operator or atom
+that needs it (lap, star, del, delbar and the atoms b0, bp, bm load
+sphere; nabla loads riemann and bundles; dirac loads spin), and the check
+registry, which needs them all, is built on first use.
+
 Exit codes: 0 all good, 1 a check failed, 2 bad usage or a bad
 expression.
 """
@@ -23,33 +29,38 @@ expression.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
-from . import __version__, algebra, bundles, calculus, riemann, sphere, spin
-from .algebra import AlgebraElement, antipode, counit, render_value
+from . import __version__
+from .algebra import AlgebraElement, antipode, counit, one, render_value
 from .algebra import a as _ga, b as _gb, c as _gc, d as _gd
 from .calculus import E0, EM, EP, Form, TensorForm, wedge
 from .calculus import d as _dop
-from .riemann import nabla
 from .scalars import ONE, Scalar
-from .sphere import SphereForm, b0, bm, bp, del_split, hodge_star, laplacian, one
-from .spin import Spinor, dirac
 
+
+def _sphere_atom(name):
+    def value():
+        from . import sphere
+        return getattr(sphere, name)
+    return value
+
+
+# atom name -> a function returning its value
 _ATOM_VALUES = {
-    "a": _ga,
-    "b": _gb,
-    "c": _gc,
-    "d": _gd,
-    "b0": b0,
-    "bp": bp,
-    "bm": bm,
-    "e0": Form.of(one, E0),
-    "ep": Form.of(one, EP),
-    "em": Form.of(one, EM),
-    "q": Scalar.q_power(1),
-    "s": Scalar.s_power(1),
+    "a": lambda: _ga,
+    "b": lambda: _gb,
+    "c": lambda: _gc,
+    "d": lambda: _gd,
+    "b0": _sphere_atom("b0"),
+    "bp": _sphere_atom("bp"),
+    "bm": _sphere_atom("bm"),
+    "e0": lambda: Form.of(one, E0),
+    "ep": lambda: Form.of(one, EP),
+    "em": lambda: Form.of(one, EM),
+    "q": lambda: Scalar.q_power(1),
+    "s": lambda: Scalar.s_power(1),
 }
 
 
@@ -278,14 +289,17 @@ def _fn_d(v):
 
 
 def _fn_del(v):
+    from .sphere import del_split
     return del_split(_as_sphere_element(v, "del"))[0]
 
 
 def _fn_delbar(v):
+    from .sphere import del_split
     return del_split(_as_sphere_element(v, "delbar"))[1]
 
 
 def _fn_star(v):
+    from .sphere import SphereForm, hodge_star
     if isinstance(v, (Scalar, AlgebraElement)):
         v = Form.of(_as_element(v, "star"))
     if not isinstance(v, Form):
@@ -298,6 +312,7 @@ def _fn_star(v):
 
 
 def _fn_nabla(v):
+    from .riemann import nabla
     if not isinstance(v, Form):
         raise EvalError("nabla() needs a one-form on the sphere")
     try:
@@ -307,6 +322,7 @@ def _fn_nabla(v):
 
 
 def _fn_dirac(v):
+    from .spin import Spinor, dirac
     x = _as_element(v, "dirac")
     if any(m.degree() not in (1, -1) for m in x.terms):
         raise EvalError("dirac() needs components of charge +1 and -1 only")
@@ -314,6 +330,7 @@ def _fn_dirac(v):
 
 
 def _fn_lap(v):
+    from .sphere import laplacian
     return laplacian(_as_sphere_element(v, "lap"))
 
 
@@ -343,7 +360,7 @@ def evaluate(node):
     if tag == "int":
         return Scalar.from_int(node[1])
     if tag == "atom":
-        return _ATOM_VALUES[node[1]]
+        return _ATOM_VALUES[node[1]]()
     if tag == "pow":
         return _power(evaluate(node[1]), node[2])
     if tag == "call":
@@ -381,18 +398,48 @@ def _builder(checks):
     return lambda opts: [pair for check in checks for pair in check.thunks(opts)]
 
 
-_CHECKS = (
-    algebra.CHECKS + calculus.CHECKS + sphere.CHECKS
-    + riemann.CHECKS + spin.CHECKS + bundles.CHECKS
-)
+# suite name -> (options -> (anchor, thunk) pairs), read by run_suite per
+# call, and the suite names with "all".  The checks live in the geometry
+# layers, so both are built once, on first use (see __getattr__), and are
+# ordinary module globals from then on.
+_SUITE_BUILDERS: dict
+SUITE_NAMES: tuple
 
-# suite name -> (options -> (anchor, thunk) pairs); run_suite reads it per call
-_SUITE_BUILDERS = {
-    suite: _builder([c for c in _CHECKS if c.suite == suite])
-    for suite in dict.fromkeys(c.suite for c in _CHECKS)
-}
 
-SUITE_NAMES = tuple(_SUITE_BUILDERS) + ("all",)
+def _load_registry():
+    if "_SUITE_BUILDERS" in globals():
+        return
+    from . import algebra, bundles, calculus, riemann, sphere, spin
+    checks = (
+        algebra.CHECKS + calculus.CHECKS + sphere.CHECKS
+        + riemann.CHECKS + spin.CHECKS + bundles.CHECKS
+    )
+    builders = {
+        suite: _builder([c for c in checks if c.suite == suite])
+        for suite in dict.fromkeys(c.suite for c in checks)
+    }
+    globals().update(_SUITE_BUILDERS=builders, SUITE_NAMES=tuple(builders) + ("all",))
+
+
+def __getattr__(name):
+    # PEP 562: reached only while a name is not yet a module global
+    if name in ("_SUITE_BUILDERS", "SUITE_NAMES"):
+        _load_registry()
+        return globals()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+class _SuiteChoices:
+    """The --suite choices for argparse, which only tests membership and
+    iterates; the registry is built when it does, not on an expression call."""
+
+    def __contains__(self, name):
+        _load_registry()
+        return name in SUITE_NAMES
+
+    def __iter__(self):
+        _load_registry()
+        return iter(SUITE_NAMES)
 
 
 def _witness(result):
@@ -411,6 +458,7 @@ def _witness(result):
 
 def run_suite(name, seed=0, sample=None, max_n=6):
     """Run one named suite (or "all") and return the report dict."""
+    _load_registry()
     if name not in SUITE_NAMES:
         raise ValueError("unknown suite %r" % name)
     if max_n < 0 or (sample is not None and sample < 0):
@@ -466,7 +514,8 @@ def main(argv=None):
         description="Evaluate an expression or run an exact check suite.",
     )
     parser.add_argument("expr", nargs="?", help="expression to evaluate and print")
-    parser.add_argument("--suite", choices=SUITE_NAMES, help="check suite to run")
+    # set after add_argument, which would iterate the choices to check the metavar
+    parser.add_argument("--suite", help="check suite to run").choices = _SuiteChoices()
     parser.add_argument("--max-n", type=int, default=6, dest="max_n",
                         help="bound for the graded families (default 6)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for samples")
@@ -503,6 +552,14 @@ def main(argv=None):
         print(text)
         return 0
 
+    json_file = None
+    if args.json_path:
+        # fail before the suite runs, not after
+        try:
+            json_file = open(args.json_path, "w", encoding="utf-8")
+        except OSError as exc:
+            print("error: cannot write the report: %s" % exc, file=sys.stderr)
+            return 2
     report = run_suite(
         args.suite,
         seed=args.seed,
@@ -510,10 +567,11 @@ def main(argv=None):
         max_n=args.max_n,
     )
     sys.stdout.write(format_report(report, quiet=args.quiet))
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+    if json_file is not None:
+        import json
+        with json_file:
+            json.dump(report, json_file, indent=2)
+            json_file.write("\n")
     return 0 if all(r["status"] == "pass" for r in report["results"]) else 1
 
 

@@ -31,7 +31,6 @@ powers of s live in den.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _igcd
 
 
@@ -149,6 +148,7 @@ def pgcd(f, g):
 
 
 def peval(f, s0: Fraction) -> Fraction:
+    from fractions import Fraction
     acc = Fraction(0)
     for c in reversed(f):
         acc = acc * s0 + c
@@ -362,6 +362,7 @@ class Scalar:
 
     @staticmethod
     def from_fraction(x):
+        from fractions import Fraction
         x = Fraction(x)
         return _from_parts(0, (x.numerator,), 0, x.denominator) if x else ZERO
 
@@ -511,6 +512,7 @@ class Scalar:
 
     def specialize(self, s0) -> Fraction:
         """Exact value at s = s0 (rational); raises on a pole."""
+        from fractions import Fraction
         s0 = Fraction(s0)
         d = peval(self.den, s0)
         if d == 0:
@@ -518,11 +520,12 @@ class Scalar:
         return peval(self.num, s0) / d
 
     def _laurent(self):
-        """As a list of (exponent, Fraction) pairs if den is a monomial, else None."""
+        """As a list of (exponent, coefficient) pairs if den is a monomial,
+        else None; a coefficient is a reduced (numerator, denominator) pair."""
         if self._p is None:
             return None
         e, k, c = self._e, self._k, self._c
-        return [(e + k * i, Fraction(a, c)) for i, a in enumerate(self._p) if a]
+        return [(e + k * i, _reduced(a, c)) for i, a in enumerate(self._p) if a]
 
     def __repr__(self):
         return _join_pieces([_scalar_piece(self, "")] if self else [])
@@ -575,11 +578,18 @@ def specialize(x: Scalar, s0) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # rendering: reduced-fraction Laurent text, preferring q over s when all
-# exponents are even.  The output is parseable by the cli grammar.
+# exponents are even.  The output is parseable by the cli grammar.  A
+# coefficient is a reduced integer pair (numerator, denominator > 0).
 
 
-def _fmt_coeff(c: Fraction):
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _reduced(a, c):
+    g = _igcd(a, c)
+    return a // g, c // g
+
+
+def _fmt_coeff(c):
+    n, m = c
+    return str(n) if m == 1 else f"{n}/{m}"
 
 
 def _power_atom(e):
@@ -593,15 +603,15 @@ def _power_atom(e):
 
 
 def _laurent_body(terms):
-    """Render [(exp, Fraction)]: positive terms first, descending exponent."""
+    """Render [(exp, coefficient)]: positive terms first, descending exponent."""
     parts = []
-    for e, c in sorted(terms, key=lambda t: (t[1] < 0, -t[0])):
+    for e, c in sorted(terms, key=lambda t: (t[1][0] < 0, -t[0])):
         atom = _power_atom(e)
         if not atom:
             piece = _fmt_coeff(c)
-        elif c == 1:
+        elif c == (1, 1):
             piece = atom
-        elif c == -1:
+        elif c == (-1, 1):
             piece = "-" + atom
         else:
             piece = _fmt_coeff(c) + "*" + atom
@@ -617,9 +627,9 @@ def _render_laurent(terms):
     remaining bracket is balanced (matches the q+q^-1 house style)."""
     if not terms:
         return "0"
-    if len(terms) > 1 and all(c < 0 for _, c in terms):
+    if len(terms) > 1 and all(c[0] < 0 for _, c in terms):
         # keep bracket bodies free of a leading minus: factor the sign out
-        return "-(" + _render_laurent([(e, -c) for e, c in terms]) + ")"
+        return "-(" + _render_laurent([(e, (-n, m)) for e, (n, m) in terms]) + ")"
     exps = [e for e, _ in terms]
     mid = (min(exps) + max(exps)) // 2
     if mid:
@@ -627,9 +637,9 @@ def _render_laurent(terms):
         shifted = [(e - mid, c) for e, c in terms]
         if len(shifted) == 1:
             c = shifted[0][1]
-            if c == 1:
+            if c == (1, 1):
                 return head
-            if c == -1:
+            if c == (-1, 1):
                 return "-" + head
             return _fmt_coeff(c) + "*" + head
         return head + "*(" + _laurent_body(shifted) + ")"
@@ -640,8 +650,8 @@ def render_scalar(x: Scalar) -> str:
     terms = x._laurent()
     if terms is not None:
         return _render_laurent(terms)
-    num = _render_laurent([(i, Fraction(a)) for i, a in enumerate(x.num) if a])
-    den = _render_laurent([(i, Fraction(a)) for i, a in enumerate(x.den) if a])
+    num = _render_laurent([(i, (a, 1)) for i, a in enumerate(x.num) if a])
+    den = _render_laurent([(i, (a, 1)) for i, a in enumerate(x.den) if a])
     if "+" in num or "-" in num[1:]:
         num = "(" + num + ")"
     if "+" in den or "-" in den[1:] or "*" in den:

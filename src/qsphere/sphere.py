@@ -429,7 +429,7 @@ def laplacian(f) -> AlgebraElement:
     h = two_form.coefficient(VOL)
     # the -1/2 d*d route must agree
     df = d(_el(f))
-    check = d(hodge_star(df)).scale(Scalar.from_fraction(-1) / 2)
+    check = d(hodge_star(df)).scale(Scalar.from_int(-1) / 2)
     if check != Form({VOL: h}):
         raise ArithmeticError("Laplacian routes disagree")
     return h
@@ -462,7 +462,7 @@ def maxwell_check(i):
     A = (dbarf - delf).scale(coef)
     coulomb = hodge_star(d(hodge_star(A)))
     dA = d(A)
-    lhs = hodge_star(d(hodge_star(dA))).scale(Scalar.from_fraction(-1) / 4)
+    lhs = hodge_star(d(hodge_star(dA))).scale(Scalar.from_int(-1) / 4)
     m2 = proportionality(lhs, A)
     return {
         "coulomb": not coulomb,

@@ -320,3 +320,107 @@ def test_injected_fault_fails_the_suite_under_python_O():
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "area-lift-family: fail" in proc.stdout
+
+
+@pytest.mark.parametrize("kind", ["missing directory", "directory"])
+def test_unwritable_json_path_is_a_usage_error(capsys, tmp_path, kind):
+    path = tmp_path / "nosuch" / "report.json" if kind == "missing directory" else tmp_path
+    assert main(["--suite", "metric", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before the suite runs
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(path) in lines[0]
+
+
+# --- what a call loads --------------------------------------------------------
+#
+# Importing the CLI loads the scalars, the algebra and the calculus only; each
+# geometry layer is imported by the first operator or atom that needs it.
+
+SRC = str(Path(qsphere.__file__).resolve().parents[1])
+WATCHED = ("qsphere.sphere", "qsphere.riemann", "qsphere.spin", "qsphere.bundles",
+           "fractions", "decimal", "json")
+
+
+def run_child(*args):
+    """A fresh interpreter on this checkout's sources, at an 80-column width."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"},
+    )
+
+
+def loaded_by(code):
+    """The watched modules a fresh interpreter loads while running code."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        + code + "\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = run_child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split()) & set(WATCHED)
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import qsphere.cli", set()),
+    ("from qsphere.cli import evaluate_text; evaluate_text('lap(b0)')",
+     {"qsphere.sphere"}),
+    ("from qsphere.cli import evaluate_text; evaluate_text('nabla(d(b0))')",
+     {"qsphere.sphere", "qsphere.riemann", "qsphere.bundles"}),
+    ("from qsphere.cli import evaluate_text; evaluate_text('dirac(b0*a)')",
+     {"qsphere.sphere", "qsphere.riemann", "qsphere.bundles", "qsphere.spin"}),
+    ("from qsphere.cli import run_suite; run_suite('laplace')",
+     {"qsphere.sphere", "qsphere.riemann", "qsphere.bundles", "qsphere.spin"}),
+], ids=["import", "lap", "nabla", "dirac", "run_suite"])
+def test_a_call_loads_only_the_layers_it_reaches(code, loaded):
+    assert loaded_by(code) == loaded
+
+
+# one argument per operator: the cold-start test must name every one
+OPERATOR_ARGUMENTS = {
+    "d": "b0", "del": "b0", "delbar": "b0", "star": "d(b0)", "nabla": "d(b0)",
+    "dirac": "b0*a", "lap": "b0", "S": "a", "eps": "a",
+}
+
+
+def test_every_grammar_name_works_from_a_cold_start():
+    import qsphere.cli as cli_mod
+
+    assert set(OPERATOR_ARGUMENTS) == set(cli_mod._FUNCTIONS)
+    exprs = ["%s(%s)" % item for item in OPERATOR_ARGUMENTS.items()]
+    exprs += list(cli_mod._ATOM_VALUES)
+    # one child evaluates all of them in turn, starting from the CLI import alone
+    script = (
+        "import sys\n"
+        "from qsphere.cli import evaluate_text, render_value\n"
+        "for expr in sys.argv[1:]:\n"
+        "    print(render_value(evaluate_text(expr)))\n"
+    )
+    proc = run_child("-c", script, *exprs)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [render_value(evaluate_text(e)) for e in exprs]
+
+
+SUITE_CHOICES = ("'hopf', 'calculus', 'sphere', 'metric', 'hodge', 'laplace', "
+                 "'maxwell', 'connection', 'curvature', 'dirac', 'bwb', 'all'")
+
+
+def test_suite_choices_read_as_before():
+    proc = run_child("-m", "qsphere.cli", "--suite", "nosuch")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        "qsphere: error: argument --suite: invalid choice: 'nosuch' (choose from %s)"
+        % SUITE_CHOICES
+    )
+    proc = run_child("-m", "qsphere.cli", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[:5] == [
+        "usage: qsphere [-h]",
+        "               [--suite {hopf,calculus,sphere,metric,hodge,laplace,maxwell,connection,curvature,dirac,bwb,all}]",
+        "               [--max-n MAX_N] [--seed SEED] [--sample SAMPLE] [--json PATH]",
+        "               [--quiet]",
+        "               [expr]",
+    ]

@@ -294,6 +294,120 @@ def test_render_examples():
     assert "/" in render_scalar(ONE / (ONE + q ** -4))
 
 
+# --- the printer against the Fraction-based printer it replaced ---------------
+#
+# render_scalar reads Laurent coefficients as reduced integer pairs so that
+# printing never imports fractions.  The oracle below is the earlier printer,
+# kept verbatim apart from names, which read each coefficient as a Fraction.
+
+
+def _oracle_fmt_coeff(c):
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def _oracle_power_atom(e):
+    if e == 0:
+        return ""
+    if e % 2 == 0:
+        h = e // 2
+        return "q" if h == 1 else f"q^{h}"
+    return "s" if e == 1 else f"s^{e}"
+
+
+def _oracle_laurent_body(terms):
+    parts = []
+    for e, c in sorted(terms, key=lambda t: (t[1] < 0, -t[0])):
+        atom = _oracle_power_atom(e)
+        if not atom:
+            piece = _oracle_fmt_coeff(c)
+        elif c == 1:
+            piece = atom
+        elif c == -1:
+            piece = "-" + atom
+        else:
+            piece = _oracle_fmt_coeff(c) + "*" + atom
+        parts.append(piece)
+    out = parts[0]
+    for piece in parts[1:]:
+        out += "-" + piece[1:] if piece.startswith("-") else "+" + piece
+    return out
+
+
+def _oracle_render_laurent(terms):
+    if not terms:
+        return "0"
+    if len(terms) > 1 and all(c < 0 for _, c in terms):
+        return "-(" + _oracle_render_laurent([(e, -c) for e, c in terms]) + ")"
+    exps = [e for e, _ in terms]
+    mid = (min(exps) + max(exps)) // 2
+    if mid:
+        head = _oracle_power_atom(mid)
+        shifted = [(e - mid, c) for e, c in terms]
+        if len(shifted) == 1:
+            c = shifted[0][1]
+            if c == 1:
+                return head
+            if c == -1:
+                return "-" + head
+            return _oracle_fmt_coeff(c) + "*" + head
+        return head + "*(" + _oracle_laurent_body(shifted) + ")"
+    return _oracle_laurent_body(terms)
+
+
+def _oracle_render(x):
+    if x._p is not None:
+        e, k, c = x._e, x._k, x._c
+        return _oracle_render_laurent(
+            [(e + k * i, Fraction(a, c)) for i, a in enumerate(x._p) if a]
+        )
+    num = _oracle_render_laurent([(i, Fraction(a)) for i, a in enumerate(x.num) if a])
+    den = _oracle_render_laurent([(i, Fraction(a)) for i, a in enumerate(x.den) if a])
+    if "+" in num or "-" in num[1:]:
+        num = "(" + num + ")"
+    if "+" in den or "-" in den[1:] or "*" in den:
+        den = "(" + den + ")"
+    return num + "/" + den
+
+
+def _fraction(n, m=1):
+    return Scalar.from_fraction(Fraction(n, m))
+
+
+_PRINTER_CASES = [
+    q / 2,
+    _fraction(3, 2),
+    (ONE + 2 * q) / 4,
+    (2 + q) / 6,
+    (3 * q ** 2 - 9 * q ** -1) / 12,
+    -(q + q ** 2),
+    -(ONE + q) / 3,
+    -(2 * s + 4 * s ** 3) / 6,
+    _fraction(-5, 4) * q ** 3,
+    ONE / (ONE + q ** -4),
+    ONE / two_q,
+    q / (2 * two_q),
+    -(ONE + q) / (3 * (ONE + q ** 3)),
+]
+
+
+def _random_printer_value(rng):
+    x = ZERO
+    for _ in range(rng.randrange(1, 5)):
+        term = _fraction(rng.randrange(-12, 13), rng.randrange(1, 13))
+        x = x + term * s ** rng.randrange(-9, 10)
+    if rng.random() < 0.2:
+        x = x / (ONE + q ** rng.randrange(1, 4))
+    return x
+
+
+def test_render_matches_the_fraction_printer():
+    rng = random.Random(2024)
+    values = _PRINTER_CASES + [_random_printer_value(rng) for _ in range(400)]
+    assert any(x._p is None for x in values) and any(x._c > 1 for x in values if x._p)
+    for x in values:
+        assert render_scalar(x) == _oracle_render(x), repr(x)
+
+
 # --- strided Laurent values ---------------------------------------------------
 #
 # A Laurent value is packed at its stride, s^e * p(s^k) / c.  The operands
