@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraElement, Check, Monomial
 from .algebra import a as _a, b as _b, c as _c, d as _d
-from .calculus import E0, EM, EP, Form, _add_scaled, _nested, d
+from .calculus import E0, EM, EP, Form, _add_scaled, _frozen, _nested, d
 from .scalars import ONE, Scalar, qint, two_q
 
 _q = Scalar.q_power
@@ -62,7 +62,7 @@ def _covariant_D_mono(m: Monomial):
     out = d(x) - Form.of(x.scale(qint(m.degree(), _q2)), E0)
     if E0 in out.terms:
         raise ArithmeticError("covariant derivative failed to be horizontal")
-    return tuple((w, tuple(y.terms.items())) for w, y in out.terms.items())
+    return _frozen(out)
 
 
 def covariant_D(f: Section) -> Form:

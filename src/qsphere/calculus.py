@@ -252,6 +252,34 @@ def _nested(cls, acc):
     return cls._wrap({k: AlgebraElement._wrap(t) for k, t in acc.items() if t})
 
 
+def _frozen(x):
+    """A Form or TensorForm as an immutable table entry: a tuple of
+    (key, ((Monomial, Scalar), ...)) pairs."""
+    return tuple((k, tuple(y.terms.items())) for k, y in x.terms.items())
+
+
+def _thawed(cls, entry):
+    """A freshly built cls from a table entry of _frozen."""
+    return _nested(cls, {k: dict(pairs) for k, pairs in entry})
+
+
+@lru_cache(maxsize=None)
+def _d_basis(m: Monomial, w: ExteriorWord):
+    """d(m e^w) = d(m) ^ e^w + m d(e^w) for one basis form, as a tuple of
+    (ExteriorWord, ((Monomial, Scalar), ...)) pairs: the memoised table
+    behind d on forms."""
+    acc = {}
+    # d(m) ^ e^w: every word of d(m) is straightened against w
+    for w1, y in _d_mono(m).terms.items():
+        st = _straighten_word(w1 + w)
+        if st is not None:
+            _add_scaled(acc, st[0], y.terms.items(), st[1])
+    # m d(e^w), whose coefficients are multiples of the unit
+    for w2, y in _d_word(w).terms.items():
+        _add_scaled(acc, w2, ((m, ONE),), y.terms[_UNIT])
+    return _frozen(_nested(Form, acc))
+
+
 def d(x) -> Form:
     """Exterior derivative of an algebra element or a form."""
     acc = {}
@@ -261,15 +289,9 @@ def d(x) -> Form:
                 _add_scaled(acc, w, y.terms.items(), co)
     elif isinstance(x, Form):
         for w, coeff in x.terms.items():
-            # d(coeff) ^ e^w: every word of d(coeff) is straightened against w
             for m, co in coeff.terms.items():
-                for w1, y in _d_mono(m).terms.items():
-                    st = _straighten_word(w1 + w)
-                    if st is not None:
-                        _add_scaled(acc, st[0], y.terms.items(), co * st[1])
-            # coeff . d(e^w), whose coefficients are multiples of the unit
-            for w2, y in _d_word(w).terms.items():
-                _add_scaled(acc, w2, coeff.terms.items(), y.terms[_UNIT])
+                for w2, pairs in _d_basis(m, w):
+                    _add_scaled(acc, w2, pairs, co)
     else:
         raise TypeError("d() needs an algebra element or a form")
     return _nested(Form, acc)

@@ -461,8 +461,9 @@ def run_suite(name, seed=0, sample=None, max_n=6):
     _load_registry()
     if name not in SUITE_NAMES:
         raise ValueError("unknown suite %r" % name)
-    if max_n < 0 or (sample is not None and sample < 0):
-        raise ValueError("max_n and sample must not be negative")
+    if max_n < 0 or (sample is not None and sample < 1):
+        # a sample of 0 would pass every sampled check without drawing one
+        raise ValueError("max_n must not be negative and sample must be positive")
     opts = _Options(seed, sample, max_n)
     names = _SUITE_BUILDERS if name == "all" else (name,)
     results = []
@@ -531,8 +532,8 @@ def main(argv=None):
         parser.error("give exactly one of an expression or --suite")
     if args.max_n < 0:
         parser.error("--max-n must not be negative")
-    if args.sample is not None and args.sample < 0:
-        parser.error("--sample must not be negative")
+    if args.sample is not None and args.sample < 1:
+        parser.error("--sample must be positive")
 
     if args.expr is not None:
         try:

@@ -36,8 +36,11 @@ from .sphere import (
     F0,
     G_PRESENTATION,
     SphereForm,
+    _EINSTEIN,
+    _GEOMETRIC,
     _fm,
     _matmul,
+    _metric_entry,
     _random_sphere_word,
     _scale_by_last_leg,
     bm,
@@ -46,7 +49,6 @@ from .sphere import (
     del_split,
     metric_g,
     one,
-    star_second_leg,
     upsilon,
 )
 
@@ -240,15 +242,15 @@ def ricci(lift: TensorForm) -> TensorForm:
 
 
 def einstein_lift() -> TensorForm:
-    """The lift of the area form whose Ricci is an exact multiple of the metric."""
-    g = metric_g()
-    ratio = (1 - _q(-4)) / (1 + _q(-4))
-    return (-star_second_leg(g) + g.scale(ratio)).scale(_q(-1) / two_q)
+    """The lift of the area form whose Ricci is an exact multiple of the
+    metric, read from sphere._metric_table."""
+    return _metric_entry(_EINSTEIN)
 
 
 def geometric_lift() -> TensorForm:
-    """The symmetric lift: minus the second-leg star of the metric, normalized."""
-    return star_second_leg(metric_g()).scale(-(_q(-1) / two_q))
+    """The symmetric lift: minus the second-leg star of the metric,
+    normalized, read from sphere._metric_table."""
+    return _metric_entry(_GEOMETRIC)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ e0-containing words cancel) -- several checks below lean on that.
 from __future__ import annotations
 
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 
 from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness, accumulate
@@ -33,6 +33,8 @@ from .calculus import (
     VOL,
     Form,
     TensorForm,
+    _frozen,
+    _thawed,
     d,
     tensor,
     wedge,
@@ -328,8 +330,17 @@ def _invariance_witness():
         return "M^t G M != G"
 
 
-def metric_g() -> TensorForm:
-    """The q-metric q^2 db- (x) db+ + db+ (x) db- - [2]_q db0 (x) db0."""
+# the entries of _metric_table, in order
+_G, _G_PM, _G_MP, _EINSTEIN, _GEOMETRIC = range(5)
+
+
+@lru_cache(maxsize=None)
+def _metric_table():
+    """The metric, its chiral halves g_{+-} and g_{-+}, and the Einstein and
+    geometric lifts of the area form (riemann.einstein_lift and
+    riemann.geometric_lift), each a calculus._frozen entry.  Built once per
+    process, so the metric's four guards run once; the metric-* checks run
+    their witnesses on a fresh _metric_sum() instead."""
     g = _metric_sum()
     if _symmetry_witness(g):
         raise ArithmeticError("metric is not q-symmetric")
@@ -339,15 +350,33 @@ def metric_g() -> TensorForm:
         raise ArithmeticError("metric has chiral components")
     if _invariance_witness():
         raise ArithmeticError("metric coefficients not invariant")
-    return g
+    # the Einstein lift has Ricci an exact multiple of g; the geometric
+    # lift is minus the second-leg star of g, normalized
+    sg = star_second_leg(g)
+    ratio = (1 - _q(-4)) / (1 + _q(-4))
+    einstein = (-sg + g.scale(ratio)).scale(_q(-1) / two_q)
+    geometric = sg.scale(-(_q(-1) / two_q))
+    return tuple(_frozen(x) for x in (
+        g, _metric_over(DEL, DELBAR), _metric_over(DELBAR, DEL), einstein, geometric,
+    ))
+
+
+def _metric_entry(i) -> TensorForm:
+    """A freshly built copy of entry i of _metric_table."""
+    return _thawed(TensorForm, _metric_table()[i])
+
+
+def metric_g() -> TensorForm:
+    """The q-metric q^2 db- (x) db+ + db+ (x) db- - [2]_q db0 (x) db0."""
+    return _metric_entry(_G)
 
 
 def g_plus_minus() -> TensorForm:
-    return _metric_over(DEL, DELBAR)
+    return _metric_entry(_G_PM)
 
 
 def g_minus_plus() -> TensorForm:
-    return _metric_over(DELBAR, DEL)
+    return _metric_entry(_G_MP)
 
 
 # the Hodge star on the basis words, as (image word, sign)
@@ -420,19 +449,34 @@ def star_second_leg(tf: TensorForm) -> TensorForm:
     return _scale_by_last_leg(tf, {"+": ONE, "-": -ONE})
 
 
-def laplacian(f) -> AlgebraElement:
-    """The scalar Laplacian via (box f) Y = del delbar f."""
+@lru_cache(maxsize=None)
+def _lap_mono(m):
+    """The Laplacian of the monomial m via (box m) Y = del delbar m, checked
+    against the -1/2 d*d route, as a tuple of (Monomial, Scalar) pairs: the
+    memoised table that laplacian extends linearly."""
+    f = AlgebraElement({m: ONE})
     _, dbarf = del_split(f)
     two_form = d(dbarf)
     if set(two_form.terms) - {VOL}:
         raise RuntimeError("del delbar f is not proportional to the area form")
     h = two_form.coefficient(VOL)
     # the -1/2 d*d route must agree
-    df = d(_el(f))
-    check = d(hodge_star(df)).scale(Scalar.from_int(-1) / 2)
+    check = d(hodge_star(d(f))).scale(Scalar.from_int(-1) / 2)
     if check != Form({VOL: h}):
         raise ArithmeticError("Laplacian routes disagree")
-    return h
+    return tuple(h.terms.items())
+
+
+def laplacian(f) -> AlgebraElement:
+    """The scalar Laplacian, extending the per-monomial table linearly
+    into a freshly built element."""
+    x = _el(f)
+    if not isinstance(x, AlgebraElement):
+        raise TypeError("laplacian() needs a sphere element")
+    acc = {}
+    for m, co in x.terms.items():
+        accumulate(acc, ((k, co * c) for k, c in _lap_mono(m)))
+    return AlgebraElement._wrap(acc)
 
 
 def proportionality(x: Form, y: Form):

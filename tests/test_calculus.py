@@ -15,6 +15,7 @@ from qsphere.calculus import (
     ExteriorWord,
     Form,
     TensorForm,
+    _d_basis,
     _d_mono,
     _d_word,
     _straighten_word,
@@ -128,6 +129,49 @@ def test_d_matches_reference_sums():
         assert not d(d(x)) and not d(d(f))
 
 
+def reference_d_form(f):
+    """d of a form term by term, as d computed it before the _d_basis table:
+    each word of d(coeff) straightened against w, plus coeff . d(e^w)."""
+    out = Form()
+    for w, coeff in f.terms.items():
+        for w1, y in d(coeff).terms.items():
+            st = _straighten_word(w1 + w)
+            if st is not None:
+                out = out + Form.of(y.scale(st[1]), st[0])
+        out = out + coeff * _d_word(w)
+    return out
+
+
+# among them a true rational function, which takes the general scalar path
+FORM_COEFFS = (ONE, Scalar.from_int(-3), q2(3), ONE / (ONE + q2(-4)))
+
+
+def test_d_basis_table_matches_the_term_formula():
+    rng = random.Random(91)
+    for n in range(4):
+        for w in (ExteriorWord(x) for x in itertools.combinations("+-0", n)):
+            for _ in range(4):
+                x = rnd_element(rng).scale(rng.choice(FORM_COEFFS))
+                f = Form.of(x, w)  # one word of length n
+                closed = d(f)  # exact, so closed
+                for form in (f, closed):
+                    assert d(form) == reference_d_form(form)
+                assert not d(closed)
+    for _ in range(30):
+        f = Form({
+            w: rnd_element(rng).scale(rng.choice(FORM_COEFFS))
+            for w in rng.sample(WORDS, rng.randint(1, 5))
+        })
+        want = reference_d_form(f)
+        got = d(f)
+        assert got == want
+        # every result is built afresh: mutating one leaves the next intact
+        for y in got.terms.values():
+            y.terms.clear()
+        got.terms.clear()
+        assert d(f) == want
+
+
 def test_straighten_word_matches_uncached():
     for n in range(5):
         for letters in itertools.product("+-0", repeat=n):
@@ -232,12 +276,15 @@ def test_omega_recursion_guards_raise(monkeypatch, shift, message):
 
 
 def test_d_squared_guard_raises(monkeypatch):
-    # a wrong d e0 breaks d^2 = 0; _d_word caches d on basis words
+    # a wrong d e0 breaks d^2 = 0; _d_word caches d on basis words and
+    # _d_basis d on basis forms, so both tables are emptied around the fault
     try:
         with monkeypatch.context() as m:
             m.setitem(calculus._D_WORD_BASE, "0", Form({VOL: one.scale(q2(2))}))
             _d_word.cache_clear()
+            _d_basis.cache_clear()
             with pytest.raises(ArithmeticError, match="square to zero"):
                 calculus._check_d_squared()
     finally:
         _d_word.cache_clear()
+        _d_basis.cache_clear()

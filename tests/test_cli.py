@@ -227,16 +227,23 @@ def test_run_suite_rejects_negative_max_n():
 
 
 def test_run_suite_rejects_negative_sample():
-    with pytest.raises(ValueError):
-        run_suite("hopf", sample=-2)
+    # a sample of 0 would pass the sampled checks without drawing anything
+    for sample in (-2, 0):
+        with pytest.raises(ValueError):
+            run_suite("hopf", sample=sample)
+
+
+# --max-n 0 is a real bound (charge 0 only); --sample 0 would sample nothing
+BAD_BOUNDS = {"--max-n": ("-3",), "--sample": ("-3", "0")}
 
 
 @pytest.mark.parametrize("flag", ["--max-n", "--sample"])
 def test_main_rejects_negative_bounds(capsys, flag):
-    with pytest.raises(SystemExit) as err:
-        main(["--suite", "bwb", flag, "-3"])
-    assert err.value.code == 2
-    assert flag in capsys.readouterr().err
+    for value in BAD_BOUNDS[flag]:
+        with pytest.raises(SystemExit) as err:
+            main(["--suite", "bwb", flag, value])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_inverting_zero_is_a_usage_error(capsys):
@@ -424,3 +431,20 @@ def test_suite_choices_read_as_before():
         "               [--quiet]",
         "               [expr]",
     ]
+
+
+GEOMETRY_SUITES = ("calculus", "sphere", "metric", "hodge", "laplace", "maxwell",
+                   "connection", "curvature", "dirac", "bwb")
+
+
+@pytest.mark.parametrize("suite", GEOMETRY_SUITES)
+def test_warm_tables_give_the_cold_report(suite):
+    # the operator tables fill on the first run and are only read on the
+    # second; a table that handed out a shared value some caller mutated
+    # would make the two reports, or the report of a fresh process, differ
+    first = format_report(run_suite(suite, seed=7919))
+    second = format_report(run_suite(suite, seed=7919))
+    assert first == second
+    proc = run_child("-m", "qsphere.cli", "--suite", suite, "--seed", "7919")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == first

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qsphere import sphere
+from qsphere.riemann import einstein_lift, geometric_lift
 from qsphere.algebra import AlgebraElement, TensorSquare, a, b, c, d
 from qsphere.calculus import EM, EP, VOL, Form, TensorForm, d as dd, tensor, wedge
 from qsphere.scalars import Scalar, mu, specialize, two_q
@@ -228,6 +229,65 @@ def test_laplacian_values():
     assert laplacian(b0) == b0.scale(q(2) * two_q) + one.scale(q(2))
 
 
+def reference_laplacian(f):
+    """The Laplacian of a whole element by both routes, as laplacian
+    computed it before the per-monomial table."""
+    _, dbarf = del_split(f)
+    two_form = dd(dbarf)
+    assert set(two_form.terms) <= {VOL}
+    h = two_form.coefficient(VOL)
+    assert dd(hodge_star(dd(f))).scale(Scalar.from_int(-1) / 2) == Form({VOL: h})
+    return h
+
+
+def test_laplacian_table_matches_the_whole_element_routes():
+    rng = random.Random(45)
+    coeffs = (Scalar.from_int(1), Scalar.from_int(-2), q(3), 1 / (1 + q(-4)))
+    inputs = [AlgebraElement.zero(), one, bp]
+    for _ in range(25):
+        x = AlgebraElement.zero()
+        for _ in range(rng.randint(1, 3)):
+            x = x + random_sphere_element(rng).scale(rng.choice(coeffs))
+        inputs.append(x)
+    for x in inputs:
+        want = reference_laplacian(x)
+        got = laplacian(x)
+        assert got == want
+        # every result is built afresh: mutating one leaves the next intact
+        got.terms.clear()
+        assert laplacian(x) == want
+    assert laplacian(SphereElement(b0)) == laplacian(b0)
+    # degree +-1 has an e0 part, as before the table
+    for bad in (a, b0 + a):
+        with pytest.raises(RuntimeError, match="e0 part"):
+            laplacian(bad)
+
+
+def uncached_metric_builds():
+    """The five metric tensors built from their formulas, without the table."""
+    g = sphere._metric_sum()
+    sg = star_second_leg(g)
+    ratio = (1 - q(-4)) / (1 + q(-4))
+    return {
+        metric_g: g,
+        g_plus_minus: sphere._metric_over(DEL, DELBAR),
+        g_minus_plus: sphere._metric_over(DELBAR, DEL),
+        einstein_lift: (-sg + g.scale(ratio)).scale(q(-1) / two_q),
+        geometric_lift: sg.scale(-(q(-1) / two_q)),
+    }
+
+
+def test_metric_table_matches_uncached_builds():
+    for fn, want in uncached_metric_builds().items():
+        got = fn()
+        assert got == want
+        # every result is built afresh: clearing it, and one of its
+        # coefficients, leaves the next call intact
+        next(iter(got.terms.values())).terms.clear()
+        got.terms.clear()
+        assert fn() == want
+
+
 def test_spin_multiplets():
     v1 = spin_multiplet(1)
     assert v1 == [bm, F0, bp]
@@ -267,10 +327,17 @@ def test_proportionality_helper():
     (lambda g: g + TensorForm({(EP, ("+",)): b ** 4}), "chiral components"),
 ], ids=["symmetry", "basic", "chiral"])
 def test_metric_guards_raise(monkeypatch, fault, message):
+    # the guards run when _metric_table is built, so it is emptied around
+    # the fault
     real = sphere._metric_sum
-    monkeypatch.setattr(sphere, "_metric_sum", lambda: fault(real()))
-    with pytest.raises(ArithmeticError, match=message):
-        metric_g()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(sphere, "_metric_sum", lambda: fault(real()))
+            sphere._metric_table.cache_clear()
+            with pytest.raises(ArithmeticError, match=message):
+                metric_g()
+    finally:
+        sphere._metric_table.cache_clear()
 
 
 def test_metric_invariance_guard_raises(monkeypatch):
@@ -281,9 +348,14 @@ def test_metric_invariance_guard_raises(monkeypatch):
         G[1][1] = G[1][1].scale(2)
         return G
 
-    monkeypatch.setattr(sphere, "metric_matrix", skewed)
-    with pytest.raises(ArithmeticError, match="not invariant"):
-        metric_g()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(sphere, "metric_matrix", skewed)
+            sphere._metric_table.cache_clear()
+            with pytest.raises(ArithmeticError, match="not invariant"):
+                metric_g()
+    finally:
+        sphere._metric_table.cache_clear()
 
 
 def test_lift_guard_raises(monkeypatch):
@@ -293,10 +365,17 @@ def test_lift_guard_raises(monkeypatch):
 
 
 def test_laplacian_guard_raises(monkeypatch):
+    # the routes are compared when a monomial enters _lap_mono, so the
+    # table is emptied around the fault
     real = sphere.hodge_star
-    monkeypatch.setattr(sphere, "hodge_star", lambda x: real(x).scale(2))
-    with pytest.raises(ArithmeticError, match="routes disagree"):
-        laplacian(bp)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(sphere, "hodge_star", lambda x: real(x).scale(2))
+            sphere._lap_mono.cache_clear()
+            with pytest.raises(ArithmeticError, match="routes disagree"):
+                laplacian(bp)
+    finally:
+        sphere._lap_mono.cache_clear()
 
 
 @pytest.mark.parametrize("fault, message", [
