@@ -491,11 +491,17 @@ class TensorSquare(Combination):
         return self.terms.items()
 
     def map_legs(self, fl, fr):
-        """Sum of fl(x) * fr(y) over all x (x) y terms, as an element."""
-        out = {}
+        """Sum of fl(x) * fr(y) over all x (x) y terms, as an element;
+        fl and fr are called once per distinct monomial of their leg."""
+        left, right, out = {}, {}, {}
         for (mx, my), co in self.terms.items():
-            piece = fl(AlgebraElement({mx: ONE})) * fr(AlgebraElement({my: ONE}))
-            accumulate(out, ((m, c * co) for m, c in piece.terms.items()))
+            x = left.get(mx)
+            if x is None:
+                x = left[mx] = fl(AlgebraElement._wrap({mx: ONE}))
+            y = right.get(my)
+            if y is None:
+                y = right[my] = fr(AlgebraElement._wrap({my: ONE}))
+            accumulate(out, ((m, c * co) for m, c in (x * y).terms.items()))
         return AlgebraElement._wrap(out)
 
     def _pieces(self):

@@ -538,11 +538,13 @@ def main(argv=None):
     if args.expr is not None:
         try:
             value = evaluate_text(args.expr)
-        except CliSyntaxError as exc:
+        except (CliSyntaxError, EvalError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-        except EvalError as exc:
-            print("error: %s" % exc, file=sys.stderr)
+        except RecursionError:
+            # deep nesting, or a product such as d^300*a^300 whose normal
+            # form recurses once per factor of the shorter power
+            print("error: expression too large to evaluate", file=sys.stderr)
             return 2
         try:
             text = render_value(value)

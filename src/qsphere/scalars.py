@@ -20,7 +20,10 @@ difference); only when the second entry of its result is zero can
 cancellation have raised the stride, and only then is it recomputed, as
 in (1+q^2)(1-q^2) = 1-q^4 with stride 8.  Multiplying by a one-term value
 scales a tuple, multiplying by the object ONE returns the other operand,
-and reducing a sum or a product costs at most one integer gcd.
+and reducing a sum or a product costs at most one integer gcd.  Two
+multi-term tuples multiply through _laurent_product, a table bounded at
+4096 entries and keyed by the canonical (p_a, k_a, p_b, k_b): the engine
+meets few distinct such products and repeats each many times.
 
 Only a true rational function, whose reduced denominator is not a monomial
 c*s^k (such as 1/(1+q^-4)), is kept as a reduced fraction num/den of dense
@@ -31,6 +34,7 @@ powers of s live in den.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd as _igcd
 
 
@@ -203,6 +207,19 @@ def _restride(p, k):
         return p, k
     r = _igcd(*[i for i in range(2, n) if p[i]])
     return (p[::r] if r > 1 else p), k * r
+
+
+@lru_cache(maxsize=4096)
+def _laurent_product(pa, ka, pb, kb):
+    """(p, k) of p_a(s^k_a) * p_b(s^k_b) for two canonical multi-term
+    tuples: the bounded product table of the Laurent kernel.  It multiplies
+    at the common stride; cancellation can raise it."""
+    k = ka if ka == kb else _igcd(ka, kb)
+    if ka != k:
+        pa = _spread(pa, ka // k)
+    if kb != k:
+        pb = _spread(pb, kb // k)
+    return _restride(pmul(pa, pb), k)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +471,7 @@ class Scalar:
             p = pa if b == 1 else tuple([a * b for a in pa])
             k = ka
         else:
-            # multiply at the common stride; cancellation can raise it
-            k = ka if ka == kb else _igcd(ka, kb)
-            if ka != k:
-                pa = _spread(pa, ka // k)
-            if kb != k:
-                pb = _spread(pb, kb // k)
-            p, k = _restride(pmul(pa, pb), k)
+            p, k = _laurent_product(pa, ka, pb, kb)
         c = self._c * other._c
         if c == 1:
             out = _new(Scalar)

@@ -274,6 +274,15 @@ def test_overlong_integer_literal_is_a_usage_error(capsys, expr):
     assert "5000-digit integer" in lines[0]
 
 
+@pytest.mark.parametrize("expr", ["d^300*a^300", "(" * 2000 + "a" + ")" * 2000],
+                         ids=["long-product", "deep-nesting"])
+def test_too_large_expression_is_a_usage_error(expr):
+    # in a fresh interpreter, at the stack depth a user's shell gives it
+    out = run_child("-m", "qsphere.cli", expr)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.splitlines() == ["error: expression too large to evaluate"]
+
+
 def test_main_exit_codes(capsys, monkeypatch, tmp_path):
     assert main(["d(a)"]) == 0
     assert capsys.readouterr().out == "a*e0 + q*b*ep\n"

@@ -237,3 +237,68 @@ def test_coproduct_of_a_unit_monomial_is_a_fresh_copy():
         assert general == via_gens
         for co in (-ONE, q ** 3, ONE / (ONE + q ** -4), s):
             assert coproduct(AlgebraElement({m: co})) == via_gens.scale(co)
+
+
+def _map_legs_per_term(t, fl, fr):
+    """The per-term formula: fl(x) * fr(y) summed over every x (x) y term."""
+    out = AlgebraElement.zero()
+    for (mx, my), co in t.items():
+        out = out + (fl(AlgebraElement({mx: ONE})) * fr(AlgebraElement({my: ONE}))).scale(co)
+    return out
+
+
+def _unit_counit(u):
+    return one.scale(counit(u))
+
+
+def _ident(u):
+    return u
+
+
+def _random_coproducts(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        word = tuple(rng.choice("abcd") for _ in range(rng.randint(1, 6)))
+        yield word, coproduct(normalize(word))
+
+
+def test_map_legs_matches_the_per_term_formula():
+    legs = (antipode, _unit_counit, _ident)
+    for word, dx in _random_coproducts(2003, 30):
+        for fl, fr in itertools.product(legs, repeat=2):
+            assert dx.map_legs(fl, fr) == _map_legs_per_term(dx, fl, fr), (word, fl, fr)
+    # several terms per leg monomial, and coefficients other than ONE
+    t = coproduct(normalize("ab") + normalize("bcd").scale(q ** 3 - s))
+    for fl, fr in itertools.product(legs, repeat=2):
+        assert t.map_legs(fl, fr) == _map_legs_per_term(t, fl, fr)
+
+
+def test_map_legs_calls_each_leg_once_per_monomial():
+    for word, dx in _random_coproducts(2004, 20):
+        seen = {"l": [], "r": []}
+
+        def counting(side, f):
+            def leg(u):
+                ((m, co),) = u.terms.items()
+                assert co == ONE
+                seen[side].append(m)
+                return f(u)
+            return leg
+
+        got = dx.map_legs(counting("l", antipode), counting("r", _ident))
+        assert got == _map_legs_per_term(dx, antipode, _ident)
+        for side, index in (("l", 0), ("r", 1)):
+            assert sorted(seen[side]) == sorted({mm[index] for mm in dx.terms}), word
+
+
+def test_map_legs_returns_a_fresh_element():
+    # an identity leg hands back its argument; the result must alias neither
+    # it nor an earlier result, also for the one-term tensor 1 (x) 1
+    for dx in (coproduct(normalize("abcd")), coproduct(one)):
+        for fl, fr in ((_ident, antipode), (_ident, _ident)):
+            first = dx.map_legs(fl, fr)
+            expected = AlgebraElement(dict(first.terms))
+            assert expected == _map_legs_per_term(dx, fl, fr)
+            first.terms.clear()
+            first.terms[Monomial(0, 1, 0, 0)] = ONE
+            assert dx.map_legs(fl, fr) == expected

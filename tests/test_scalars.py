@@ -5,10 +5,12 @@ from math import gcd
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from qsphere import scalars as scalars_module
 from qsphere.scalars import (
     ONE,
     ZERO,
     Scalar,
+    _laurent_product,
     _reduce_general,
     _trim,
     lam,
@@ -529,3 +531,100 @@ def test_long_strided_kernel_matches_dense_reference(pair, k):
     for got, want in _reference_cases(x, y, k, dividend=x * y):
         assert (got.num, got.den) == want
         _check_canonical(got)
+
+
+# --- the product table of multi-term Laurent tuples -------------------------
+
+
+def _table_operands():
+    """Multi-term Laurent values: strides 1, 2, 4 and 8, c != 1, and
+    pairs whose product cancels down to a higher stride."""
+    q2 = q ** 2
+    fixed = [ONE + q2, ONE - q2, ONE + q, (ONE + q) / 3, (ONE - q2 + q ** 4) / 2,
+             ONE + q ** 4, two_q, mu, lam + s, (2 * s - lam ** 3) / 6]
+    rng = random.Random(7919)
+    drawn = []
+    while len(drawn) < 12:
+        k = rng.choice([1, 2, 3, 4, 8])
+        body = [rng.choice((0, 1, -1, 2, -3)) for _ in range(rng.randint(2, 6))]
+        body[0] = body[-1] = rng.choice((1, -1, 2, 5))
+        x = _packed(k, rng.randint(-9, 9), body, rng.choice([1, 2, 3, 6]))
+        if x._p is not None and len(x._p) > 1:
+            drawn.append(x)
+    return fixed + drawn
+
+
+def _check_table_products(pairs):
+    """Each product equals the dense reference (the product case of
+    _reference_cases), satisfies got * den(x) * den(y) = num(x) * num(y) *
+    den(got) in sympy's Z[s], and is in canonical form."""
+    import sympy
+
+    t = sympy.Symbol("s")
+
+    def poly(p):
+        return sympy.Poly(list(reversed(p)), t, domain="ZZ")
+
+    for x, y in pairs:
+        got = x * y
+        assert (got.num, got.den) == _canonical(pmul(x.num, y.num), pmul(x.den, y.den))
+        assert (poly(got.num) * poly(x.den) * poly(y.den)
+                == poly(x.num) * poly(y.num) * poly(got.den))
+        _check_canonical(got)
+
+
+def test_product_table_cold_and_warm_matches_references():
+    ops = _table_operands()
+    assert all(len(x._p) > 1 for x in ops)
+    pairs = [(x, y) for x in ops for y in ops]
+    _laurent_product.cache_clear()
+    _check_table_products(pairs)  # cold: every distinct product is a miss
+    misses = _laurent_product.cache_info().misses
+    assert misses > 0
+    _check_table_products(pairs)  # warm: read back from the table
+    info = _laurent_product.cache_info()
+    assert info.misses == misses and info.hits >= len(pairs)
+
+
+def test_product_table_entries():
+    q2 = q ** 2
+    _laurent_product.cache_clear()
+    x, y = ONE + q2, ONE - q2
+    # cancellation raises the stride from 4 to 8
+    assert _laurent_product(x._p, x._k, y._p, y._k) == ((1, -1), 8)
+    assert (x * y)._p == (1, -1) and (x * y)._k == 8
+    # mixed strides 4 and 2 multiply at stride 2
+    z = ONE + q
+    assert z._k == 2 and _laurent_product(x._p, 4, z._p, 2) == ((1, 1, 1, 1), 2)
+    assert x * z == ONE + q + q2 + q ** 3
+    # the table keys the tuples alone: the denominators c stay outside it
+    w = (x / 2) * (z / 3)
+    assert w == (ONE + q + q2 + q ** 3) / 6 and w._c == 6
+    assert _laurent_product.cache_info().hits >= 1
+
+
+def test_product_table_is_bounded():
+    maxsize = _laurent_product.cache_info().maxsize
+    assert maxsize == 4096
+    _laurent_product.cache_clear()
+    base = ONE + s
+    for n in range(1, maxsize + 200):
+        base * (ONE + n * s)
+    info = _laurent_product.cache_info()
+    assert info.misses == maxsize + 199 and info.currsize <= maxsize
+    _check_table_products([(base, ONE + 5 * s), (base, ONE + (maxsize + 100) * s)])
+
+
+def test_wrong_table_entry_fails_the_check(monkeypatch):
+    # a table that returns a wrong entry must fail the references above
+    good = _laurent_product
+
+    def wrong(pa, ka, pb, kb):
+        p, k = good(pa, ka, pb, kb)
+        return p[:-1] + (p[-1] + 1,), k
+
+    monkeypatch.setattr(scalars_module, "_laurent_product", wrong)
+    ops = _table_operands()
+    for x, y in [(ops[0], ops[1]), (ops[3], ops[4])]:
+        with pytest.raises(AssertionError):
+            _check_table_products([(x, y)])
