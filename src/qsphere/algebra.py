@@ -367,6 +367,12 @@ def degree_split(x: AlgebraElement):
     return out
 
 
+def require_degree(x: AlgebraElement, n: int, message: str):
+    """Raise ValueError(message) unless every monomial of x has degree n."""
+    if any(m.degree() != n for m in x.terms):
+        raise ValueError(message)
+
+
 # ---------------------------------------------------------------------------
 # the free-word rewrite engine (independent route to the normal form)
 

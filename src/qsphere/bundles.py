@@ -1,7 +1,8 @@
 """Charged line bundles over the q-sphere, realized inside quantum SL(2).
 
 The degree-n component of the algebra serves as the module of sections
-of the charge-n bundle.  The monopole connection differentiates a
+of the charge-n bundle: a section is a plain homogeneous AlgebraElement,
+and its degree is its charge.  The monopole connection differentiates a
 section f of degree n by
 
     D f = d f - [n; q^2] f e^0,
@@ -11,46 +12,27 @@ is exactly [n; q^2] f, and that cancellation is checked once per
 monomial, when its image enters the memoised table behind covariant_D.
 
 Each small charge carries a fixed "partition of unity" -- a finite dual
-basis exhibiting the bundle as a direct summand of a free module.  The
-charge +-2 partitions drive the canonical extraction of sphere-valued
-coefficients from horizontal one-forms, and basic_pairs inserts a
-partition to split a charged form into basic form (x) section pairs
-(the legs of the Levi-Civita tensors, the spinor tails of the Dirac
-operator); such expansions are not unique, so fixing the partitions
-once keeps every downstream formula deterministic.
+basis, a checked tuple of (x_r, y_r) pairs, exhibiting the bundle as a
+direct summand of a free module.  The charge +-2 partitions drive the
+canonical extraction of sphere-valued coefficients from horizontal
+one-forms, and basic_pairs inserts a partition to split a charged form
+into basic form (x) section pairs (the legs of the Levi-Civita tensors,
+the spinor tails of the Dirac operator); such expansions are not
+unique, so fixing the partitions once keeps every downstream formula
+deterministic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Check, Monomial
+from .algebra import AlgebraElement, Check, Monomial, require_degree
 from .algebra import a as _a, b as _b, c as _c, d as _d
 from .calculus import E0, EM, EP, Form, _add_scaled, _frozen, _nested, d
 from .scalars import ONE, Scalar, qint, two_q
 
 _q = Scalar.q_power
 _q2 = _q(2)
-
-
-class Section:
-    """A homogeneous element viewed as a section of the charge-n bundle."""
-
-    __slots__ = ("value", "charge_degree")
-
-    def __init__(self, value: AlgebraElement, charge_degree=None):
-        degs = {m.degree() for m in value.terms}
-        if len(degs) > 1:
-            raise ValueError(f"section value is not homogeneous: degrees {sorted(degs)}")
-        if charge_degree is None:
-            charge_degree = degs.pop() if degs else 0
-        elif degs and degs.pop() != charge_degree:
-            raise ValueError("section value has the wrong degree")
-        self.value = value
-        self.charge_degree = charge_degree
-
-    def __repr__(self):
-        return f"Section({self.value!r}, n={self.charge_degree})"
 
 
 @lru_cache(maxsize=None)
@@ -65,15 +47,15 @@ def _covariant_D_mono(m: Monomial):
     return _frozen(out)
 
 
-def covariant_D(f: Section) -> Form:
-    """Monopole covariant derivative; the result is horizontal.
+def covariant_D(f: AlgebraElement) -> Form:
+    """Monopole covariant derivative of a homogeneous element, a section of
+    the charge-(deg f) bundle; the result is horizontal.
 
     Extends the per-monomial table linearly into a freshly built form.
     """
-    if not isinstance(f, Section):
-        f = Section(f)
+    f.degree()  # raises unless f is homogeneous
     acc = {}
-    for m, co in f.value.terms.items():
+    for m, co in f.terms.items():
         for w, pairs in _covariant_D_mono(m):
             _add_scaled(acc, w, pairs, co)
     return _nested(Form, acc)
@@ -83,34 +65,17 @@ def horizontality_check(sample):
     """e^0 coefficient of df must be [n;q^2] f for homogeneous f; returns failures."""
     failures = []
     for f in sample:
-        sec = Section(f)  # raises if not homogeneous
         got = d(f).coefficient(E0)
-        want = f.scale(qint(sec.charge_degree, _q2))
+        want = f.scale(qint(f.degree(), _q2))  # raises if not homogeneous
         if got != want:
             failures.append((f, got, want))
     return failures
 
 
-class Partition:
-    """Pairs (x_r, y_r) with sum x_r y_r = 1, deg y_r = n, deg x_r = -n."""
-
-    __slots__ = ("degree", "pairs")
-
-    def __init__(self, degree, pairs):
-        total = AlgebraElement.zero()
-        for x, y in pairs:
-            if Section(x).charge_degree != -degree or Section(y).charge_degree != degree:
-                raise ValueError(f"partition pairs must have degrees ({-degree}, {degree})")
-            total = total + x * y
-        if total != AlgebraElement.one():
-            raise ValueError("partition does not sum to 1")
-        self.degree = degree
-        self.pairs = tuple(pairs)
-
-
 @lru_cache(maxsize=None)
-def partition_of_unity(n: int) -> Partition:
-    """The fixed partition of charge n = +-1, +-2, built and verified once."""
+def partition_of_unity(n: int):
+    """The fixed partition of charge n = +-1, +-2: a tuple of pairs (x_r, y_r)
+    with deg x_r = -n, deg y_r = n and sum x_r y_r = 1, built and verified once."""
     if n == 2:
         pairs = [
             (_d * _d, _a * _a),
@@ -129,7 +94,20 @@ def partition_of_unity(n: int) -> Partition:
         ]
     else:
         raise ValueError(f"no partition of unity stored for charge {n}")
-    return Partition(n, pairs)
+    return check_partition(n, pairs)
+
+
+def check_partition(n: int, pairs):
+    """The pairs as a tuple if they are a charge-n partition of unity, else ValueError."""
+    message = f"partition pairs must have degrees ({-n}, {n})"
+    total = AlgebraElement.zero()
+    for x, y in pairs:
+        require_degree(x, -n, message)
+        require_degree(y, n, message)
+        total = total + x * y
+    if total != AlgebraElement.one():
+        raise ValueError("partition does not sum to 1")
+    return tuple(pairs)
 
 
 def basic_pairs(h: Form, n: int):
@@ -144,7 +122,7 @@ def basic_pairs(h: Form, n: int):
     pairs = []
     for w, x in h.terms.items():
         shift = -n * w.crossing()
-        for xr, yr in part.pairs:
+        for xr, yr in part:
             omega = Form({w: (x * xr).scale(_q(shift))})
             if omega:
                 pairs.append((omega, yr))
@@ -161,14 +139,12 @@ def extract_coeffs(h: Form):
     fm = f0 = fp = AlgebraElement.zero()
     for w, x in h.terms.items():
         if w == EP:
-            if any(m.degree() != -2 for m in x.terms):
-                raise ValueError("e+ coefficient must have degree -2")
+            require_degree(x, -2, "e+ coefficient must have degree -2")
             fm = fm + (x * (_c * _c)).scale(_q(-2))
             f0 = f0 + (x * (_a * _c)).scale(-(_q(-1) * two_q))
             fp = fp + x * (_a * _a)
         elif w == EM:
-            if any(m.degree() != 2 for m in x.terms):
-                raise ValueError("e- coefficient must have degree +2")
+            require_degree(x, 2, "e- coefficient must have degree +2")
             fm = fm + x * (_d * _d)
             f0 = f0 + (x * (_d * _b)).scale(-two_q)
             fp = fp + (x * (_b * _b)).scale(_q(2))
@@ -210,7 +186,7 @@ def bwb_check(n: int):
             expected = head + tail
         if d(x) != expected:
             failures.append((s, t, "derivative formula"))
-        Dx = covariant_D(Section(x, n))
+        Dx = covariant_D(x)
         if EM in Dx.terms:
             failures.append((s, t, "holomorphy (e- component)"))
         if E0 in Dx.terms:

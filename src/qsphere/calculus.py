@@ -161,9 +161,6 @@ class Form(Combination):
             return wedge(self, other)
         return NotImplemented
 
-    def degrees(self):
-        return {len(w) for w in self.terms}
-
     def charges(self):
         """All total charges (coefficient degree + word charge) present."""
         out = set()

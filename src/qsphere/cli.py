@@ -299,13 +299,13 @@ def _fn_delbar(v):
 
 
 def _fn_star(v):
-    from .sphere import SphereForm, hodge_star
+    from .sphere import check_sphere_form, hodge_star
     if isinstance(v, (Scalar, AlgebraElement)):
         v = Form.of(_as_element(v, "star"))
     if not isinstance(v, Form):
         raise EvalError("star() needs a form on the sphere")
     try:
-        SphereForm(v)
+        check_sphere_form(v)
     except ValueError as exc:
         raise EvalError("star(): %s" % exc) from None
     return hodge_star(v)

@@ -1,9 +1,10 @@
 """Riemannian structure of the q-sphere: connection, curvature, Ricci.
 
 The Levi-Civita connection is computed upstairs.  A basic one-form
-u e+ + w e- has homogeneous coefficients of degree -+2, and the
-monopole covariant derivative of those coefficients assembles into a
-two-legged tensor over the sphere algebra:
+u e+ + w e- has homogeneous coefficients of degree -+2 (nabla checks
+this with sphere.check_sphere_form), and the monopole covariant
+derivative of those coefficients assembles into a two-legged tensor
+over the sphere algebra:
 
     nabla(u e+ + w e-) = D(u) (x) e+  +  D(w) (x) e-.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness, accumulate
+from .algebra import Check, _run_items, _zero_or_witness, accumulate
 from .bundles import _covariant_D_mono, basic_pairs
 from .calculus import EM, EP, Form, TensorForm, _add_scaled, _nested, d, tensor, wedge
 from .scalars import ONE, Scalar, two_q
@@ -35,16 +36,15 @@ from .sphere import (
     DELBAR,
     F0,
     G_PRESENTATION,
-    SphereForm,
     _EINSTEIN,
     _GEOMETRIC,
-    _fm,
     _matmul,
     _metric_entry,
     _random_sphere_word,
     _scale_by_last_leg,
     bm,
     bp,
+    check_sphere_form,
     chiral_split,
     del_split,
     metric_g,
@@ -78,12 +78,11 @@ def nabla(tau) -> TensorForm:
     D(m), read from the memoised table of bundles.covariant_D, as the
     first leg of a tensor whose second leg is m's basis one-form.
     """
-    t = _fm(tau)
-    SphereForm(t)  # degree bookkeeping: e+ (e-) coefficients have charge -2 (+2)
-    if set(t.terms) - {EP, EM}:
+    check_sphere_form(tau)  # e+ (e-) coefficients have charge -2 (+2)
+    if set(tau.terms) - {EP, EM}:
         raise ValueError("the connection applies to one-forms")
     acc = {}
-    for w, x in t.terms.items():
+    for w, x in tau.terms.items():
         legs = (w[0],)
         for m, co in x.terms.items():
             for v, pairs in _covariant_D_mono(m):
@@ -106,9 +105,8 @@ class Connection1:
         """(f, tau) pairs where nabla(f tau) != df (x) tau + f nabla(tau)."""
         bad = []
         for f, tau in samples:
-            t = _fm(tau)
-            lhs = self.apply(f * t)
-            rhs = tensor(d(f), t) + f * self.apply(t)
+            lhs = self.apply(f * tau)
+            rhs = tensor(d(f), tau) + f * self.apply(tau)
             if lhs != rhs:
                 bad.append((f, tau))
         return bad
@@ -119,8 +117,7 @@ LEVI_CIVITA = Connection1()
 
 def torsion(tau) -> Form:
     """Wedge of the connection minus the exterior derivative; always 0 here."""
-    t = _fm(tau)
-    return nabla(t).wedge_in().as_form() - d(t)
+    return nabla(tau).wedge_in().as_form() - d(tau)
 
 
 def _wedge_first(omega: Form, tf: TensorForm, co=ONE):
@@ -145,32 +142,18 @@ def cotorsion() -> TensorForm:
     return left - right
 
 
-class ProjectorE:
-    """The 3x3 idempotent presenting the one-forms as a summand of a free module.
-
-    Stored as column (x) row; the single dot product row . column = 1
-    makes E^2 = E one engine identity instead of nine.
-    """
-
-    __slots__ = ("col", "row")
-
-    def __init__(self):
-        self.col = (two_q * bm, F0, two_q * bp)
-        self.row = (-bp, F0, -(_q(2) * bm))
-
-    def entry(self, i, j) -> AlgebraElement:
-        return self.col[i] * self.row[j]
-
-    def matrix(self):
-        return [[self.entry(i, j) for j in range(3)] for i in range(3)]
+# the 3x3 idempotent E presenting the one-forms as a summand of a free
+# module, stored as column (x) row: the single dot product row . column = 1
+# makes E^2 = E one engine identity instead of nine
+E_COL = (two_q * bm, F0, two_q * bp)
+E_ROW = (-bp, F0, -(_q(2) * bm))
 
 
 def projector_checks():
     """Itemized identities tying the projector to the connection."""
-    E = ProjectorE()
     db = (DB["-"], DB["0"], DB["+"])
-    row, M = [E.row], E.matrix()
-    col, dbcol = [[x] for x in E.col], [[t] for t in db]
+    row, col, dbcol = [E_ROW], [[x] for x in E_COL], [[t] for t in db]
+    M = _matmul(col, row)
     items = [
         ("rowcol", _matmul(row, col)[0][0] - one),
         ("rowdb", _matmul(row, dbcol)[0][0]),
@@ -188,7 +171,7 @@ def projector_checks():
         items.append((f"nablaE-{j}", nabla(db[j]) + recomb))
 
     # the same recombination on the bare row gives minus the metric
-    drow = sum((tensor(d(E.row[j]), db[j]) for j in range(3)), TensorForm())
+    drow = sum((tensor(d(E_ROW[j]), db[j]) for j in range(3)), TensorForm())
     items.append(("drowdb", drow + metric_g()))
 
     # each chirality of dE annihilates the matching chirality of db
@@ -218,13 +201,12 @@ def riemann_tensor(tau) -> TensorForm:
     area form tensor a chirality scalar times the input before it is
     returned.
     """
-    t = _fm(tau)
     acc = {}
-    for omega, eta in decompose_legs(nabla(t)):
+    for omega, eta in decompose_legs(nabla(tau)):
         accumulate(acc, _wedge_first(omega, nabla(eta)))
         accumulate(acc, (-tensor(d(omega), eta)).terms.items())
     total = TensorForm._wrap(acc)
-    if total != _scale_by_last_leg(tensor(upsilon(), t), _CHIRALITY):
+    if total != _scale_by_last_leg(tensor(upsilon(), tau), _CHIRALITY):
         raise RuntimeError("curvature is not the area form times the chirality scalar")
     return total
 

@@ -583,10 +583,6 @@ def qint_sym(n) -> Scalar:
     return out
 
 
-def specialize(x: Scalar, s0) -> Fraction:
-    return x.specialize(s0)
-
-
 # ---------------------------------------------------------------------------
 # rendering: reduced-fraction Laurent text, preferring q over s when all
 # exponents are even.  The output is parseable by the cli grammar.  A

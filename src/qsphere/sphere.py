@@ -8,7 +8,9 @@ generated by
 and its 2-dimensional exterior calculus is the horizontal part of the
 3-d calculus upstairs: one-forms have only e+ and e- components, the
 top form is Y = e+ ^ e-.  Working upstairs makes every identity here
-decidable by the PBW normal form.
+decidable by the PBW normal form.  A function on the sphere is a plain
+degree-0 AlgebraElement and a sphere form a plain Form; check_sphere_form
+tests the degree conditions where an operator needs them.
 
 The derivative splits as d = del + delbar (e+ and e- components); on
 one-forms del kills the holomorphic part and delbar the antiholomorphic
@@ -24,7 +26,7 @@ from operator import add
 
 from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d
-from .algebra import coproduct
+from .algebra import coproduct, require_degree
 from .calculus import (
     E0,
     EM,
@@ -52,46 +54,18 @@ F0 = one + two_q * b0  # the degree-zero partner of b+- in the spin-1 multiplet
 GENS = {"-": bm, "0": b0, "+": bp}
 
 
-class SphereElement:
-    """A degree-0 element (a function on the q-sphere)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: AlgebraElement):
-        if any(m.degree() != 0 for m in value.terms):
-            raise ValueError("sphere element must have degree 0")
-        self.value = value
-
-    def __repr__(self):
-        return f"SphereElement({self.value!r})"
+# the coefficient degree each sphere word asks for
+_SPHERE_DEGREE = {EP: -2, EM: 2, VOL: 0, SCALAR_WORD: 0}
 
 
-class SphereForm:
-    """A charge-0 horizontal form: e+ coefficients of degree -2, e- of +2."""
-
-    __slots__ = ("value",)
-
-    _DEGREE = {EP: -2, EM: 2, VOL: 0, (): 0}
-
-    def __init__(self, value: Form):
-        for w, x in value.terms.items():
-            want = self._DEGREE.get(w)
-            if want is None:
-                raise ValueError("form does not live on the sphere (e0 present)")
-            if any(m.degree() != want for m in x.terms):
-                raise ValueError(f"coefficient of {w} must have degree {want}")
-        self.value = value
-
-    def __repr__(self):
-        return f"SphereForm({self.value!r})"
-
-
-def _el(x) -> AlgebraElement:
-    return x.value if isinstance(x, SphereElement) else x
-
-
-def _fm(x) -> Form:
-    return x.value if isinstance(x, SphereForm) else x
+def check_sphere_form(form: Form):
+    """Raise ValueError unless form lives on the sphere: no e0, and e+
+    coefficients of degree -2, e- of +2, scalar and area ones of 0."""
+    for w, x in form.terms.items():
+        want = _SPHERE_DEGREE.get(w)
+        if want is None:
+            raise ValueError("form does not live on the sphere (e0 present)")
+        require_degree(x, want, f"coefficient of {w} must have degree {want}")
 
 
 def chiral_split(tau: Form):
@@ -101,7 +75,7 @@ def chiral_split(tau: Form):
 
 def del_split(f):
     """(del f, delbar f): the e+ and e- parts of df for a sphere function."""
-    df = d(_el(f))
+    df = d(f)
     if E0 in df.terms:
         raise RuntimeError("df acquired an e0 part on a degree-0 element")
     return chiral_split(df)
@@ -385,17 +359,14 @@ _STAR = {EP: (EP, 1), EM: (EM, -1), VOL: (SCALAR_WORD, 1), SCALAR_WORD: (VOL, 1)
 
 def hodge_star(x):
     """The Hodge star: +1 on e+, -1 on e-, *1 = Y and *Y = 1."""
-    xf = _fm(x)
-
     def terms():
-        for w, coeff in xf.terms.items():
+        for w, coeff in x.terms.items():
             if w not in _STAR:
                 raise ValueError("Hodge star is only defined on sphere forms")
             v, sign = _STAR[w]
             yield v, coeff if sign > 0 else -coeff
 
-    out = Form._wrap(accumulate({}, terms()))
-    return SphereForm(out) if isinstance(x, SphereForm) else out
+    return Form._wrap(accumulate({}, terms()))
 
 
 # Wedging either chiral half of the metric gives +-q^2 Y (the e+ ^ e-
@@ -470,11 +441,10 @@ def _lap_mono(m):
 def laplacian(f) -> AlgebraElement:
     """The scalar Laplacian, extending the per-monomial table linearly
     into a freshly built element."""
-    x = _el(f)
-    if not isinstance(x, AlgebraElement):
+    if not isinstance(f, AlgebraElement):
         raise TypeError("laplacian() needs a sphere element")
     acc = {}
-    for m, co in x.terms.items():
+    for m, co in f.terms.items():
         accumulate(acc, ((k, co * c) for k, c in _lap_mono(m)))
     return AlgebraElement._wrap(acc)
 

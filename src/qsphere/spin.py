@@ -31,8 +31,8 @@ import random
 from functools import lru_cache
 
 from .algebra import AlgebraElement, Check, Combination, Monomial, _run_items, accumulate
-from .algebra import a as _a, b as _b, c as _c, d as _d
-from .bundles import Section, basic_pairs, covariant_D, extract_coeffs
+from .algebra import a as _a, b as _b, c as _c, d as _d, require_degree
+from .bundles import basic_pairs, covariant_D, extract_coeffs
 from .calculus import EM, EP, TensorForm, d
 from .riemann import decompose_legs
 from .scalars import ONE, Scalar, two_q
@@ -42,7 +42,6 @@ from .sphere import (
     DELBAR,
     F0,
     GENS,
-    SphereForm,
     _matmul,
     b0,
     bm,
@@ -82,11 +81,11 @@ class Spinor(Combination):
 
     def __init__(self, minus_part=None, plus_part=None):
         self.terms = {}
-        for part, n, name in ((minus_part, 1, "S-"), (plus_part, -1, "S+")):
+        for part, n, message in ((minus_part, 1, "the S- part must have degree +1"),
+                                 (plus_part, -1, "the S+ part must have degree -1")):
             if part is None:
                 continue
-            if any(m.degree() != n for m in part.terms):
-                raise ValueError("the %s part must have degree %+d" % (name, n))
+            require_degree(part, n, message)
             self.terms.update(part.terms)
 
     def _part(self, n):
@@ -119,12 +118,11 @@ GENERATOR_SPINORS = (
 
 def gamma(omega, sigma: Spinor) -> Spinor:
     """Clifford action of a one-form: chirality-matched multiplication."""
-    t = omega.value if isinstance(omega, SphereForm) else omega
-    if set(t.terms) - {EP, EM}:
+    if set(omega.terms) - {EP, EM}:
         raise ValueError("gamma acts on one-forms")
     return Spinor(
-        minus_part=t.coefficient(EM) * sigma.plus_part,
-        plus_part=t.coefficient(EP) * sigma.minus_part,
+        minus_part=omega.coefficient(EM) * sigma.plus_part,
+        plus_part=omega.coefficient(EP) * sigma.minus_part,
     )
 
 
@@ -144,7 +142,7 @@ def _dirac_mono(m: Monomial):
     n = m.degree()
     x = AlgebraElement({m: ONE})
     out = {}
-    for omega, y in basic_pairs(covariant_D(Section(x, n)), n):
+    for omega, y in basic_pairs(covariant_D(x), n):
         sigma = Spinor(minus_part=y) if n == 1 else Spinor(plus_part=y)
         accumulate(out, gamma(omega, sigma).terms.items())
     return tuple(out.items())
@@ -309,8 +307,7 @@ class SpinorRow(tuple):
 
     def __new__(cls, f: AlgebraElement, g: AlgebraElement):
         for x in (f, g):
-            if any(m.degree() != 0 for m in x.terms):
-                raise ValueError("row entries must be sphere elements")
+            require_degree(x, 0, "row entries must be sphere elements")
         return tuple.__new__(cls, (f, g))
 
     @property
@@ -423,8 +420,8 @@ def trivialisation_checks():
             items.append((f"triv-delbar-{i}{j}", delbare[i][j] - dee[i][j]))
             items.append((f"triv-delbar-alt-{i}{j}", delbare[i][j] + f1df1[i][j]))
 
-    Dminus = (covariant_D(Section(_a, 1)), covariant_D(Section(_c, 1)))
-    Dplus = (covariant_D(Section(_b, -1)), covariant_D(Section(_d, -1)))
+    Dminus = (covariant_D(_a), covariant_D(_c))
+    Dplus = (covariant_D(_b), covariant_D(_d))
     edeac = _matmul(ede, ac)
     deebd = _matmul(dee, bd)
     for i in range(2):

@@ -5,9 +5,8 @@ import pytest
 from qsphere import bundles
 from qsphere.algebra import AlgebraElement, a, b, c, d as gd, degree_split, normalize, one
 from qsphere.bundles import (
-    Partition,
-    Section,
     bwb_check,
+    check_partition,
     covariant_D,
     extract_coeffs,
     horizontality_check,
@@ -30,21 +29,19 @@ DELBAR_B = {"-": a * a, "0": q * (a * c), "+": c * c}
 
 
 def test_section_degree_guard():
-    Section(a * b * c, 1)
-    Section(AlgebraElement.zero(), 5)
+    covariant_D(a * b * c)
+    assert covariant_D(AlgebraElement.zero()) == 0
     with pytest.raises(ValueError):
-        Section(a + b)
-    with pytest.raises(ValueError):
-        Section(a, -1)
+        covariant_D(a + b)
 
 
 def test_covariant_D_values():
-    assert covariant_D(Section(a)) == Form({EP: q * b})
-    assert covariant_D(Section(c)) == Form({EP: q * gd})
-    assert covariant_D(Section(one, 0)) == 0
+    assert covariant_D(a) == Form({EP: q * b})
+    assert covariant_D(c) == Form({EP: q * gd})
+    assert covariant_D(one) == 0
     # negative charge goes antiholomorphic
-    assert covariant_D(Section(b)) == Form({EM: a})
-    assert covariant_D(Section(gd)) == Form({EM: c})
+    assert covariant_D(b) == Form({EM: a})
+    assert covariant_D(gd) == Form({EM: c})
 
 
 def reference_covariant_D(x, n):
@@ -65,17 +62,17 @@ def rnd_section(rng, n):
 
 def test_covariant_D_table_matches_whole_element_formula():
     rng = random.Random(24)
-    inputs = [(x, Section(x).charge_degree) for x in (a, b, c, gd, a * a, one)]
+    inputs = [(x, x.degree()) for x in (a, b, c, gd, a * a, one)]
     inputs += [(rnd_section(rng, n), n) for n in range(-3, 4) for _ in range(3)]
     for x, n in inputs:
         want = reference_covariant_D(x, n)
-        got = covariant_D(Section(x, n))
+        got = covariant_D(x)
         assert got == want and E0 not in got.terms
         # every result is built afresh: mutating one leaves the next intact
         for y in got.terms.values():
             y.terms.clear()
         got.terms.clear()
-        assert covariant_D(Section(x, n)) == want
+        assert covariant_D(x) == want
 
 
 def test_horizontality_failure_raises(monkeypatch):
@@ -84,7 +81,7 @@ def test_horizontality_failure_raises(monkeypatch):
     bundles._covariant_D_mono.cache_clear()
     try:
         with pytest.raises(ArithmeticError):
-            covariant_D(Section(a * a))
+            covariant_D(a * a)
     finally:
         bundles._covariant_D_mono.cache_clear()
 
@@ -101,8 +98,8 @@ def test_connection_property():
         m0 = degree_split(m).get(0)
         if not m0:
             continue
-        lhs = covariant_D(Section(m0 * g))
-        rhs = d(m0) * g + m0 * covariant_D(Section(g))
+        lhs = covariant_D(m0 * g)
+        rhs = d(m0) * g + m0 * covariant_D(g)
         assert lhs == rhs
 
 
@@ -120,18 +117,17 @@ def test_horizontality():
 
 def test_partitions():
     for n in (-2, -1, 1, 2):
-        p = partition_of_unity(n)
-        assert p.degree == n
         total = AlgebraElement.zero()
-        for x, y in p.pairs:
+        for x, y in partition_of_unity(n):
+            assert (x.degree(), y.degree()) == (-n, n)
             total = total + x * y
         assert total == one
     with pytest.raises(ValueError):
         partition_of_unity(3)
-    with pytest.raises(ValueError):
-        Partition(1, [(gd, a)])  # da = 1 + qbc != 1
-    with pytest.raises(ValueError):
-        Partition(1, [(a, a)])  # x must have degree -1
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        check_partition(1, [(gd, a)])  # da = 1 + qbc != 1
+    with pytest.raises(ValueError, match="must have degrees"):
+        check_partition(1, [(a, a)])  # x must have degree -1
     assert partition_of_unity(2) is partition_of_unity(2)  # built once
 
 
@@ -143,7 +139,7 @@ def test_extract_coeffs_examples():
     assert f0 == -(q ** -1) * two_q * (b * b * a * c)
     assert fp == b * b * a * a
     for f in (fm, f0, fp):
-        assert Section(f).charge_degree == 0
+        assert f.degree() == 0
     # and they recombine to the input against the e+ legs
     recon = sum(
         (f * DEL_B[i] for f, i in [(fm, "-"), (f0, "0"), (fp, "+")]),

@@ -121,6 +121,22 @@ def test_eval_type_errors():
             evaluate_text(bad)
 
 
+@pytest.mark.parametrize("expr, line", [
+    ("star(e0)", "error: star(): form does not live on the sphere (e0 present)"),
+    ("star(a*a*ep)", "error: star(): coefficient of ('+',) must have degree -2"),
+    ("nabla(a*a*ep)", "error: nabla(): coefficient of ('+',) must have degree -2"),
+    ("nabla(e0)", "error: nabla(): form does not live on the sphere (e0 present)"),
+    ("del(a)", "error: del() needs a degree-0 (sphere) element"),
+    ("lap(a)", "error: lap() needs a degree-0 (sphere) element"),
+    ("dirac(a*a)", "error: dirac() needs components of charge +1 and -1 only"),
+])
+def test_degree_validator_lines(capsys, expr, line):
+    assert main([expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
 def test_negative_output_reparses():
     assert render_value(evaluate_text("0-q")) == "0 - q"
     assert evaluate_text("0 - q") == -q(1)

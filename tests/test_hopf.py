@@ -19,6 +19,7 @@ from qsphere.algebra import (
     mono_mul,
     normalize,
     one,
+    require_degree,
     verify_hopf_axioms,
 )
 from qsphere.scalars import ONE, Scalar, q, s, two_q
@@ -198,6 +199,15 @@ def test_inhomogeneous_degree_raises():
     assert (a * b).degree() == 0
     with pytest.raises(ValueError):
         (a + b).degree()
+
+
+def test_require_degree():
+    require_degree(a * b * c, 1, "unused")
+    require_degree(AlgebraElement.zero(), 7, "unused")  # zero has every degree
+    for bad, n in ((a + b, 1), (a * b, 1), (a, -1)):
+        with pytest.raises(ValueError) as err:
+            require_degree(bad, n, "the given message")
+        assert str(err.value) == "the given message"
 
 
 def test_hopf_axioms_fail_loudly(monkeypatch):

@@ -24,7 +24,6 @@ from qsphere.scalars import (
     qint_sym,
     render_scalar,
     s,
-    specialize,
     two_q,
 )
 
@@ -69,17 +68,17 @@ def test_qint_sym_vs_qint():
 
 
 def test_specialize_examples():
-    assert specialize(q + q ** -1, 1) == 2
+    assert (q + q ** -1).specialize(1) == 2
     einstein = (2 * q ** -1) / (ONE + q ** -4)
-    assert specialize(einstein, 1) == 1
-    assert specialize(q, Fraction(3, 2)) == Fraction(9, 4)
+    assert einstein.specialize(1) == 1
+    assert q.specialize(Fraction(3, 2)) == Fraction(9, 4)
 
 
 def test_specialize_pole():
     x = ONE / (ONE - q)  # pole at s = 1
     with pytest.raises(ZeroDivisionError):
-        specialize(x, 1)
-    assert specialize(x, 2) == Fraction(-1, 3)
+        x.specialize(1)
+    assert x.specialize(2) == Fraction(-1, 3)
 
 
 def test_division_by_zero():

@@ -5,10 +5,10 @@ import pytest
 
 from qsphere import spin
 from qsphere.algebra import a, b, c, d
-from qsphere.bundles import Section, basic_pairs, covariant_D
+from qsphere.bundles import basic_pairs, covariant_D
 from qsphere.calculus import Form, d as dd
 from qsphere.riemann import nabla
-from qsphere.scalars import ONE, Scalar, qint, specialize, two_q
+from qsphere.scalars import ONE, Scalar, qint, two_q
 from qsphere.sphere import DB, DEL, F0, _matmul, b0, bm, bp, del_split, one
 from qsphere.spin import (
     GENERATOR_SPINORS,
@@ -113,8 +113,8 @@ def test_dirac_on_generators():
     assert dirac(Spinor(plus_part=b)) == Spinor(minus_part=q(1) * a)
     assert dirac(Spinor(plus_part=d)) == Spinor(minus_part=q(1) * c)
     # the monopole derivative pieces behind the first two values
-    Da = covariant_D(Section(a, 1))
-    Dc = covariant_D(Section(c, 1))
+    Da = covariant_D(a)
+    Dc = covariant_D(c)
     assert Da == Form.of(q(1) * b, "+")
     assert Da == (DEL["0"] * a).scale(q(-1)) - (DEL["-"] * c).scale(q(1))
     assert Dc == Form.of(q(1) * d, "+")
@@ -127,7 +127,7 @@ def test_dirac_eigen_spinors():
         for m0, p0 in ((a, b), (c, d)):
             sig = Spinor(minus_part=m0.scale(ev), plus_part=p0)
             assert dirac(sig) == sig.scale(ev)
-        assert specialize(ev, Fraction(1)) == sign
+        assert ev.specialize(Fraction(1)) == sign
 
 
 def test_z2_grading():
