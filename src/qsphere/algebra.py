@@ -100,12 +100,15 @@ def accumulate(acc, items):
 
 class Combination:
     """A finite linear combination {key: coefficient} with no zero
-    coefficients.  Coefficients are Scalars or algebra elements; the
-    vector-space structure and the printer are shared by every kind."""
+    coefficients.  Coefficients are Scalars or, for the kinds that set
+    _nested, algebra elements; the vector-space structure, the linear
+    extension of memoised operator tables and the printer are shared by
+    every kind."""
 
     __slots__ = ("terms",)
 
     _key = staticmethod(lambda k: k)  # coerce a key given to the constructor
+    _nested = False  # True when the coefficients are algebra elements
 
     def __init__(self, terms=None):
         key = self._key
@@ -121,6 +124,30 @@ class Combination:
     @classmethod
     def zero(cls):
         return cls._wrap({})
+
+    @classmethod
+    def extend(cls, table, pairs):
+        """The sum of co * table(k) over the (k, co) pairs, newly built.
+
+        table maps a basis key to a value of this kind, usually a memoised
+        operator table; the result shares no dict or coefficient element
+        with a table value, so callers may mutate it."""
+        acc = {}
+        if cls._nested:
+            for k, co in pairs:
+                for key, y in table(k).terms.items():
+                    inner = acc.setdefault(key, {})
+                    accumulate(inner, ((m, co * c) for m, c in y.terms.items()))
+            return cls._wrap({key: AlgebraElement._wrap(t) for key, t in acc.items() if t})
+        for k, co in pairs:
+            accumulate(acc, ((key, co * c) for key, c in table(k).terms.items()))
+        return cls._wrap(acc)
+
+    def copy(self):
+        """A newly built copy that shares no dict with self."""
+        if self._nested:
+            return self._wrap({k: y.copy() for k, y in self.terms.items()})
+        return self._wrap(dict(self.terms))
 
     def _coerce(self, other):
         """other as a combination of this kind, or None; the integer 0 is
@@ -546,12 +573,8 @@ def coproduct(x: AlgebraElement) -> TensorSquare:
     if len(x.terms) == 1:
         ((m, co),) = x.terms.items()
         if co is ONE:
-            # a fresh copy of the table entry: callers may mutate the result
-            return TensorSquare._wrap(dict(_coproduct_mono(m).terms))
-    out = {}
-    for m, co in x.terms.items():
-        accumulate(out, ((mm, co * c) for mm, c in _coproduct_mono(m).items()))
-    return TensorSquare._wrap(out)
+            return _coproduct_mono(m).copy()
+    return TensorSquare.extend(_coproduct_mono, x.terms.items())
 
 
 def counit(x: AlgebraElement) -> Scalar:

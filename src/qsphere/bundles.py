@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraElement, Check, Monomial, require_degree
 from .algebra import a as _a, b as _b, c as _c, d as _d
-from .calculus import E0, EM, EP, Form, _add_scaled, _frozen, _nested, d
+from .calculus import E0, EM, EP, Form, d
 from .scalars import ONE, Scalar, qint, two_q
 
 _q = Scalar.q_power
@@ -36,29 +36,23 @@ _q2 = _q(2)
 
 
 @lru_cache(maxsize=None)
-def _covariant_D_mono(m: Monomial):
-    """D of the single monomial m as a section of charge deg m, as a tuple
-    of (ExteriorWord, ((Monomial, Scalar), ...)) pairs: the memoised table
-    behind covariant_D, riemann.nabla and spin.dirac."""
+def _covariant_D_mono(m: Monomial) -> Form:
+    """D of the single monomial m as a section of charge deg m: the memoised
+    table behind covariant_D.  Its values are read only through
+    Form.extend."""
     x = AlgebraElement({m: ONE})
     out = d(x) - Form.of(x.scale(qint(m.degree(), _q2)), E0)
     if E0 in out.terms:
         raise ArithmeticError("covariant derivative failed to be horizontal")
-    return _frozen(out)
+    return out
 
 
 def covariant_D(f: AlgebraElement) -> Form:
     """Monopole covariant derivative of a homogeneous element, a section of
-    the charge-(deg f) bundle; the result is horizontal.
-
-    Extends the per-monomial table linearly into a freshly built form.
+    the charge-(deg f) bundle; the result is horizontal and newly built.
     """
     f.degree()  # raises unless f is homogeneous
-    acc = {}
-    for m, co in f.terms.items():
-        for w, pairs in _covariant_D_mono(m):
-            _add_scaled(acc, w, pairs, co)
-    return _nested(Form, acc)
+    return Form.extend(_covariant_D_mono, f.terms.items())
 
 
 def horizontality_check(sample):

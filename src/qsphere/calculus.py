@@ -36,7 +36,6 @@ from .algebra import (
     Check,
     Combination,
     Monomial,
-    _UNIT,
     _run_items,
     accumulate,
     antipode,
@@ -139,6 +138,7 @@ class Form(Combination):
     __slots__ = ()
 
     _key = ExteriorWord
+    _nested = True
 
     @staticmethod
     def of(x: AlgebraElement, word=()):
@@ -238,60 +238,24 @@ def _d_word(w: ExteriorWord) -> Form:
     return out
 
 
-def _add_scaled(acc, key, pairs, co):
-    """acc[key] += co * pairs in a {key: {Monomial: Scalar}} accumulator."""
-    accumulate(acc.setdefault(key, {}), ((m, co * c) for m, c in pairs))
-
-
-def _nested(cls, acc):
-    """A fresh cls (Form or TensorForm) from a {key: {Monomial: Scalar}}
-    accumulator, dropping keys whose coefficients all cancelled."""
-    return cls._wrap({k: AlgebraElement._wrap(t) for k, t in acc.items() if t})
-
-
-def _frozen(x):
-    """A Form or TensorForm as an immutable table entry: a tuple of
-    (key, ((Monomial, Scalar), ...)) pairs."""
-    return tuple((k, tuple(y.terms.items())) for k, y in x.terms.items())
-
-
-def _thawed(cls, entry):
-    """A freshly built cls from a table entry of _frozen."""
-    return _nested(cls, {k: dict(pairs) for k, pairs in entry})
-
-
 @lru_cache(maxsize=None)
-def _d_basis(m: Monomial, w: ExteriorWord):
-    """d(m e^w) = d(m) ^ e^w + m d(e^w) for one basis form, as a tuple of
-    (ExteriorWord, ((Monomial, Scalar), ...)) pairs: the memoised table
-    behind d on forms."""
-    acc = {}
-    # d(m) ^ e^w: every word of d(m) is straightened against w
-    for w1, y in _d_mono(m).terms.items():
-        st = _straighten_word(w1 + w)
-        if st is not None:
-            _add_scaled(acc, st[0], y.terms.items(), st[1])
-    # m d(e^w), whose coefficients are multiples of the unit
-    for w2, y in _d_word(w).terms.items():
-        _add_scaled(acc, w2, ((m, ONE),), y.terms[_UNIT])
-    return _frozen(_nested(Form, acc))
+def _d_basis(key) -> Form:
+    """d(m e^w) = d(m) ^ e^w + m d(e^w) for the basis form of key = (m, w):
+    the memoised table behind d on forms.  Its values are read only through
+    Form.extend."""
+    m, w = key
+    return wedge(_d_mono(m), Form.of(one, w)) + AlgebraElement._wrap({m: ONE}) * _d_word(w)
 
 
 def d(x) -> Form:
     """Exterior derivative of an algebra element or a form."""
-    acc = {}
     if isinstance(x, AlgebraElement):
-        for m, co in x.terms.items():
-            for w, y in _d_mono(m).terms.items():
-                _add_scaled(acc, w, y.terms.items(), co)
-    elif isinstance(x, Form):
-        for w, coeff in x.terms.items():
-            for m, co in coeff.terms.items():
-                for w2, pairs in _d_basis(m, w):
-                    _add_scaled(acc, w2, pairs, co)
-    else:
-        raise TypeError("d() needs an algebra element or a form")
-    return _nested(Form, acc)
+        return Form.extend(_d_mono, x.terms.items())
+    if isinstance(x, Form):
+        return Form.extend(_d_basis, (
+            ((m, w), co) for w, coeff in x.terms.items() for m, co in coeff.terms.items()
+        ))
+    raise TypeError("d() needs an algebra element or a form")
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +311,8 @@ class TensorForm(Combination):
     """
 
     __slots__ = ()
+
+    _nested = True
 
     @staticmethod
     def _key(key):

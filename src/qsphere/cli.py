@@ -299,16 +299,15 @@ def _fn_delbar(v):
 
 
 def _fn_star(v):
-    from .sphere import check_sphere_form, hodge_star
+    from .sphere import hodge_star
     if isinstance(v, (Scalar, AlgebraElement)):
         v = Form.of(_as_element(v, "star"))
     if not isinstance(v, Form):
         raise EvalError("star() needs a form on the sphere")
     try:
-        check_sphere_form(v)
+        return hodge_star(v)
     except ValueError as exc:
         raise EvalError("star(): %s" % exc) from None
-    return hodge_star(v)
 
 
 def _fn_nabla(v):

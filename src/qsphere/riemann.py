@@ -27,8 +27,8 @@ from __future__ import annotations
 import random
 
 from .algebra import Check, _run_items, _zero_or_witness, accumulate
-from .bundles import _covariant_D_mono, basic_pairs
-from .calculus import EM, EP, Form, TensorForm, _add_scaled, _nested, d, tensor, wedge
+from .bundles import basic_pairs, covariant_D
+from .calculus import EM, EP, Form, TensorForm, d, tensor, wedge
 from .scalars import ONE, Scalar, two_q
 from .sphere import (
     DB,
@@ -36,10 +36,7 @@ from .sphere import (
     DELBAR,
     F0,
     G_PRESENTATION,
-    _EINSTEIN,
-    _GEOMETRIC,
     _matmul,
-    _metric_entry,
     _random_sphere_word,
     _scale_by_last_leg,
     bm,
@@ -47,6 +44,8 @@ from .sphere import (
     check_sphere_form,
     chiral_split,
     del_split,
+    einstein_lift,
+    geometric_lift,
     metric_g,
     one,
     upsilon,
@@ -74,20 +73,16 @@ def decompose_legs(tf: TensorForm):
 def nabla(tau) -> TensorForm:
     """The Levi-Civita connection on basic one-forms.
 
-    Each coefficient monomial m contributes its covariant derivative
-    D(m), read from the memoised table of bundles.covariant_D, as the
-    first leg of a tensor whose second leg is m's basis one-form.
+    The covariant derivative D(x) of each coefficient x becomes the
+    first leg of a tensor whose second leg is x's basis one-form; the
+    e+ and e- terms have different second legs, so they share no key.
     """
     check_sphere_form(tau)  # e+ (e-) coefficients have charge -2 (+2)
     if set(tau.terms) - {EP, EM}:
         raise ValueError("the connection applies to one-forms")
-    acc = {}
-    for w, x in tau.terms.items():
-        legs = (w[0],)
-        for m, co in x.terms.items():
-            for v, pairs in _covariant_D_mono(m):
-                _add_scaled(acc, (v, legs), pairs, co)
-    return _nested(TensorForm, acc)
+    return TensorForm._wrap({
+        (v, (w[0],)): y for w, x in tau.terms.items() for v, y in covariant_D(x).terms.items()
+    })
 
 
 class Connection1:
@@ -221,18 +216,6 @@ def ricci(lift: TensorForm) -> TensorForm:
     if not lift.is_basic():
         raise ValueError("the lift must be basic to cross the curvature")
     return _scale_by_last_leg(lift, _CHIRALITY)
-
-
-def einstein_lift() -> TensorForm:
-    """The lift of the area form whose Ricci is an exact multiple of the
-    metric, read from sphere._metric_table."""
-    return _metric_entry(_EINSTEIN)
-
-
-def geometric_lift() -> TensorForm:
-    """The symmetric lift: minus the second-leg star of the metric,
-    normalized, read from sphere._metric_table."""
-    return _metric_entry(_GEOMETRIC)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,6 @@ from .calculus import (
     VOL,
     Form,
     TensorForm,
-    _frozen,
-    _thawed,
     d,
     tensor,
     wedge,
@@ -311,10 +309,9 @@ _G, _G_PM, _G_MP, _EINSTEIN, _GEOMETRIC = range(5)
 @lru_cache(maxsize=None)
 def _metric_table():
     """The metric, its chiral halves g_{+-} and g_{-+}, and the Einstein and
-    geometric lifts of the area form (riemann.einstein_lift and
-    riemann.geometric_lift), each a calculus._frozen entry.  Built once per
-    process, so the metric's four guards run once; the metric-* checks run
-    their witnesses on a fresh _metric_sum() instead."""
+    geometric lifts of the area form, read only through _metric_entry.
+    Built once per process, so the metric's four guards run once; the
+    metric-* checks run their witnesses on a fresh _metric_sum() instead."""
     g = _metric_sum()
     if _symmetry_witness(g):
         raise ArithmeticError("metric is not q-symmetric")
@@ -330,14 +327,12 @@ def _metric_table():
     ratio = (1 - _q(-4)) / (1 + _q(-4))
     einstein = (-sg + g.scale(ratio)).scale(_q(-1) / two_q)
     geometric = sg.scale(-(_q(-1) / two_q))
-    return tuple(_frozen(x) for x in (
-        g, _metric_over(DEL, DELBAR), _metric_over(DELBAR, DEL), einstein, geometric,
-    ))
+    return g, _metric_over(DEL, DELBAR), _metric_over(DELBAR, DEL), einstein, geometric
 
 
 def _metric_entry(i) -> TensorForm:
-    """A freshly built copy of entry i of _metric_table."""
-    return _thawed(TensorForm, _metric_table()[i])
+    """A newly built copy of entry i of _metric_table."""
+    return _metric_table()[i].copy()
 
 
 def metric_g() -> TensorForm:
@@ -353,16 +348,28 @@ def g_minus_plus() -> TensorForm:
     return _metric_entry(_G_MP)
 
 
+def einstein_lift() -> TensorForm:
+    """The lift of the area form whose Ricci (riemann.ricci) is an exact
+    multiple of the metric."""
+    return _metric_entry(_EINSTEIN)
+
+
+def geometric_lift() -> TensorForm:
+    """The symmetric lift: minus the second-leg star of the metric, normalized."""
+    return _metric_entry(_GEOMETRIC)
+
+
 # the Hodge star on the basis words, as (image word, sign)
 _STAR = {EP: (EP, 1), EM: (EM, -1), VOL: (SCALAR_WORD, 1), SCALAR_WORD: (VOL, 1)}
 
 
 def hodge_star(x):
-    """The Hodge star: +1 on e+, -1 on e-, *1 = Y and *Y = 1."""
+    """The Hodge star of a sphere form (check_sphere_form raises on any
+    other): +1 on e+, -1 on e-, *1 = Y and *Y = 1."""
+    check_sphere_form(x)
+
     def terms():
         for w, coeff in x.terms.items():
-            if w not in _STAR:
-                raise ValueError("Hodge star is only defined on sphere forms")
             v, sign = _STAR[w]
             yield v, coeff if sign > 0 else -coeff
 
@@ -421,10 +428,10 @@ def star_second_leg(tf: TensorForm) -> TensorForm:
 
 
 @lru_cache(maxsize=None)
-def _lap_mono(m):
+def _lap_mono(m) -> AlgebraElement:
     """The Laplacian of the monomial m via (box m) Y = del delbar m, checked
-    against the -1/2 d*d route, as a tuple of (Monomial, Scalar) pairs: the
-    memoised table that laplacian extends linearly."""
+    against the -1/2 d*d route: the memoised table behind laplacian.  Its
+    values are read only through AlgebraElement.extend."""
     f = AlgebraElement({m: ONE})
     _, dbarf = del_split(f)
     two_form = d(dbarf)
@@ -435,18 +442,14 @@ def _lap_mono(m):
     check = d(hodge_star(d(f))).scale(Scalar.from_int(-1) / 2)
     if check != Form({VOL: h}):
         raise ArithmeticError("Laplacian routes disagree")
-    return tuple(h.terms.items())
+    return h
 
 
 def laplacian(f) -> AlgebraElement:
-    """The scalar Laplacian, extending the per-monomial table linearly
-    into a freshly built element."""
+    """The scalar Laplacian, newly built from the per-monomial table."""
     if not isinstance(f, AlgebraElement):
         raise TypeError("laplacian() needs a sphere element")
-    acc = {}
-    for m, co in f.terms.items():
-        accumulate(acc, ((k, co * c) for k, c in _lap_mono(m)))
-    return AlgebraElement._wrap(acc)
+    return AlgebraElement.extend(_lap_mono, f.terms.items())
 
 
 def proportionality(x: Form, y: Form):

@@ -135,28 +135,23 @@ def gamma_gamma(tf: TensorForm, sigma: Spinor) -> Spinor:
 
 
 @lru_cache(maxsize=None)
-def _dirac_mono(m: Monomial):
-    """dirac of the spinor m (in S- for deg m = 1, in S+ for deg m = -1)
-    as a tuple of (Monomial, Scalar) pairs: the memoised table that dirac
-    extends linearly."""
+def _dirac_mono(m: Monomial) -> Spinor:
+    """dirac of the spinor m (in S- for deg m = 1, in S+ for deg m = -1):
+    the memoised table behind dirac.  Its values are read only through
+    Spinor.extend."""
     n = m.degree()
     x = AlgebraElement({m: ONE})
     out = {}
     for omega, y in basic_pairs(covariant_D(x), n):
         sigma = Spinor(minus_part=y) if n == 1 else Spinor(plus_part=y)
         accumulate(out, gamma(omega, sigma).terms.items())
-    return tuple(out.items())
+    return Spinor._wrap(out)
 
 
 def dirac(sigma: Spinor) -> Spinor:
-    """gamma composed with the monopole covariant derivative at charge +-1.
-
-    Extends the per-monomial table linearly into a freshly built spinor.
-    """
-    out = {}
-    for m, co in sigma.terms.items():
-        accumulate(out, ((k, co * c) for k, c in _dirac_mono(m)))
-    return Spinor._wrap(out)
+    """gamma composed with the monopole covariant derivative at charge +-1,
+    newly built from the per-monomial table."""
+    return Spinor.extend(_dirac_mono, sigma.terms.items())
 
 
 def gamma_algebra_check():

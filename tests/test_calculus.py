@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qsphere import calculus
-from qsphere.algebra import a, b, c, d as gd, degree_split, normalize, one
+from qsphere.algebra import AlgebraElement, a, b, c, d as gd, degree_split, normalize, one
 from qsphere.calculus import (
     E0,
     EM,
@@ -111,6 +111,36 @@ def rnd_element(rng):
 
 
 WORDS = [ExteriorWord(w) for n in range(4) for w in itertools.combinations("+-0", n)]
+
+
+def test_combination_extend_and_copy():
+    """Linear extension of a table, for a flat kind and a nested kind."""
+    flat = {1: a + b, 2: b}
+    nested = {1: Form({EP: a + b, EM: c}), 2: Form({EP: b, EM: c})}
+    for kind, table in ((AlgebraElement, flat), (Form, nested)):
+        want = {k: v.copy() for k, v in table.items()}
+        # b (and, for the form, the whole e- word) cancels: no key is left
+        # behind, and no empty coefficient either
+        got = kind.extend(table.get, [(1, ONE), (2, -ONE)])
+        assert got == (a if kind is AlgebraElement else Form.of(a, EP))
+        if kind is Form:
+            assert EM not in got.terms and all(got.terms.values())
+        # clearing a result, or one of its coefficients, leaves the table intact
+        got = kind.extend(table.get, [(1, ONE)])
+        assert got == table[1] and got.terms is not table[1].terms
+        if kind is Form:
+            got.terms[EP].terms.clear()
+        got.terms.clear()
+        assert table == want
+        copied = table[1].copy()
+        assert copied == table[1] and copied.terms is not table[1].terms
+        if kind is Form:
+            assert all(copied.terms[w].terms is not y.terms for w, y in table[1].terms.items())
+        copied.terms.clear()
+        assert table == want
+        # no pairs: the zero of the kind
+        zero = kind.extend(table.get, ())
+        assert type(zero) is kind and zero == kind.zero()
 
 
 def test_d_matches_reference_sums():

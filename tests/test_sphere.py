@@ -196,6 +196,9 @@ def test_hodge_star():
         assert hodge_star(hodge_star(x)) == x
     with pytest.raises(ValueError):
         hodge_star(Form.of(one, "0"))
+    # a word of the sphere whose coefficient has the wrong degree
+    with pytest.raises(ValueError, match="must have degree -2"):
+        hodge_star(Form.of(a * a, "+"))
 
 
 def test_hodge_star_bimodule():
