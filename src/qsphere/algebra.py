@@ -7,9 +7,9 @@ Generators a, b, c, d with the standard q-commutation relations
 
 over the field of scalars Q(s), q = s^2.  Normal-form monomials are
 a^i b^j c^k (l = 0) and b^j c^k d^l (i = 0); the two families overlap in
-the a-and-d-free monomials.  Products are computed by a memoized
-straightening recursion; an independent adjacent-rewrite engine on free
-words is kept alongside for cross-checking.
+the a-and-d-free monomials.  Monomial products have a closed form by the
+q-binomial theorem, memoised as the table _mono_product; an independent
+adjacent-rewrite engine on free words is kept alongside for cross-checking.
 
 The grading: a, c have degree +1 and b, d degree -1, so a monomial has
 degree i - j + k - l.  All of the bundle machinery downstream keys off
@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .scalars import ONE, ZERO, Scalar, _join_pieces, _scalar_piece
+from .scalars import ONE, ZERO, Scalar, _from_parts, _join_pieces, _scalar_piece
 
 _q = Scalar.q_power
 
@@ -249,60 +249,54 @@ def _run_items(items):
     return failures
 
 
-@lru_cache(maxsize=None)
-def _straighten(i, j, k, l):
-    """a^i b^j c^k d^l (an ordered word, possibly with both i,l > 0)
-    as a tuple of (Monomial, Scalar) pairs in normal form."""
-    if i == 0 or l == 0:
-        return ((Monomial(i, j, k, l), ONE),)
-    f = _q(-(j + k))
-    g = f * _q(-1)
-    out = accumulate({}, ((m, f * c) for m, c in _straighten(i - 1, j, k, l - 1)))
-    accumulate(out, ((m, g * c) for m, c in _straighten(i - 1, j + 1, k + 1, l - 1)))
-    return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
-def _d_pow_a_pow(l, i):
-    """d^l a^i in normal form, as a tuple of (Monomial, Scalar) pairs."""
-    if l == 0:
-        return ((Monomial(i, 0, 0, 0), ONE),)
-    if i == 0:
-        return ((Monomial(0, 0, 0, l), ONE),)
-
-    def terms():
-        for m, c in _d_pow_a_pow(l - 1, i - 1):
-            yield m, c
-            al, be, ga, de = m
-            # right-multiply by bc: picks up q^(2*de), plus the q^(2i-1)
-            # from commuting bc back past a^(i-1)
-            yield Monomial(al, be + 1, ga + 1, de), c * _q(2 * i - 1 + 2 * de)
-
-    return tuple(accumulate({}, terms()).items())
-
-
-# One shared Scalar per distinct coefficient of the multiplication table:
-# a few hundred values serve thousands of entries, halving its memory.
-_TABLE_COEFFS = {}
+@lru_cache(maxsize=64)
+def _gauss_row(n):
+    """Row n of Gaussian binomials G(n, v) in x = q^2, v = 0..n, as integer
+    tuples: G(n, v) = G(n, v-1) (1 - x^(n-v+1)) / (1 - x^v), where the exact
+    division is the running sum h[i] += h[i-v].  Bounded at 64 rows."""
+    h, row = [1], [(1,)]
+    for v in range(1, n + 1):
+        w = n - v + 1
+        h.extend([0] * w)
+        for i in range(len(h) - 1, w - 1, -1):
+            h[i] -= h[i - w]
+        for i in range(v, len(h)):
+            h[i] += h[i - v]
+        del h[v * (n - v) + 1:]
+        row.append(tuple(h))
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
 def _mono_product(m1: Monomial, m2: Monomial):
     """Product of two normal-form monomials as a tuple of (Monomial,
-    Scalar) pairs: the memoised multiplication table of the PBW basis."""
+    Scalar) pairs: the memoised multiplication table of the PBW basis.
+
+    By the q-binomial theorem it is one row of symmetric Gaussian binomials
+    [n v] = q^(-v(n-v)) G(n, v): with m = min(l1, i2), I = i1+i2-m,
+    L = l1+l2-m, M = min(I, L) and n = m+M (one of m, M is 0),
+
+        a^i1 b^j1 c^k1 d^l1 * a^i2 b^j2 c^k2 d^l2
+            = sum_v q^(e+v*t) [n v] a^(I-M) b^(j1+j2+v) c^(k1+k2+v) d^(L-M)
+
+    with e = (i2-m)(j1+k1) + (l1-m)(j2+k2) - M(j1+j2+k1+k2) and
+    t = m + 2|l1-i2| - M.  G(n, v) is a polynomial in q^2 = s^4, so each
+    coefficient is its row tuple at stride 4."""
     i1, j1, k1, l1 = m1
     i2, j2, k2, l2 = m2
-    out = {}
-    for (al, be, ga, de), kappa in _d_pow_a_pow(l1, i2):
-        coeff = kappa * _q(al * (j1 + k1) + de * (j2 + k2))
-        word = _straighten(i1 + al, j1 + be + j2, k1 + ga + k2, de + l2)
-        accumulate(out, ((m, coeff * c) for m, c in word))
-    return tuple((m, _TABLE_COEFFS.setdefault(c, c)) for m, c in out.items())
-
-
-def mono_mul(m1: Monomial, m2: Monomial):
-    """Product of two normal-form monomials as a fresh dict {Monomial: Scalar}."""
-    return dict(_mono_product(m1, m2))
+    m = min(l1, i2)
+    big_i, big_l = i1 + i2 - m, l1 + l2 - m
+    big_m = min(big_i, big_l)
+    n = m + big_m
+    e = (i2 - m) * (j1 + k1) + (l1 - m) * (j2 + k2) - big_m * (j1 + j2 + k1 + k2)
+    t = m + 2 * abs(l1 - i2) - big_m
+    i, j, k, l = big_i - big_m, j1 + j2, k1 + k2, big_l - big_m
+    out = []
+    for v, g in enumerate(_gauss_row(n)):
+        # G(n, v) has one term, at stride 0, only for v = 0 and v = n
+        co = _from_parts(2 * (e + v * (t - n + v)), g, 4 if len(g) > 1 else 0, 1)
+        out.append((Monomial(i, j + v, k + v, l), co))
+    return tuple(out)
 
 
 class AlgebraElement(Combination):
@@ -346,9 +340,14 @@ class AlgebraElement(Combination):
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of an algebra element")
-        out = AlgebraElement.one()
-        for _ in range(n):
-            out = out * self
+        # square and multiply, as Scalar.__pow__: about 2*log2(n) products
+        out, base = AlgebraElement.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def degree(self):
@@ -591,8 +590,9 @@ def antipode(x: AlgebraElement) -> AlgebraElement:
     out = {}
     for (i, j, k, l), co in x.terms.items():
         sign = ONE if (j + k) % 2 == 0 else -ONE
-        factor = co * sign * _q(j - k)
-        accumulate(out, ((m, factor * c) for m, c in _straighten(l, j, k, i)))
+        # S(d)^l S(c)^k S(b)^j S(a)^i is a multiple of the monomial a^l b^j c^k d^i
+        m = tuple.__new__(Monomial, (l, j, k, i))
+        accumulate(out, ((m, co * sign * _q(j - k)),))
     return AlgebraElement._wrap(out)
 
 

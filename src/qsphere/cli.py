@@ -541,8 +541,8 @@ def main(argv=None):
             print("error: %s" % exc, file=sys.stderr)
             return 2
         except RecursionError:
-            # deep nesting, or a product such as d^300*a^300 whose normal
-            # form recurses once per factor of the shorter power
+            # deep nesting, or about a thousand terms in one sum or product:
+            # the parser recurses per parenthesis, the evaluator per operator
             print("error: expression too large to evaluate", file=sys.stderr)
             return 2
         try:

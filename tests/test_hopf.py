@@ -1,7 +1,9 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from qsphere import algebra
 from qsphere.algebra import (
@@ -15,14 +17,15 @@ from qsphere.algebra import (
     coproduct,
     counit,
     d,
+    accumulate,
     degree_split,
-    mono_mul,
     normalize,
     one,
     require_degree,
     verify_hopf_axioms,
 )
-from qsphere.scalars import ONE, Scalar, q, s, two_q
+from qsphere.scalars import ONE, Scalar, padd, q, qint_sym, s, two_q
+from qsphere.sphere import b0
 
 bc = b * c
 
@@ -168,16 +171,19 @@ def test_pbw_validity_of_products():
 
 def test_mono_mul_crossing():
     # (b^2 c) . (a^3) must pick up q^(3*3)
-    lhs = mono_mul(Monomial(0, 2, 1, 0), Monomial(3, 0, 0, 0))
-    assert lhs == {Monomial(3, 2, 1, 0): Scalar.q_power(9)}
+    lhs = AlgebraElement({Monomial(0, 2, 1, 0): ONE}) * AlgebraElement({Monomial(3, 0, 0, 0): ONE})
+    assert lhs.terms == {Monomial(3, 2, 1, 0): Scalar.q_power(9)}
+
+
+# every normal-form monomial of total degree <= 4
+MONOS_4 = [
+    Monomial(*e) for e in itertools.product(range(5), repeat=4)
+    if sum(e) <= 4 and e[0] * e[3] == 0
+]
 
 
 def test_cached_products_match_rewrite_engine():
-    # every pair of normal-form monomials of degree <= 4 each
-    monos = [
-        Monomial(*e) for e in itertools.product(range(5), repeat=4)
-        if sum(e) <= 4 and e[0] * e[3] == 0
-    ]
+    monos = MONOS_4
     assert len(monos) == 55
     for m1, m2 in itertools.product(monos, repeat=2):
         x = AlgebraElement({m1: ONE}) * AlgebraElement({m2: ONE})
@@ -185,14 +191,113 @@ def test_cached_products_match_rewrite_engine():
         assert x == normalize(word, "left") == normalize(word, "right"), (m1, m2)
 
 
+# The two memoised straightening recursions that computed the multiplication
+# table before its closed form, and the table's old body, kept verbatim as
+# the reference (apart from the interning of the table's coefficients,
+# which changed no value).
+_q = Scalar.q_power
+
+
+@lru_cache(maxsize=None)
+def _straighten(i, j, k, l):
+    """a^i b^j c^k d^l (an ordered word, possibly with both i,l > 0)
+    as a tuple of (Monomial, Scalar) pairs in normal form."""
+    if i == 0 or l == 0:
+        return ((Monomial(i, j, k, l), ONE),)
+    f = _q(-(j + k))
+    g = f * _q(-1)
+    out = accumulate({}, ((m, f * c) for m, c in _straighten(i - 1, j, k, l - 1)))
+    accumulate(out, ((m, g * c) for m, c in _straighten(i - 1, j + 1, k + 1, l - 1)))
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
+def _d_pow_a_pow(l, i):
+    """d^l a^i in normal form, as a tuple of (Monomial, Scalar) pairs."""
+    if l == 0:
+        return ((Monomial(i, 0, 0, 0), ONE),)
+    if i == 0:
+        return ((Monomial(0, 0, 0, l), ONE),)
+
+    def terms():
+        for m, c in _d_pow_a_pow(l - 1, i - 1):
+            yield m, c
+            al, be, ga, de = m
+            # right-multiply by bc: picks up q^(2*de), plus the q^(2i-1)
+            # from commuting bc back past a^(i-1)
+            yield Monomial(al, be + 1, ga + 1, de), c * _q(2 * i - 1 + 2 * de)
+
+    return tuple(accumulate({}, terms()).items())
+
+
+def _reference_product(m1, m2):
+    """The old body of _mono_product, as a dict."""
+    i1, j1, k1, l1 = m1
+    i2, j2, k2, l2 = m2
+    out = {}
+    for (al, be, ga, de), kappa in _d_pow_a_pow(l1, i2):
+        coeff = kappa * _q(al * (j1 + k1) + de * (j2 + k2))
+        word = _straighten(i1 + al, j1 + be + j2, k1 + ga + k2, de + l2)
+        accumulate(out, ((m, coeff * c) for m, c in word))
+    return out
+
+
+def test_closed_form_matches_the_straightening_recursion():
+    for m1, m2 in itertools.product(MONOS_4, repeat=2):
+        assert dict(algebra._mono_product(m1, m2)) == _reference_product(m1, m2), (m1, m2)
+
+
+def monomials(top):
+    """Normal-form monomials with every exponent at most top."""
+    e = st.integers(0, top)
+    return st.builds(
+        lambda i, j, k, l, left: Monomial(i if left else 0, j, k, 0 if left else l),
+        e, e, e, e, st.booleans(),
+    )
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(monomials(12), monomials(12))
+def test_closed_form_matches_the_recursion_on_large_exponents(m1, m2):
+    got = algebra._mono_product(m1, m2)
+    assert dict(got) == _reference_product(m1, m2)
+    assert len({m for m, _ in got}) == len(got) and all(co for _, co in got)
+
+
+def test_gauss_row_follows_the_q_pascal_rule():
+    for n in range(1, 41):
+        row, above = algebra._gauss_row(n), algebra._gauss_row(n - 1)
+        assert len(row) == n + 1 and row[0] == row[n] == (1,)
+        for v in range(1, n):
+            # G(n, v) = G(n-1, v-1) + x^v G(n-1, v)
+            assert row[v] == padd(above[v - 1], (0,) * v + above[v]), (n, v)
+        # [n 1] = q^(1-n) G(n, 1) is the symmetric q-integer
+        bracket = sum((Scalar.q_power(2 * i + 1 - n) * co for i, co in enumerate(row[1])),
+                      Scalar.from_int(0))
+        assert bracket == qint_sym(n), n
+
+
+def test_powers_by_squaring():
+    before = algebra._mono_product.cache_info().currsize
+    assert (a ** 100000).terms == {Monomial(100000, 0, 0, 0): ONE}
+    assert algebra._mono_product.cache_info().currsize - before <= 40
+    for base in (a + d, b0):
+        repeated = one
+        for k in range(10):
+            assert base ** k == repeated, (base, k)
+            repeated = repeated * base
+
+
 def test_mono_mul_returns_a_fresh_dict():
+    # a product of monomials holds a new dict, never the table's entry
     m1, m2 = Monomial(0, 0, 0, 2), Monomial(2, 0, 0, 0)
-    first = mono_mul(m1, m2)
-    expected = dict(first)
-    first.clear()
-    first[Monomial(0, 0, 0, 0)] = ONE
-    assert mono_mul(m1, m2) == expected
-    assert AlgebraElement({m1: ONE}) * AlgebraElement({m2: ONE}) == AlgebraElement(expected)
+    first = AlgebraElement({m1: ONE}) * AlgebraElement({m2: ONE})
+    expected = dict(first.terms)
+    assert expected == dict(algebra._mono_product(m1, m2))
+    first.terms.clear()
+    first.terms[Monomial(0, 0, 0, 0)] = ONE
+    assert (AlgebraElement({m1: ONE}) * AlgebraElement({m2: ONE})).terms == expected
 
 
 def test_inhomogeneous_degree_raises():
