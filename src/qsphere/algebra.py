@@ -591,8 +591,7 @@ def antipode(x: AlgebraElement) -> AlgebraElement:
     for (i, j, k, l), co in x.terms.items():
         sign = ONE if (j + k) % 2 == 0 else -ONE
         # S(d)^l S(c)^k S(b)^j S(a)^i is a multiple of the monomial a^l b^j c^k d^i
-        m = tuple.__new__(Monomial, (l, j, k, i))
-        accumulate(out, ((m, co * sign * _q(j - k)),))
+        out[tuple.__new__(Monomial, (l, j, k, i))] = co * sign * _q(j - k)
     return AlgebraElement._wrap(out)
 
 

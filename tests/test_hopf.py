@@ -11,13 +11,13 @@ from qsphere.algebra import (
     Monomial,
     TensorSquare,
     a,
+    accumulate,
     antipode,
     b,
     c,
     coproduct,
     counit,
     d,
-    accumulate,
     degree_split,
     normalize,
     one,
