@@ -542,19 +542,14 @@ class TensorSquare(Combination):
         ]
 
 
-_DELTA_GEN = None
-
-
+@lru_cache(maxsize=None)
 def _delta_generators():
-    global _DELTA_GEN
-    if _DELTA_GEN is None:
-        _DELTA_GEN = {
-            "a": TensorSquare.of(a, a) + TensorSquare.of(b, c),
-            "b": TensorSquare.of(a, b) + TensorSquare.of(b, d),
-            "c": TensorSquare.of(c, a) + TensorSquare.of(d, c),
-            "d": TensorSquare.of(c, b) + TensorSquare.of(d, d),
-        }
-    return _DELTA_GEN
+    return {
+        "a": TensorSquare.of(a, a) + TensorSquare.of(b, c),
+        "b": TensorSquare.of(a, b) + TensorSquare.of(b, d),
+        "c": TensorSquare.of(c, a) + TensorSquare.of(d, c),
+        "d": TensorSquare.of(c, b) + TensorSquare.of(d, d),
+    }
 
 
 @lru_cache(maxsize=None)
@@ -682,30 +677,26 @@ CHECKS = (
 
 # the sphere generators as products of two algebra generators (as in sphere.py)
 _SPHERE_GENS = {"bm": "ab", "b0": "bc", "bp": "cd"}
-_SPHERE_CACHE = {}
 
 
+@lru_cache(maxsize=None)
 def _sphere_factor(m):
     """(kappa, text) with m = kappa^-1 times the sphere word text."""
-    got = _SPHERE_CACHE.get(m)
-    if got is None:
-        i, j, k, l = m
-        if i:
-            powers = (("bm", i), ("b0", j - i))
-        elif l:
-            powers = (("bp", l), ("b0", j))
-        else:
-            powers = (("b0", j),)
-        prod = one
-        for name, e in powers:
-            x, y = _SPHERE_GENS[name]
-            prod = prod * (AlgebraElement.gen(x) * AlgebraElement.gen(y)) ** e
-        ((mono, kappa),) = prod.terms.items()
-        if mono != m:
-            raise ArithmeticError("sphere factorisation drifted off the monomial")
-        text = "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in powers if e)
-        got = _SPHERE_CACHE[m] = (kappa, text)
-    return got
+    i, j, k, l = m
+    if i:
+        powers = (("bm", i), ("b0", j - i))
+    elif l:
+        powers = (("bp", l), ("b0", j))
+    else:
+        powers = (("b0", j),)
+    prod = one
+    for name, e in powers:
+        x, y = _SPHERE_GENS[name]
+        prod = prod * (AlgebraElement.gen(x) * AlgebraElement.gen(y)) ** e
+    ((mono, kappa),) = prod.terms.items()
+    if mono != m:
+        raise ArithmeticError("sphere factorisation drifted off the monomial")
+    return kappa, "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in powers if e)
 
 
 def render_value(v):

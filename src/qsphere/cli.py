@@ -132,18 +132,17 @@ class _Parser:
         raise CliSyntaxError(pos, expected, found)
 
     def expr(self):
-        node = self.term()
+        first, rest = self.term(), []
         while self.at_sym("+-"):
-            op = self.take()[1]
-            node = (op, node, self.term())
-        return node
+            rest.append((self.take()[1], self.term()))
+        return ("sum", first, rest) if rest else first
 
     def term(self):
-        node = self.factor()
+        first, rest = self.factor(), []
         while self.at_sym("*"):
             self.take()
-            node = ("*", node, self.factor())
-        return node
+            rest.append(self.factor())
+        return ("product", first, rest) if rest else first
 
     def factor(self):
         kind, text, pos = self.peek()
@@ -195,7 +194,11 @@ class _Parser:
 
 
 def parse(text):
-    """Parse an expression string into a little tuple AST."""
+    """Parse an expression string into a little tuple AST.
+
+    A sum is one node ("sum", first, [(op, term), ...]) and a product one
+    node ("product", first, [factor, ...]), so only parentheses, calls and
+    powers nest."""
     parser = _Parser(_lex(text))
     node = parser.expr()
     if parser.peek()[0] != "end":
@@ -364,10 +367,14 @@ def evaluate(node):
         return _power(evaluate(node[1]), node[2])
     if tag == "call":
         return _FUNCTIONS[node[1]](evaluate(node[2]))
-    lhs, rhs = evaluate(node[1]), evaluate(node[2])
-    if tag == "*":
-        return _mul(lhs, rhs)
-    return _add(lhs, rhs, tag)
+    out = evaluate(node[1])
+    if tag == "product":
+        for factor in node[2]:
+            out = _mul(out, evaluate(factor))
+        return out
+    for op, term in node[2]:
+        out = _add(out, evaluate(term), op)
+    return out
 
 
 def evaluate_text(text):
@@ -541,8 +548,8 @@ def main(argv=None):
             print("error: %s" % exc, file=sys.stderr)
             return 2
         except RecursionError:
-            # deep nesting, or about a thousand terms in one sum or product:
-            # the parser recurses per parenthesis, the evaluator per operator
+            # deep nesting: the parser and the evaluator recurse once per
+            # parenthesis, call or power, but not along a flat sum or product
             print("error: expression too large to evaluate", file=sys.stderr)
             return 2
         try:

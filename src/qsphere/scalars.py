@@ -611,32 +611,30 @@ def _power_atom(e):
 
 def _laurent_body(terms):
     """Render [(exp, coefficient)]: positive terms first, descending exponent."""
-    parts = []
-    for e, c in sorted(terms, key=lambda t: (t[1][0] < 0, -t[0])):
+    bits = []
+    for e, (n, m) in sorted(terms, key=lambda t: (t[1][0] < 0, -t[0])):
         atom = _power_atom(e)
+        bits.append("-" if n < 0 else "+")
         if not atom:
-            piece = _fmt_coeff(c)
-        elif c == (1, 1):
-            piece = atom
-        elif c == (-1, 1):
-            piece = "-" + atom
+            bits.append(_fmt_coeff((abs(n), m)))
+        elif abs(n) != 1 or m != 1:
+            bits += _fmt_coeff((abs(n), m)), "*", atom
         else:
-            piece = _fmt_coeff(c) + "*" + atom
-        parts.append(piece)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += "-" + piece[1:] if piece.startswith("-") else "+" + piece
-    return out
+            bits.append(atom)
+    if bits[0] == "+":
+        bits[0] = ""
+    return "".join(bits)
 
 
 def _render_laurent(terms):
-    """Centered rendering: pull out the middle power of s so that the
-    remaining bracket is balanced (matches the q+q^-1 house style)."""
+    """(text, is_sum): the centered rendering, which pulls out the middle
+    power of s so that the remaining bracket is balanced (matches the
+    q+q^-1 house style), and whether that text is a bare sum at top level."""
     if not terms:
-        return "0"
+        return "0", False
     if len(terms) > 1 and all(c[0] < 0 for _, c in terms):
         # keep bracket bodies free of a leading minus: factor the sign out
-        return "-(" + _render_laurent([(e, (-n, m)) for e, (n, m) in terms]) + ")"
+        return "-(" + _render_laurent([(e, (-n, m)) for e, (n, m) in terms])[0] + ")", False
     exps = [e for e, _ in terms]
     mid = (min(exps) + max(exps)) // 2
     if mid:
@@ -645,25 +643,25 @@ def _render_laurent(terms):
         if len(shifted) == 1:
             c = shifted[0][1]
             if c == (1, 1):
-                return head
+                return head, False
             if c == (-1, 1):
-                return "-" + head
-            return _fmt_coeff(c) + "*" + head
-        return head + "*(" + _laurent_body(shifted) + ")"
-    return _laurent_body(terms)
+                return "-" + head, False
+            return _fmt_coeff(c) + "*" + head, False
+        return head + "*(" + _laurent_body(shifted) + ")", False
+    return _laurent_body(terms), len(terms) > 1
 
 
 def render_scalar(x: Scalar) -> str:
     terms = x._laurent()
     if terms is not None:
-        return _render_laurent(terms)
-    num = _render_laurent([(i, (a, 1)) for i, a in enumerate(x.num) if a])
-    den = _render_laurent([(i, (a, 1)) for i, a in enumerate(x.den) if a])
-    if "+" in num or "-" in num[1:]:
-        num = "(" + num + ")"
-    if "+" in den or "-" in den[1:] or "*" in den:
-        den = "(" + den + ")"
-    return num + "/" + den
+        return _render_laurent(terms)[0]
+    # den has two or more terms, so it is always bracketed; num only then
+    num = [(i, (a, 1)) for i, a in enumerate(x.num) if a]
+    den = [(i, (a, 1)) for i, a in enumerate(x.den) if a]
+    text = _render_laurent(num)[0]
+    if len(num) > 1:
+        text = "(" + text + ")"
+    return text + "/(" + _render_laurent(den)[0] + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -672,25 +670,15 @@ def render_scalar(x: Scalar) -> str:
 # leading minus is written "0 - ..." so that the text parses back
 
 
-def _needs_parens(text):
-    depth = 0
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and pos > 0 and ch in "+-" and text[pos - 1] != "^":
-            return True
-    return False
-
-
 def _scalar_piece(co, atoms):
-    """(negative, text) for the term co*atoms, co's sign pulled out."""
-    text = render_scalar(co)
+    """(negative, text) for the term co*atoms, co's sign pulled out; co is
+    bracketed when it prints as a bare sum (never a general fraction)."""
+    terms = co._laurent()
+    text, is_sum = _render_laurent(terms) if terms is not None else (render_scalar(co), False)
     neg = text.startswith("-")
     if neg:
         text = text[1:]
-    if _needs_parens(text):
+    if is_sum:
         text = "(" + text + ")"
     if atoms:
         text = atoms if text == "1" else text + "*" + atoms
@@ -701,8 +689,8 @@ def _join_pieces(pieces):
     """The text of a sum of (negative, text) pieces; "0" when empty."""
     if not pieces:
         return "0"
-    neg0, text0 = pieces[0]
-    bits = ["0 - " + text0 if neg0 else text0]
-    for neg, text in pieces[1:]:
-        bits.append((" - " if neg else " + ") + text)
+    bits = []
+    for neg, text in pieces:
+        bits += " - " if neg else " + ", text
+    bits[0] = "0 - " if pieces[0][0] else ""
     return "".join(bits)

@@ -290,6 +290,17 @@ def test_overlong_integer_literal_is_a_usage_error(capsys, expr):
     assert "5000-digit integer" in lines[0]
 
 
+@pytest.mark.parametrize("expr, out", [
+    ("+".join(["a"] * 5000), "5000*a"),
+    ("*".join(["b"] * 3000), "b^3000"),
+    ("a" + "-a+a" * 1500, "a"),
+], ids=["flat-sum", "flat-product", "alternating-sum"])
+def test_flat_sums_and_products_do_not_recurse(capsys, expr, out):
+    # one node per sum or product, folded left to right: no depth limit
+    assert main([expr]) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
 @pytest.mark.parametrize("expr", ["(" * 2000 + "a" + ")" * 2000], ids=["deep-nesting"])
 def test_too_large_expression_is_a_usage_error(expr):
     # in a fresh interpreter, at the stack depth a user's shell gives it

@@ -12,6 +12,8 @@ from qsphere.scalars import (
     Scalar,
     _laurent_product,
     _reduce_general,
+    _render_laurent,
+    _scalar_piece,
     _trim,
     lam,
     mu,
@@ -407,6 +409,40 @@ def test_render_matches_the_fraction_printer():
     assert any(x._p is None for x in values) and any(x._c > 1 for x in values if x._p)
     for x in values:
         assert render_scalar(x) == _oracle_render(x), repr(x)
+
+
+# --- the sum rule: brackets from structure against the text scan it replaced --
+#
+# _scalar_piece brackets a coefficient when _render_laurent reports a bare
+# sum at top level.  The oracle is the earlier rule, kept verbatim, which
+# scanned the rendered text with its sign stripped for a top-level + or -.
+
+
+def _needs_parens(text):
+    depth = 0
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and pos > 0 and ch in "+-" and text[pos - 1] != "^":
+            return True
+    return False
+
+
+@seed(20261019)
+@settings(max_examples=400, deadline=None)
+@given(_kernel_operand)
+def test_sum_flag_matches_the_text_rule(x):
+    text = render_scalar(x)
+    neg = text.startswith("-")
+    bare = text[1:] if neg else text
+    terms = x._laurent()
+    if terms is not None:
+        assert _render_laurent(terms) == (text, _needs_parens(bare))
+    else:
+        assert not _needs_parens(bare)
+    assert _scalar_piece(x, "") == (neg, "(" + bare + ")" if _needs_parens(bare) else bare)
 
 
 # --- strided Laurent values ---------------------------------------------------
