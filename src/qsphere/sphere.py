@@ -36,6 +36,7 @@ from .calculus import (
     Form,
     TensorForm,
     d,
+    render_word,
     tensor,
     wedge,
 )
@@ -52,8 +53,12 @@ F0 = one + two_q * b0  # the degree-zero partner of b+- in the spin-1 multiplet
 GENS = {"-": bm, "0": b0, "+": bp}
 
 
-# the coefficient degree each sphere word asks for
-_SPHERE_DEGREE = {EP: -2, EM: 2, VOL: 0, SCALAR_WORD: 0}
+# the coefficient degree each sphere word asks for, with the error that
+# names the word as the printer spells it
+_SPHERE_DEGREE = {
+    w: (n, "%s must have degree %d" % ("coefficient of " + render_word(w) if w else "the 0-form part", n))
+    for w, n in ((EP, -2), (EM, 2), (VOL, 0), (SCALAR_WORD, 0))
+}
 
 
 def check_sphere_form(form: Form):
@@ -63,7 +68,7 @@ def check_sphere_form(form: Form):
         want = _SPHERE_DEGREE.get(w)
         if want is None:
             raise ValueError("form does not live on the sphere (e0 present)")
-        require_degree(x, want, f"coefficient of {w} must have degree {want}")
+        require_degree(x, *want)
 
 
 def chiral_split(tau: Form):

@@ -123,8 +123,8 @@ def test_eval_type_errors():
 
 @pytest.mark.parametrize("expr, line", [
     ("star(e0)", "error: star(): form does not live on the sphere (e0 present)"),
-    ("star(a*a*ep)", "error: star(): coefficient of ('+',) must have degree -2"),
-    ("nabla(a*a*ep)", "error: nabla(): coefficient of ('+',) must have degree -2"),
+    ("star(a*a*ep)", "error: star(): coefficient of ep must have degree -2"),
+    ("nabla(a*a*ep)", "error: nabla(): coefficient of ep must have degree -2"),
     ("nabla(e0)", "error: nabla(): form does not live on the sphere (e0 present)"),
     ("del(a)", "error: del() needs a degree-0 (sphere) element"),
     ("lap(a)", "error: lap() needs a degree-0 (sphere) element"),
