@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraElement, Check, Monomial, require_degree
 from .algebra import a as _a, b as _b, c as _c, d as _d
-from .calculus import E0, EM, EP, Form, d
+from .calculus import E0, EM, EP, Form, check_sphere_form, d
 from .scalars import ONE, Scalar, qint, two_q
 
 _q = Scalar.q_power
@@ -53,17 +53,6 @@ def covariant_D(f: AlgebraElement) -> Form:
     """
     f.degree()  # raises unless f is homogeneous
     return Form.extend(_covariant_D_mono, f.terms.items())
-
-
-def horizontality_check(sample):
-    """e^0 coefficient of df must be [n;q^2] f for homogeneous f; returns failures."""
-    failures = []
-    for f in sample:
-        got = d(f).coefficient(E0)
-        want = f.scale(qint(f.degree(), _q2))  # raises if not homogeneous
-        if got != want:
-            failures.append((f, got, want))
-    return failures
 
 
 @lru_cache(maxsize=None)
@@ -124,21 +113,21 @@ def basic_pairs(h: Form, n: int):
 
 
 def extract_coeffs(h: Form):
-    """Canonical sphere-valued coefficients (f_-, f_0, f_+) of a horizontal form.
+    """Canonical sphere-valued coefficients (f_-, f_0, f_+) of a sphere one-form.
 
-    The e^+ coefficient must have degree -2 and the e^- coefficient
-    degree +2; the returned triple recombines against the derivatives of
-    the sphere generators: f_- db_- + f_0 db_0 + f_+ db_+ = h.
+    h must pass check_sphere_form (e^+ coefficients of degree -2, e^-
+    ones of +2) and have no 0-form or area part; the returned triple
+    recombines against the derivatives of the sphere generators:
+    f_- db_- + f_0 db_0 + f_+ db_+ = h.
     """
+    check_sphere_form(h)
     fm = f0 = fp = AlgebraElement.zero()
     for w, x in h.terms.items():
         if w == EP:
-            require_degree(x, -2, "e+ coefficient must have degree -2")
             fm = fm + (x * (_c * _c)).scale(_q(-2))
             f0 = f0 + (x * (_a * _c)).scale(-(_q(-1) * two_q))
             fp = fp + x * (_a * _a)
         elif w == EM:
-            require_degree(x, 2, "e- coefficient must have degree +2")
             fm = fm + x * (_d * _d)
             f0 = f0 + (x * (_d * _b)).scale(-two_q)
             fp = fp + (x * (_b * _b)).scale(_q(2))

@@ -23,7 +23,8 @@ basis word.  Words are ordered +, -, 0; e.g. the top form is
 e+ ^ e- ^ e0.
 
 e+- carry charge +-2 and e0 charge 0; a form descends to the sphere
-(is "basic") precisely when coefficient degree and word charge cancel.
+(is "basic") precisely when coefficient degree and word charge cancel,
+and check_sphere_form is that rule for the forms of the sphere.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ SCALAR_WORD = ExteriorWord(())
 EP = ExteriorWord(("+",))
 EM = ExteriorWord(("-",))
 E0 = ExteriorWord(("0",))
-TOP = ExteriorWord(("+", "-", "0"))
 VOL = ExteriorWord(("+", "-"))  # e+ ^ e-, the area form upstairs
 
 
@@ -111,10 +111,7 @@ def _straighten_word(letters):
 
 def push_left(word, x: AlgebraElement) -> AlgebraElement:
     """Move x from the right of the basis word e^word to its left."""
-    return push_left_n(ExteriorWord(word).crossing(), x)
-
-
-def push_left_n(crossings, x: AlgebraElement) -> AlgebraElement:
+    crossings = ExteriorWord(word).crossing()
     if crossings == 0:
         return x
     out = AlgebraElement()
@@ -160,14 +157,6 @@ class Form(Combination):
         if isinstance(other, Form):
             return wedge(self, other)
         return NotImplemented
-
-    def charges(self):
-        """All total charges (coefficient degree + word charge) present."""
-        out = set()
-        for w, x in self.terms.items():
-            for m in x.terms:
-                out.add(m.degree() + w.charge())
-        return out
 
     def _pieces(self):
         out = []
@@ -378,20 +367,6 @@ def tensor(x: Form, y: Form) -> TensorForm:
     return TensorForm._wrap(accumulate({}, terms()))
 
 
-def tensor_append(tf: TensorForm, y: Form) -> TensorForm:
-    """tf (x) y, again for a charged one-form y."""
-    if set(y.terms) - {EP, EM}:
-        raise ValueError("appended leg must be a charged basis one-form")
-
-    def terms():
-        for (w, labels), x in tf.terms.items():
-            crossings = w.crossing() + len(labels)
-            for w2, x2 in y.terms.items():
-                yield (w, labels + (w2[0],)), x * push_left_n(crossings, x2)
-
-    return TensorForm._wrap(accumulate({}, terms()))
-
-
 # ---------------------------------------------------------------------------
 # word names, shared with the printer
 
@@ -400,6 +375,19 @@ _WORD_NAMES = {"+": "ep", "-": "em", "0": "e0"}
 
 def render_word(w) -> str:
     return "*".join(_WORD_NAMES[x] for x in w)
+
+
+def check_sphere_form(form: Form):
+    """Raise ValueError unless form lives on the sphere: no e0, and every
+    term basic, its coefficient of degree minus its word's charge (-2 on
+    e+, +2 on e-, 0 on the 0-form and area parts)."""
+    for w, x in form.terms.items():
+        if "0" in w:
+            raise ValueError("form does not live on the sphere (e0 present)")
+        n = -w.charge()
+        if any(m.degree() != n for m in x.terms):
+            part = "coefficient of " + render_word(w) if w else "the 0-form part"
+            raise ValueError("%s must have degree %d" % (part, n))
 
 
 _GENERATORS = {"a": _ga, "b": _gb, "c": _gc, "d": _gd}

@@ -1,8 +1,9 @@
 """Riemannian structure of the q-sphere: connection, curvature, Ricci.
 
 The Levi-Civita connection is computed upstairs.  A basic one-form
-u e+ + w e- has homogeneous coefficients of degree -+2 (nabla checks
-this with sphere.check_sphere_form), and the monopole covariant
+u e+ + w e- has coefficients of degree -+2, minus the charge of their
+word (nabla checks this with calculus.check_sphere_form, the one charge
+rule for sphere forms), and the monopole covariant
 derivative of those coefficients assembles into a two-legged tensor
 over the sphere algebra:
 
@@ -28,7 +29,7 @@ import random
 
 from .algebra import Check, _run_items, _zero_or_witness, accumulate
 from .bundles import basic_pairs, covariant_D
-from .calculus import EM, EP, Form, TensorForm, d, tensor, wedge
+from .calculus import EM, EP, Form, TensorForm, check_sphere_form, d, tensor, wedge
 from .scalars import ONE, Scalar, two_q
 from .sphere import (
     DB,
@@ -41,7 +42,6 @@ from .sphere import (
     _scale_by_last_leg,
     bm,
     bp,
-    check_sphere_form,
     chiral_split,
     del_split,
     einstein_lift,
@@ -95,16 +95,6 @@ class Connection1:
 
     def __call__(self, tau) -> TensorForm:
         return self.apply(tau)
-
-    def leibniz_failures(self, samples):
-        """(f, tau) pairs where nabla(f tau) != df (x) tau + f nabla(tau)."""
-        bad = []
-        for f, tau in samples:
-            lhs = self.apply(f * tau)
-            rhs = tensor(d(f), tau) + f * self.apply(tau)
-            if lhs != rhs:
-                bad.append((f, tau))
-        return bad
 
 
 LEVI_CIVITA = Connection1()

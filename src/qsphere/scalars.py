@@ -378,12 +378,6 @@ class Scalar:
         return _from_parts(0, (n,), 0, 1) if n else ZERO
 
     @staticmethod
-    def from_fraction(x):
-        from fractions import Fraction
-        x = Fraction(x)
-        return _from_parts(0, (x.numerator,), 0, x.denominator) if x else ZERO
-
-    @staticmethod
     def s_power(k):
         """s^k for any integer k."""
         return _from_parts(k, _ONE, 0, 1)
@@ -547,7 +541,6 @@ ZERO._e, ZERO._p, ZERO._k, ZERO._c, ZERO._g = 0, (), 0, 1, None
 ONE = Scalar.from_int(1)
 s = Scalar.s_power(1)
 q = Scalar.q_power(1)
-lam = Scalar.s_power(-1)  # q^(-1/2)
 two_q = q + q ** -1  # the symmetrized 2
 mu = q ** 2 - q ** -2
 

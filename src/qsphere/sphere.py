@@ -9,8 +9,9 @@ and its 2-dimensional exterior calculus is the horizontal part of the
 3-d calculus upstairs: one-forms have only e+ and e- components, the
 top form is Y = e+ ^ e-.  Working upstairs makes every identity here
 decidable by the PBW normal form.  A function on the sphere is a plain
-degree-0 AlgebraElement and a sphere form a plain Form; check_sphere_form
-tests the degree conditions where an operator needs them.
+degree-0 AlgebraElement and a sphere form a plain Form whose terms are
+basic: calculus.check_sphere_form asks each coefficient for the degree
+minus the charge of its word, where an operator needs it.
 
 The derivative splits as d = del + delbar (e+ and e- components); on
 one-forms del kills the holomorphic part and delbar the antiholomorphic
@@ -26,7 +27,7 @@ from operator import add
 
 from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d
-from .algebra import coproduct, require_degree
+from .algebra import coproduct
 from .calculus import (
     E0,
     EM,
@@ -35,8 +36,8 @@ from .calculus import (
     VOL,
     Form,
     TensorForm,
+    check_sphere_form,
     d,
-    render_word,
     tensor,
     wedge,
 )
@@ -51,24 +52,6 @@ one = AlgebraElement.one()
 F0 = one + two_q * b0  # the degree-zero partner of b+- in the spin-1 multiplet
 
 GENS = {"-": bm, "0": b0, "+": bp}
-
-
-# the coefficient degree each sphere word asks for, with the error that
-# names the word as the printer spells it
-_SPHERE_DEGREE = {
-    w: (n, "%s must have degree %d" % ("coefficient of " + render_word(w) if w else "the 0-form part", n))
-    for w, n in ((EP, -2), (EM, 2), (VOL, 0), (SCALAR_WORD, 0))
-}
-
-
-def check_sphere_form(form: Form):
-    """Raise ValueError unless form lives on the sphere: no e0, and e+
-    coefficients of degree -2, e- of +2, scalar and area ones of 0."""
-    for w, x in form.terms.items():
-        want = _SPHERE_DEGREE.get(w)
-        if want is None:
-            raise ValueError("form does not live on the sphere (e0 present)")
-        require_degree(x, *want)
 
 
 def chiral_split(tau: Form):
@@ -405,17 +388,6 @@ def lift_iY(alpha: Scalar) -> TensorForm:
     return lift
 
 
-def star_first_leg(tf: TensorForm) -> TensorForm:
-    """Hodge star applied to the first tensor leg (one-form words only)."""
-    def terms():
-        for (w, labels), x in tf.terms.items():
-            if w not in (EP, EM):
-                raise ValueError("first leg is not a basis one-form")
-            yield (w, labels), x if w == EP else -x
-
-    return TensorForm._wrap(accumulate({}, terms()))
-
-
 def _scale_by_last_leg(tf: TensorForm, by) -> TensorForm:
     """Each term of tf scaled by the Scalar by[label] of its last leg."""
     def terms():
@@ -623,9 +595,10 @@ def eigenvalue_on(elements):
 
 
 def _random_sphere_word(rng, maxlen=3):
+    """A product of 1 to maxlen sphere generators: a random sphere function."""
     x = one
-    for _ in range(rng.randrange(maxlen + 1)):
-        x = x * rng.choice((bm, b0, bp))
+    for _ in range(rng.randrange(1, maxlen + 1)):
+        x = x * rng.choice((b0, bp, bm))
     return x
 
 

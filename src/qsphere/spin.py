@@ -43,6 +43,7 @@ from .sphere import (
     F0,
     GENS,
     _matmul,
+    _random_sphere_word,
     b0,
     bm,
     bp,
@@ -269,13 +270,6 @@ def dirac_square_check():
             want = Spinor(**{part: head + corrections[name][k]})
             items.append((f"dirac-sq-{name}{k}", got - want))
     return _run_items(items)
-
-
-def _random_sphere_word(rng, length=3):
-    out = one
-    for _ in range(rng.randrange(1, length + 1)):
-        out = out * rng.choice([b0, bp, bm])
-    return out
 
 
 def dirac_commutator_check(sample_size=50, seed=7):

@@ -9,7 +9,6 @@ from qsphere.bundles import (
     check_partition,
     covariant_D,
     extract_coeffs,
-    horizontality_check,
     partition_of_unity,
 )
 from qsphere.calculus import E0, EM, EP, Form, d
@@ -75,15 +74,11 @@ def test_covariant_D_table_matches_whole_element_formula():
         assert covariant_D(x) == want
 
 
-def test_horizontality_failure_raises(monkeypatch):
+def test_horizontality_failure_raises(monkeypatch, fresh_tables):
     # with d broken, the e0 parts no longer cancel; the table must refuse
     monkeypatch.setattr(bundles, "d", lambda x: Form.zero())
-    bundles._covariant_D_mono.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError):
-            covariant_D(a * a)
-    finally:
-        bundles._covariant_D_mono.cache_clear()
+    with pytest.raises(ArithmeticError):
+        covariant_D(a * a)
 
 
 def test_connection_property():
@@ -110,7 +105,9 @@ def test_horizontality():
         w = tuple(rng.choice("abcd") for _ in range(3))
         x = normalize(w)
         sample.extend(p for p in degree_split(x).values())
-    assert horizontality_check(sample) == []
+    # the e0 part of df is [n; q^2] f for f of degree n
+    for f in sample:
+        assert d(f).coefficient(E0) == f.scale(qint(f.degree(), q2(2)))
     # a^2 pins the (1+q^2) coefficient
     assert d(a * a).coefficient(E0) == (1 + q ** 2) * (a * a)
 
@@ -155,10 +152,16 @@ def test_extract_coeffs_examples():
 
 
 def test_extract_coeffs_guards():
-    with pytest.raises(ValueError):
-        extract_coeffs(Form({EP: one}))  # degree 0, not -2
-    with pytest.raises(ValueError):
+    # the degrees are checked by the one charge rule, in its own words
+    with pytest.raises(ValueError, match="coefficient of ep must have degree -2"):
+        extract_coeffs(Form({EP: one}))
+    with pytest.raises(ValueError, match="coefficient of em must have degree 2"):
+        extract_coeffs(Form({EM: one}))
+    with pytest.raises(ValueError, match="e0 present"):
         extract_coeffs(Form({E0: b * b}))
+    # a sphere form that is not a one-form
+    with pytest.raises(ValueError, match="outside e\\+ and e-"):
+        extract_coeffs(Form({(): one}))
     extract_coeffs(Form.zero())
 
 

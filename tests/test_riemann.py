@@ -7,7 +7,6 @@ from qsphere import riemann
 from qsphere.algebra import a
 from qsphere.calculus import EP, Form, TensorForm, d, tensor
 from qsphere.riemann import (
-    LEVI_CIVITA,
     Connection1,
     cotorsion,
     cotorsion_parts,
@@ -26,7 +25,7 @@ from qsphere.sphere import (
     DEL,
     DELBAR,
     F0,
-    b0,
+    _random_sphere_word as random_sphere_element,
     bm,
     bp,
     g_minus_plus,
@@ -37,13 +36,6 @@ from qsphere.sphere import (
 )
 
 q = Scalar.q_power
-
-
-def random_sphere_element(rng, length=3):
-    out = one
-    for _ in range(rng.randrange(1, length + 1)):
-        out = out * rng.choice([b0, bp, bm])
-    return out
 
 
 def vanishes_at_one(tf):
@@ -117,8 +109,7 @@ def test_nabla_leibniz():
     samples = [
         (random_sphere_element(rng), DB[rng.choice("+-0")]) for _ in range(25)
     ]
-    assert LEVI_CIVITA.leibniz_failures(samples) == []
-    for f, tau in samples[:5]:
+    for f, tau in samples:
         assert nabla(f * tau) == tensor(d(f), tau) + f * nabla(tau)
 
 

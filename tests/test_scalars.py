@@ -15,7 +15,6 @@ from qsphere.scalars import (
     _render_laurent,
     _scalar_piece,
     _trim,
-    lam,
     mu,
     padd,
     pdiv_exact,
@@ -28,6 +27,8 @@ from qsphere.scalars import (
     s,
     two_q,
 )
+
+lam = Scalar.s_power(-1)  # q^(-1/2)
 
 
 def test_basic_constants():
@@ -292,7 +293,7 @@ def test_render_examples():
     assert render_scalar(two_q) == "q+q^-1"
     assert render_scalar(q ** 2 * two_q) == "q^2*(q+q^-1)"
     assert render_scalar(-q) == "-q"
-    assert render_scalar(Scalar.from_fraction(Fraction(-2, 3))) == "-2/3"
+    assert render_scalar(Scalar((-2,), (3,))) == "-2/3"
     # a genuinely non-Laurent value keeps explicit fraction shape
     assert "/" in render_scalar(ONE / (ONE + q ** -4))
 
@@ -373,7 +374,7 @@ def _oracle_render(x):
 
 
 def _fraction(n, m=1):
-    return Scalar.from_fraction(Fraction(n, m))
+    return Scalar((n,), (m,))
 
 
 _PRINTER_CASES = [

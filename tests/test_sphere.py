@@ -14,6 +14,7 @@ from qsphere.sphere import (
     DELBAR,
     F0,
     GENS,
+    _random_sphere_word as random_sphere_element,
     b0,
     bm,
     bp,
@@ -33,21 +34,12 @@ from qsphere.sphere import (
     soldering_check,
     sphere_relations_check,
     spin_multiplet,
-    star_first_leg,
     star_second_leg,
     upsilon,
     wedge_tables_check,
 )
 
 q = Scalar.q_power
-
-
-def random_sphere_element(rng, length=3):
-    """A random product of sphere generators (degree 0 by construction)."""
-    out = one
-    for _ in range(rng.randrange(1, length + 1)):
-        out = out * rng.choice([b0, bp, bm])
-    return out
 
 
 def test_check_functions_all_pass():
@@ -215,10 +207,10 @@ def test_lift_family():
         lift = lift_iY(alpha)
         assert lift.wedge_in().as_form() == upsilon()
         assert lift.is_basic()
-    # the symmetric member is the star of the metric on the first leg,
-    # normalized by q^-2/2
+    # the symmetric member is the difference of the chiral halves of the
+    # metric, normalized by q^-2/2
     sym = lift_iY(q(-2) / 2)
-    assert sym == star_first_leg(metric_g()).scale(q(-2) / 2)
+    assert sym == (g_plus_minus() - g_minus_plus()).scale(q(-2) / 2)
     assert star_second_leg(metric_g()) == g_minus_plus() - g_plus_minus()
 
 
@@ -327,21 +319,16 @@ def test_proportionality_helper():
     (lambda g: a * g, "does not descend"),
     (lambda g: g + TensorForm({(EP, ("+",)): b ** 4}), "chiral components"),
 ], ids=["symmetry", "basic", "chiral"])
-def test_metric_guards_raise(monkeypatch, fault, message):
+def test_metric_guards_raise(monkeypatch, fresh_tables, fault, message):
     # the guards run when _metric_table is built, so it is emptied around
     # the fault
     real = sphere._metric_sum
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(sphere, "_metric_sum", lambda: fault(real()))
-            sphere._metric_table.cache_clear()
-            with pytest.raises(ArithmeticError, match=message):
-                metric_g()
-    finally:
-        sphere._metric_table.cache_clear()
+    monkeypatch.setattr(sphere, "_metric_sum", lambda: fault(real()))
+    with pytest.raises(ArithmeticError, match=message):
+        metric_g()
 
 
-def test_metric_invariance_guard_raises(monkeypatch):
+def test_metric_invariance_guard_raises(monkeypatch, fresh_tables):
     real = sphere.metric_matrix
 
     def skewed():
@@ -349,14 +336,9 @@ def test_metric_invariance_guard_raises(monkeypatch):
         G[1][1] = G[1][1].scale(2)
         return G
 
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(sphere, "metric_matrix", skewed)
-            sphere._metric_table.cache_clear()
-            with pytest.raises(ArithmeticError, match="not invariant"):
-                metric_g()
-    finally:
-        sphere._metric_table.cache_clear()
+    monkeypatch.setattr(sphere, "metric_matrix", skewed)
+    with pytest.raises(ArithmeticError, match="not invariant"):
+        metric_g()
 
 
 def test_lift_guard_raises(monkeypatch):
@@ -365,18 +347,13 @@ def test_lift_guard_raises(monkeypatch):
         lift_iY(q(-2) / 2)
 
 
-def test_laplacian_guard_raises(monkeypatch):
+def test_laplacian_guard_raises(monkeypatch, fresh_tables):
     # the routes are compared when a monomial enters _lap_mono, so the
     # table is emptied around the fault
     real = sphere.hodge_star
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(sphere, "hodge_star", lambda x: real(x).scale(2))
-            sphere._lap_mono.cache_clear()
-            with pytest.raises(ArithmeticError, match="routes disagree"):
-                laplacian(bp)
-    finally:
-        sphere._lap_mono.cache_clear()
+    monkeypatch.setattr(sphere, "hodge_star", lambda x: real(x).scale(2))
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        laplacian(bp)
 
 
 @pytest.mark.parametrize("fault, message", [

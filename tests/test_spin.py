@@ -10,6 +10,7 @@ from qsphere.calculus import Form, d as dd
 from qsphere.riemann import nabla
 from qsphere.scalars import ONE, Scalar, qint, two_q
 from qsphere.sphere import DB, DEL, F0, _matmul, b0, bm, bp, del_split, one
+from qsphere.sphere import _random_sphere_word as random_sphere_element
 from qsphere.spin import (
     GENERATOR_SPINORS,
     LAMBDA,
@@ -30,13 +31,6 @@ from qsphere.spin import (
 )
 
 q = Scalar.q_power
-
-
-def random_sphere_element(rng, length=3):
-    out = one
-    for _ in range(rng.randrange(1, length + 1)):
-        out = out * rng.choice([b0, bp, bm])
-    return out
 
 
 # non-unit coefficients, among them a true rational function and odd powers of s
