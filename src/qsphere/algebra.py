@@ -381,6 +381,10 @@ b = AlgebraElement.gen("b")
 c = AlgebraElement.gen("c")
 d = AlgebraElement.gen("d")
 one = AlgebraElement.one()
+# the generators of the sphere, the degree-0 subalgebra
+bm = a * b
+b0 = b * c
+bp = c * d
 
 
 def degree_split(x: AlgebraElement):
@@ -675,8 +679,8 @@ CHECKS = (
 # legs use an "(x)" marker, which is display-only.
 
 
-# the sphere generators as products of two algebra generators (as in sphere.py)
-_SPHERE_GENS = {"bm": "ab", "b0": "bc", "bp": "cd"}
+# the sphere generators by the names the printer and the CLI use
+_SPHERE_GENS = {"bm": bm, "b0": b0, "bp": bp}
 
 
 @lru_cache(maxsize=None)
@@ -691,8 +695,7 @@ def _sphere_factor(m):
         powers = (("b0", j),)
     prod = one
     for name, e in powers:
-        x, y = _SPHERE_GENS[name]
-        prod = prod * (AlgebraElement.gen(x) * AlgebraElement.gen(y)) ** e
+        prod = prod * _SPHERE_GENS[name] ** e
     ((mono, kappa),) = prod.terms.items()
     if mono != m:
         raise ArithmeticError("sphere factorisation drifted off the monomial")

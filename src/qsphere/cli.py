@@ -16,11 +16,12 @@ calculus.CHECKS, ...); this module groups them into suites by name, runs
 them and reports.  Suite reports are deterministic: with the same seed
 and engine version the bytes are identical run over run.
 
-Importing this module loads only the scalars, the algebra and the
-calculus.  Each geometry layer is imported by the first operator or atom
-that needs it (lap, star, del, delbar and the atoms b0, bp, bm load
-sphere; nabla loads riemann and bundles; dirac loads spin), and the check
-registry, which needs them all, is built on first use.
+Importing this module loads only the scalars and the algebra, which
+also defines the sphere atoms b0, bp and bm.  The calculus is imported by
+the first form atom (e0, ep, em) or operator that needs it, and each
+geometry layer likewise (lap, star, del and delbar load sphere; nabla
+loads riemann and bundles; dirac loads spin).  The check registry, which
+needs them all, is built on first use, and argparse loads only in main.
 
 Exit codes: 0 all good, 1 a check failed, 2 bad usage or a bad
 expression.
@@ -28,22 +29,20 @@ expression.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 
 from . import __version__
 from .algebra import AlgebraElement, antipode, counit, one, render_value
 from .algebra import a as _ga, b as _gb, c as _gc, d as _gd
-from .calculus import E0, EM, EP, Form, TensorForm, wedge
-from .calculus import d as _dop
+from .algebra import b0 as _gb0, bm as _gbm, bp as _gbp
 from .scalars import ONE, Scalar
 
 
-def _sphere_atom(name):
+def _form_atom(name):
     def value():
-        from . import sphere
-        return getattr(sphere, name)
+        from . import calculus
+        return calculus.Form.of(one, getattr(calculus, name))
     return value
 
 
@@ -53,12 +52,12 @@ _ATOM_VALUES = {
     "b": lambda: _gb,
     "c": lambda: _gc,
     "d": lambda: _gd,
-    "b0": _sphere_atom("b0"),
-    "bp": _sphere_atom("bp"),
-    "bm": _sphere_atom("bm"),
-    "e0": lambda: Form.of(one, E0),
-    "ep": lambda: Form.of(one, EP),
-    "em": lambda: Form.of(one, EM),
+    "b0": lambda: _gb0,
+    "bp": lambda: _gbp,
+    "bm": lambda: _gbm,
+    "e0": _form_atom("E0"),
+    "ep": _form_atom("EP"),
+    "em": _form_atom("EM"),
     "q": lambda: Scalar.q_power(1),
     "s": lambda: Scalar.s_power(1),
 }
@@ -211,9 +210,16 @@ def parse(text):
 
 
 def _rank(v):
-    for i, t in enumerate((Scalar, AlgebraElement, Form, TensorForm)):
-        if isinstance(v, t):
-            return i
+    if isinstance(v, Scalar):
+        return 0
+    if isinstance(v, AlgebraElement):
+        return 1
+    # any other value was made by the calculus, which is loaded by now
+    from .calculus import Form, TensorForm
+    if isinstance(v, Form):
+        return 2
+    if isinstance(v, TensorForm):
+        return 3
     raise EvalError("value of unsupported kind %s" % type(v).__name__)
 
 
@@ -225,11 +231,14 @@ def _lift(v, rank):
     while _rank(v) < rank:
         if isinstance(v, Scalar):
             v = one.scale(v)
-        elif isinstance(v, AlgebraElement):
+            continue
+        # the target is a form or a tensor, so the calculus is loaded by now
+        from .calculus import Form, TensorForm
+        if isinstance(v, AlgebraElement):
             v = Form.of(v)
+        elif not v:
+            return TensorForm.zero()
         else:
-            if not v:
-                return TensorForm.zero()
             raise EvalError("cannot combine a form with a tensor")
     return v
 
@@ -262,6 +271,7 @@ def _power(v, k):
     # a basis one-form; k = 0 collapses to the scalar unit
     if k == 0:
         return ONE
+    from .calculus import wedge
     out = v
     for _ in range(k - 1):
         out = wedge(out, v)
@@ -284,11 +294,12 @@ def _as_sphere_element(v, fn):
 
 
 def _fn_d(v):
+    from .calculus import Form, TensorForm, d
     if isinstance(v, Form):
-        return _dop(v)
+        return d(v)
     if isinstance(v, TensorForm):
         raise EvalError("d() does not act on tensors")
-    return _dop(_as_element(v, "d"))
+    return d(_as_element(v, "d"))
 
 
 def _fn_del(v):
@@ -302,6 +313,7 @@ def _fn_delbar(v):
 
 
 def _fn_star(v):
+    from .calculus import Form
     from .sphere import hodge_star
     if isinstance(v, (Scalar, AlgebraElement)):
         v = Form.of(_as_element(v, "star"))
@@ -314,6 +326,7 @@ def _fn_star(v):
 
 
 def _fn_nabla(v):
+    from .calculus import Form
     from .riemann import nabla
     if not isinstance(v, Form):
         raise EvalError("nabla() needs a one-form on the sphere")
@@ -516,6 +529,7 @@ def format_report(report, quiet=False):
 
 
 def main(argv=None):
+    import argparse
     parser = argparse.ArgumentParser(
         prog="qsphere",
         description="Evaluate an expression or run an exact check suite.",

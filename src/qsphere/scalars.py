@@ -530,6 +530,8 @@ class Scalar:
         if self._p is None:
             return None
         e, k, c = self._e, self._k, self._c
+        if c == 1:
+            return [(e + k * i, (a, 1)) for i, a in enumerate(self._p) if a]
         return [(e + k * i, _reduced(a, c)) for i, a in enumerate(self._p) if a]
 
     def __repr__(self):

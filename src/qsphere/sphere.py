@@ -27,7 +27,7 @@ from operator import add
 
 from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d
-from .algebra import coproduct
+from .algebra import b0, bm, bp, coproduct, one
 from .calculus import (
     E0,
     EM,
@@ -45,10 +45,6 @@ from .scalars import ONE, Scalar, mu, qint, two_q
 
 _q = Scalar.q_power
 
-b0 = _b * _c
-bp = _c * _d
-bm = _a * _b
-one = AlgebraElement.one()
 F0 = one + two_q * b0  # the degree-zero partner of b+- in the spin-1 multiplet
 
 GENS = {"-": bm, "0": b0, "+": bp}
@@ -230,6 +226,11 @@ def _matmul(X, Y):
         [reduce(add, (X[i][k] * Y[k][j] for k in range(len(Y)))) for j in range(len(Y[0]))]
         for i in range(len(X))
     ]
+
+
+def _matsub(X, Y):
+    """X - Y for two matrices of one shape, as a list of row lists."""
+    return [[x - y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
 
 
 def coaction_matrix():

@@ -43,6 +43,7 @@ from .sphere import (
     F0,
     GENS,
     _matmul,
+    _matsub,
     _random_sphere_word,
     b0,
     bm,
@@ -331,10 +332,6 @@ def projector_e():
     )
 
 
-def _mat_sub(X, Y):
-    return tuple(tuple(X[i][j] - Y[i][j] for j in range(2)) for i in range(2))
-
-
 _ID2 = ((one, _zero), (_zero, one))
 
 
@@ -367,7 +364,7 @@ def transported_dirac(row: SpinorRow, coeffs=canonical_coefficients) -> SpinorRo
         out[j] = out[j] + (u[j] + ue[j].scale(_q(4) - 1)).scale(LAMBDA * _q(-1))
 
     (third,) = _matmul([(f0 - gm, fp.scale(_q(-1)))], e)
-    (fourth,) = _matmul([(-gm, fp.scale(_q(-1)) - g0)], _mat_sub(_ID2, e))
+    (fourth,) = _matmul([(-gm, fp.scale(_q(-1)) - g0)], _matsub(_ID2, e))
     for j in range(2):
         out[j] = out[j] + third[j].scale(LAMBDA * _q(2)) - fourth[j].scale(LAMBDA)
 
@@ -383,7 +380,7 @@ def trivialisation_checks():
     isomorphism.
     """
     e = projector_e()
-    f1 = _mat_sub(_ID2, e)
+    f1 = _matsub(_ID2, e)
     de = tuple(tuple(d(x) for x in r) for r in e)
     dele = tuple(tuple(del_split(x)[0] for x in r) for r in e)
     delbare = tuple(tuple(del_split(x)[1] for x in r) for r in e)

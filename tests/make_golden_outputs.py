@@ -34,6 +34,9 @@ HAND_WRITTEN = (
     "dirac(dirac(a))", "star(1)", "star(ep*em)", "star(d(b0))",
     "del(b0) + delbar(b0)", "nabla(d(b0))", "nabla(del(bp))",
     "q^2*bm*d(bp)+bp*d(bm)-(1+(q+q^-1)*b0)*d(b0)",
+    # first uses of the calculus on the paths that load it late
+    "a*ep", "e0^2", "ep^0", "ep^-1", "lap(d(a))", "S(e0)", "nabla(0)",
+    "d(nabla(d(b0)))", "star(nabla(d(b0)))", "nabla(d(b0))+1", "nabla(d(b0))+0",
 )
 
 PBW_PRODUCTS = ("d^5*a^7", "a^4*d^3", "b^2*c*a^3*d^2", "S(d^4*a^6)", "d^12*a^12")

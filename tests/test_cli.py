@@ -394,12 +394,13 @@ def test_unwritable_json_path_is_a_usage_error(capsys, tmp_path, kind):
 
 # --- what a call loads --------------------------------------------------------
 #
-# Importing the CLI loads the scalars, the algebra and the calculus only; each
-# geometry layer is imported by the first operator or atom that needs it.
+# Importing the CLI loads the scalars and the algebra only, with the sphere
+# atoms b0, bp, bm; the calculus is imported by the first form atom or
+# operator that needs it, each geometry layer likewise, and argparse by main.
 
 SRC = str(Path(qsphere.__file__).resolve().parents[1])
-WATCHED = ("qsphere.sphere", "qsphere.riemann", "qsphere.spin", "qsphere.bundles",
-           "fractions", "decimal", "json")
+WATCHED = ("qsphere.calculus", "qsphere.sphere", "qsphere.riemann", "qsphere.spin",
+           "qsphere.bundles", "argparse", "fractions", "decimal", "json")
 
 
 def run_child(*args):
@@ -423,17 +424,26 @@ def loaded_by(code):
     return set(proc.stdout.split()) & set(WATCHED)
 
 
+LAYERS = {"qsphere.calculus", "qsphere.sphere", "qsphere.riemann", "qsphere.bundles",
+          "qsphere.spin"}
+
+
 @pytest.mark.parametrize("code, loaded", [
     ("import qsphere.cli", set()),
+    ("from qsphere.cli import evaluate_text; evaluate_text('b0*bp - bm^2')", set()),
+    ("from qsphere.cli import evaluate_text; evaluate_text('d(a)')",
+     {"qsphere.calculus"}),
+    ("from qsphere.cli import evaluate_text; evaluate_text('a*ep')",
+     {"qsphere.calculus"}),
+    ("from qsphere.cli import main; main(['a'])", {"argparse"}),
     ("from qsphere.cli import evaluate_text; evaluate_text('lap(b0)')",
-     {"qsphere.sphere"}),
+     {"qsphere.calculus", "qsphere.sphere"}),
     ("from qsphere.cli import evaluate_text; evaluate_text('nabla(d(b0))')",
-     {"qsphere.sphere", "qsphere.riemann", "qsphere.bundles"}),
-    ("from qsphere.cli import evaluate_text; evaluate_text('dirac(b0*a)')",
-     {"qsphere.sphere", "qsphere.riemann", "qsphere.bundles", "qsphere.spin"}),
-    ("from qsphere.cli import run_suite; run_suite('laplace')",
-     {"qsphere.sphere", "qsphere.riemann", "qsphere.bundles", "qsphere.spin"}),
-], ids=["import", "lap", "nabla", "dirac", "run_suite"])
+     LAYERS - {"qsphere.spin"}),
+    ("from qsphere.cli import evaluate_text; evaluate_text('dirac(b0*a)')", LAYERS),
+    ("from qsphere.cli import run_suite; run_suite('laplace')", LAYERS),
+], ids=["import", "sphere_atoms", "d", "form_atom", "main", "lap", "nabla", "dirac",
+        "run_suite"])
 def test_a_call_loads_only_the_layers_it_reaches(code, loaded):
     assert loaded_by(code) == loaded
 
