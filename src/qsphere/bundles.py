@@ -3,32 +3,31 @@
 The degree-n component of the algebra serves as the module of sections
 of the charge-n bundle: a section is a plain homogeneous AlgebraElement,
 and its degree is its charge.  The monopole connection differentiates a
-section f of degree n by
+section f of degree n by its connection form (calculus.monopole_omega)
 
-    D f = d f - [n; q^2] f e^0,
+    D f = d f - f omega_n,   omega_n = [n; q^2] e^0,
 
 which lands in the horizontal (e^+, e^-) directions; the e^0 part of df
 is exactly [n; q^2] f, and that cancellation is checked once per
 monomial, when its image enters the memoised table behind covariant_D.
 
-Each small charge carries a fixed "partition of unity" -- a finite dual
-basis, a checked tuple of (x_r, y_r) pairs, exhibiting the bundle as a
-direct summand of a free module.  The charge +-2 partitions drive the
-canonical extraction of sphere-valued coefficients from horizontal
-one-forms, and basic_pairs inserts a partition to split a charged form
-into basic form (x) section pairs (the legs of the Levi-Civita tensors,
-the spinor tails of the Dirac operator); such expansions are not
-unique, so fixing the partitions once keeps every downstream formula
-deterministic.
+Every charge n has a partition of unity: a finite dual basis of (x_r,
+y_r) pairs exhibiting the bundle as a direct summand of a free module,
+read off the engine's own coproduct and antipode.  basic_pairs inserts
+one to split a charged form into basic form (x) section pairs (the legs
+of the Levi-Civita tensors, the spinor tails of the Dirac operator);
+such expansions are not unique, so each partition is built once, in a
+fixed order.  extract_coeffs types its weights: the x_r of the charge
++-2 partitions, rescaled to the e+- parts of the db_i.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Check, Monomial, require_degree
+from .algebra import AlgebraElement, Check, Monomial, antipode, coproduct, require_degree
 from .algebra import a as _a, b as _b, c as _c, d as _d
-from .calculus import E0, EM, EP, Form, check_sphere_form, d
+from .calculus import E0, EM, EP, Form, check_sphere_form, d, monopole_omega
 from .scalars import ONE, Scalar, qint, two_q
 
 _q = Scalar.q_power
@@ -41,7 +40,7 @@ def _covariant_D_mono(m: Monomial) -> Form:
     table behind covariant_D.  Its values are read only through
     Form.extend."""
     x = AlgebraElement({m: ONE})
-    out = d(x) - Form.of(x.scale(qint(m.degree(), _q2)), E0)
+    out = d(x) - x * monopole_omega(m.degree())
     if E0 in out.terms:
         raise ArithmeticError("covariant derivative failed to be horizontal")
     return out
@@ -57,26 +56,17 @@ def covariant_D(f: AlgebraElement) -> Form:
 
 @lru_cache(maxsize=None)
 def partition_of_unity(n: int):
-    """The fixed partition of charge n = +-1, +-2: a tuple of pairs (x_r, y_r)
-    with deg x_r = -n, deg y_r = n and sum x_r y_r = 1, built and verified once."""
-    if n == 2:
-        pairs = [
-            (_d * _d, _a * _a),
-            ((_b * _b).scale(_q(2)), _c * _c),
-            ((_d * _b).scale(-(_q(1) * two_q)), _a * _c),
-        ]
-    elif n == 1:
-        pairs = [(_d, _a), (_b.scale(-_q(1)), _c)]
-    elif n == -1:
-        pairs = [(_a, _d), (_c.scale(-_q(-1)), _b)]
-    elif n == -2:
-        pairs = [
-            (_a * _a, _d * _d),
-            ((_c * _c).scale(_q(-2)), _b * _b),
-            ((_a * _c).scale(-(_q(-1) * two_q)), _d * _b),
-        ]
-    else:
-        raise ValueError(f"no partition of unity stored for charge {n}")
+    """The charge-n partition: pairs (x_r, y_r) with deg x_r = -n, deg y_r = n
+    and sum x_r y_r = 1, built and verified once.  It is the antipode axiom
+    m(S (x) id) Delta(t) = 1 for t = a^n or d^-n: y_r runs over the right
+    legs of Delta(t), in descending order (the frame order db-, db0, db+ at
+    +-2), and x_r sums S(co x1) over the terms co x1 (x) y_r."""
+    t = _a ** n if n >= 0 else _d ** -n
+    groups = {}
+    for (x1, y), co in coproduct(t).items():
+        groups.setdefault(y, {})[x1] = co
+    pairs = [(antipode(AlgebraElement._wrap(groups[y])), AlgebraElement._wrap({y: ONE}))
+             for y in sorted(groups, reverse=True)]
     return check_partition(n, pairs)
 
 

@@ -23,8 +23,8 @@ geometry layer likewise (lap, star, del and delbar load sphere; nabla
 loads riemann and bundles; dirac loads spin).  The check registry, which
 needs them all, is built on first use, and argparse loads only in main.
 
-Exit codes: 0 all good, 1 a check failed, 2 bad usage or a bad
-expression.
+Exit codes: 0 all good, 1 a check failed or stdout was closed early,
+2 bad usage, a bad expression or a report that could not be written.
 """
 
 from __future__ import annotations
@@ -223,10 +223,6 @@ def _rank(v):
     raise EvalError("value of unsupported kind %s" % type(v).__name__)
 
 
-def _kind_name(v):
-    return type(v).__name__
-
-
 def _lift(v, rank):
     while _rank(v) < rank:
         if isinstance(v, Scalar):
@@ -254,7 +250,7 @@ def _mul(x, y):
         return x * y
     except TypeError:
         raise EvalError(
-            "cannot multiply %s by %s" % (_kind_name(x), _kind_name(y))
+            "cannot multiply %s by %s" % (type(x).__name__, type(y).__name__)
         ) from None
 
 
@@ -283,7 +279,7 @@ def _as_element(v, fn):
         return one.scale(v)
     if isinstance(v, AlgebraElement):
         return v
-    raise EvalError("%s() needs an algebra element, got a %s" % (fn, _kind_name(v)))
+    raise EvalError("%s() needs an algebra element, got a %s" % (fn, type(v).__name__))
 
 
 def _as_sphere_element(v, fn):
@@ -529,6 +525,18 @@ def format_report(report, quiet=False):
 
 
 def main(argv=None):
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # a reader closed stdout early: the "Note on SIGPIPE" recipe of the signal docs
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    return status
+
+
+def _main(argv):
     import argparse
     parser = argparse.ArgumentParser(
         prog="qsphere",
@@ -592,9 +600,12 @@ def main(argv=None):
     sys.stdout.write(format_report(report, quiet=args.quiet))
     if json_file is not None:
         import json
-        with json_file:
-            json.dump(report, json_file, indent=2)
-            json_file.write("\n")
+        try:
+            with json_file:
+                json_file.write(json.dumps(report, indent=2) + "\n")
+        except OSError as exc:
+            print("error: cannot write the report: %s" % exc, file=sys.stderr)
+            return 2
     return 0 if all(r["status"] == "pass" for r in report["results"]) else 1
 
 

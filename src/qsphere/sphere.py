@@ -234,22 +234,18 @@ def _matsub(X, Y):
 
 
 def coaction_matrix():
-    """Left-coaction matrix M on the frame (db-, db0, db+)."""
-    return [
-        [_a * _a, two_q * (_a * _b), _b * _b],
-        [_c * _a, one + two_q * (_b * _c), _d * _b],
-        [_c * _c, two_q * (_c * _d), _d * _d],
-    ]
+    """Left-coaction matrix M on the frame (db-, db0, db+), read off the coproduct:
+    M_ij sums the left legs of Delta(b_i) whose right leg is b_j (d kills the rest)."""
+    frame = [next(iter(g.terms)) for g in GENS.values()]  # the monomials ab, bc, cd
+    deltas = [coproduct(g).items() for g in GENS.values()]
+    return [[AlgebraElement._wrap({x: co for (x, y), co in dg if y == m}) for m in frame]
+            for dg in deltas]
 
 
 def metric_matrix():
-    """Coefficients G of the metric in the frame (db-, db0, db+)."""
-    z = AlgebraElement.zero()
-    return [
-        [z, z, _q(2) * one],
-        [z, -(two_q) * one, z],
-        [one, z, z],
-    ]
+    """Coefficients G of the metric in the frame (db-, db0, db+), from G_PRESENTATION."""
+    coeffs = {(i, j): co for co, i, j in G_PRESENTATION}
+    return [[one.scale(coeffs.get((i, j), 0)) for j in GENS] for i in GENS]
 
 
 # the metric as a sum of basic (x) basic pairs, coefficients out front
@@ -356,13 +352,7 @@ def hodge_star(x):
     """The Hodge star of a sphere form (check_sphere_form raises on any
     other): +1 on e+, -1 on e-, *1 = Y and *Y = 1."""
     check_sphere_form(x)
-
-    def terms():
-        for w, coeff in x.terms.items():
-            v, sign = _STAR[w]
-            yield v, coeff if sign > 0 else -coeff
-
-    return Form._wrap(accumulate({}, terms()))
+    return Form._wrap({_STAR[w][0]: c if _STAR[w][1] > 0 else -c for w, c in x.terms.items()})
 
 
 # Wedging either chiral half of the metric gives +-q^2 Y (the e+ ^ e-

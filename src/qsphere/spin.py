@@ -12,7 +12,8 @@ covariant derivative; it anticommutes with the Z_2 grading, has
 eigen-spinors with eigenvalues +-q^(1/2), and its square is the scalar
 Laplacian plus a curvature correction on each spin-1 multiplet.
 
-Both spinor bundles are trivial.  The 2x2 idempotent
+Both spinor bundles are trivial.  The 2x2 idempotent (y_r x_s) over the
+charge -1 partition of unity (1-e is the same construction at charge +1)
 
     e = [[-q^-1 b0, q b-], [-b+, 1 + q b0]]
 
@@ -32,8 +33,8 @@ from functools import lru_cache
 
 from .algebra import AlgebraElement, Check, Combination, Monomial, _run_items, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d, require_degree
-from .bundles import basic_pairs, covariant_D, extract_coeffs
-from .calculus import EM, EP, TensorForm, d
+from .bundles import basic_pairs, covariant_D, extract_coeffs, partition_of_unity
+from .calculus import _GENERATORS, EM, EP, TensorForm, d
 from .riemann import decompose_legs
 from .scalars import ONE, Scalar, two_q
 from .sphere import (
@@ -235,9 +236,8 @@ def dirac_first_order_check():
         "c": (-(_q(1) * _b), _zero, _zero),
         "d": (_a, _c, _zero),
     }
-    components = {"a": _a, "b": _b, "c": _c, "d": _d}
     items = []
-    for name, comp in components.items():
+    for name, comp in _GENERATORS.items():
         co, image, out_part = heads[name]
         in_part = "minus_part" if name in "ac" else "plus_part"
         for k, f in enumerate((bm, b0, bp)):
@@ -260,9 +260,8 @@ def dirac_square_check():
         "c": (_a, _q(1) * _c, _zero),
         "d": (-(_q(2) * _b), -(_q(3) * _d), _zero),
     }
-    components = {"a": _a, "b": _b, "c": _c, "d": _d}
     items = []
-    for name, comp in components.items():
+    for name, comp in _GENERATORS.items():
         part = "minus_part" if name in "ac" else "plus_part"
         for k, f in enumerate((bm, F0, bp)):
             sigma = Spinor(**{part: f * comp})
@@ -325,11 +324,9 @@ class SpinorRow(tuple):
 
 
 def projector_e():
-    """The 2x2 idempotent whose image is S+ and whose kernel summand is S-."""
-    return (
-        (-(_q(-1) * b0), _q(1) * bm),
-        (-bp, one + _q(1) * b0),
-    )
+    """(y_r x_s) over the charge -1 partition: the image is S+, the kernel S-."""
+    part = partition_of_unity(-1)
+    return tuple(tuple(y * x for x, _ in part) for _, y in part)
 
 
 _ID2 = ((one, _zero), (_zero, one))

@@ -112,20 +112,55 @@ def test_horizontality():
     assert d(a * a).coefficient(E0) == (1 + q ** 2) * (a * a)
 
 
+# the partitions as the paper displays them: the oracle for the ones the
+# engine reads off the coproduct and the antipode
+PAPER_PARTITIONS = {
+    2: [(gd * gd, a * a), (q2(2) * (b * b), c * c), (-(q * two_q) * (gd * b), a * c)],
+    1: [(gd, a), (-q * b, c)],
+    -1: [(a, gd), (-(q ** -1) * c, b)],
+    -2: [(a * a, gd * gd), (q2(-2) * (c * c), b * b), (-(q ** -1 * two_q) * (a * c), gd * b)],
+}
+
+
+def monic(pairs):
+    """{y: x} with each y_r scaled to a monic monomial, and x_r by the inverse."""
+    out = {}
+    for x, y in pairs:
+        ((m, co),) = y.terms.items()
+        out[m] = x.scale(co)
+    return out
+
+
 def test_partitions():
-    for n in (-2, -1, 1, 2):
+    for n, pairs in PAPER_PARTITIONS.items():
+        assert monic(partition_of_unity(n)) == monic(pairs)
+    for n in range(-6, 7):
         total = AlgebraElement.zero()
         for x, y in partition_of_unity(n):
             assert (x.degree(), y.degree()) == (-n, n)
             total = total + x * y
         assert total == one
-    with pytest.raises(ValueError):
-        partition_of_unity(3)
+    assert partition_of_unity(0) == ((1, 1),)
     with pytest.raises(ValueError, match="does not sum to 1"):
         check_partition(1, [(gd, a)])  # da = 1 + qbc != 1
     with pytest.raises(ValueError, match="must have degrees"):
         check_partition(1, [(a, a)])  # x must have degree -1
     assert partition_of_unity(2) is partition_of_unity(2)  # built once
+
+
+def test_extract_coeffs_weights_are_the_partitions():
+    # the weights extract_coeffs types are the x_r of the charge -+2
+    # partitions, taken in frame order (db-, db0, db+) and rescaled so that
+    # x_r y_r = weight_r times the e+- coefficient of db_r
+    rng = random.Random(25)
+    for word, n, legs in ((EP, -2, DEL_B), (EM, 2, DELBAR_B)):
+        weights = []
+        for (x, y), i in zip(partition_of_unity(n), "-0+"):
+            ((m, kappa),) = legs[i].terms.items()
+            assert y == AlgebraElement({m: ONE})
+            weights.append(x.scale(ONE / kappa))
+        for h in (legs["-"], rnd_section(rng, n)):
+            assert extract_coeffs(Form({word: h})) == tuple(h * w for w in weights)
 
 
 def test_extract_coeffs_examples():

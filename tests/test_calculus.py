@@ -303,3 +303,11 @@ def test_d_squared_guard_raises(monkeypatch, fresh_tables):
     monkeypatch.setitem(calculus._D_WORD_BASE, "0", Form({VOL: one.scale(q2(2))}))
     with pytest.raises(ArithmeticError, match="square to zero"):
         calculus._check_d_squared()
+
+
+def test_generator_derivatives_check_sees_a_bent_derivative(monkeypatch, fresh_tables):
+    # the check builds the frame matrix Omega itself, so d(a) cannot pass by
+    # meeting the entry of _D_GEN it is computed from
+    check = next(c for c in calculus.CHECKS if c.anchor == "generator-derivatives")
+    monkeypatch.setitem(calculus._D_GEN, "a", Form({E0: a, EP: b.scale(q2(3))}))
+    assert [name for name, _ in check.fn(None)] == ["d(a)"]

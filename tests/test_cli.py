@@ -392,6 +392,32 @@ def test_unwritable_json_path_is_a_usage_error(capsys, tmp_path, kind):
     assert str(path) in lines[0]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_failed_json_write_is_one_line(capsys):
+    # the path opens, but every write to it fails
+    assert main(["--suite", "bwb", "--json", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("suite: bwb\n")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the report: ")
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    # about 600 KB of output, far more than a pipe holds, so the child is
+    # still writing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qsphere.cli", "d^60*a^60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 # --- what a call loads --------------------------------------------------------
 #
 # Importing the CLI loads the scalars and the algebra only, with the sphere

@@ -5,7 +5,7 @@ import pytest
 
 from qsphere import spin
 from qsphere.algebra import a, b, c, d
-from qsphere.bundles import basic_pairs, covariant_D
+from qsphere.bundles import basic_pairs, covariant_D, partition_of_unity
 from qsphere.calculus import Form, d as dd
 from qsphere.riemann import nabla
 from qsphere.scalars import ONE, Scalar, qint, two_q
@@ -215,6 +215,17 @@ def test_transported_coefficient_independence():
     for t in range(10):
         row = SpinorRow(random_sphere_element(rng), random_sphere_element(rng))
         assert transported_dirac(row, coeffs=shifted) == transported_dirac(row)
+
+
+def test_projector_is_the_docstring_matrix():
+    # e = [[-q^-1 b0, q b-], [-b+, 1 + q b0]], as the module docstring writes it
+    e = projector_e()
+    assert e == ((-(q(-1) * b0), q(1) * bm), (-bp, one + q(1) * b0))
+    # and 1 - e is (y_r x_s) over the charge +1 partition
+    part = partition_of_unity(1)
+    assert [[(one if i == j else 0) - e[i][j] for j in range(2)] for i in range(2)] == [
+        [y * x for x, _ in part] for _, y in part
+    ]
 
 
 def test_trivialisation_fault_is_reported(monkeypatch):
