@@ -36,22 +36,6 @@ class Monomial(tuple):
             raise ValueError("not a PBW monomial: a^%d b^%d c^%d d^%d" % (i, j, k, l))
         return tuple.__new__(cls, (i, j, k, l))
 
-    @property
-    def i(self):
-        return self[0]
-
-    @property
-    def j(self):
-        return self[1]
-
-    @property
-    def k(self):
-        return self[2]
-
-    @property
-    def l(self):
-        return self[3]
-
     def degree(self):
         """Column degree (monopole charge): a, c count +1 and b, d count -1."""
         i, j, k, l = self
@@ -526,6 +510,14 @@ class TensorSquare(Combination):
     def items(self):
         return self.terms.items()
 
+    def by_leg(self, leg):
+        """{monomial on leg 0 or 1: the element its terms carry on the other leg},
+        newly built; no slice is zero, and the slices sum back to self."""
+        out = {}
+        for mm, co in self.terms.items():
+            out.setdefault(mm[leg], {})[mm[1 - leg]] = co
+        return {m: AlgebraElement._wrap(t) for m, t in out.items()}
+
     def map_legs(self, fl, fr):
         """Sum of fl(x) * fr(y) over all x (x) y terms, as an element;
         fl and fr are called once per distinct monomial of their leg."""
@@ -578,8 +570,8 @@ def coproduct(x: AlgebraElement) -> TensorSquare:
 def counit(x: AlgebraElement) -> Scalar:
     """The counit: a, d -> 1 and b, c -> 0."""
     out = ZERO
-    for m, co in x.terms.items():
-        if m.j == 0 and m.k == 0:
+    for (_, j, k, _), co in x.terms.items():
+        if j == k == 0:
             out = out + co
     return out
 

@@ -17,8 +17,8 @@ read off the engine's own coproduct and antipode.  basic_pairs inserts
 one to split a charged form into basic form (x) section pairs (the legs
 of the Levi-Civita tensors, the spinor tails of the Dirac operator);
 such expansions are not unique, so each partition is built once, in a
-fixed order.  extract_coeffs types its weights: the x_r of the charge
-+-2 partitions, rescaled to the e+- parts of the db_i.
+fixed order.  extract_coeffs reads its weights off the charge -+2
+partitions too: the x_r, rescaled to the e+- parts of the db_i.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import AlgebraElement, Check, Monomial, antipode, coproduct, require_degree
-from .algebra import a as _a, b as _b, c as _c, d as _d
+from .algebra import a as _a, b as _b, b0, bm, bp, c as _c, d as _d
 from .calculus import E0, EM, EP, Form, check_sphere_form, d, monopole_omega
-from .scalars import ONE, Scalar, qint, two_q
+from .scalars import ONE, Scalar, qint
 
 _q = Scalar.q_power
 _q2 = _q(2)
@@ -62,10 +62,8 @@ def partition_of_unity(n: int):
     legs of Delta(t), in descending order (the frame order db-, db0, db+ at
     +-2), and x_r sums S(co x1) over the terms co x1 (x) y_r."""
     t = _a ** n if n >= 0 else _d ** -n
-    groups = {}
-    for (x1, y), co in coproduct(t).items():
-        groups.setdefault(y, {})[x1] = co
-    pairs = [(antipode(AlgebraElement._wrap(groups[y])), AlgebraElement._wrap({y: ONE}))
+    groups = coproduct(t).by_leg(1)
+    pairs = [(antipode(groups[y]), AlgebraElement._wrap({y: ONE}))
              for y in sorted(groups, reverse=True)]
     return check_partition(n, pairs)
 
@@ -102,6 +100,23 @@ def basic_pairs(h: Form, n: int):
     return pairs
 
 
+@lru_cache(maxsize=None)
+def _frame_weights(w):
+    """The weights x_r / kappa_r of extract_coeffs on the word w (e+ or e-):
+    (x_r, y_r) runs over the charge -(charge w) partition in frame order,
+    and kappa_r y_r is the e^w coefficient of d(b_r)."""
+    weights = []
+    for (x, y), g in zip(partition_of_unity(-w.charge()), (bm, b0, bp), strict=True):
+        ((m, _),) = y.terms.items()
+        coeff = d(g).terms.get(w, AlgebraElement.zero())
+        kappa = coeff.terms.get(m)
+        if kappa is None or coeff != y.scale(kappa):
+            raise ArithmeticError("partition leg %r is not the e%s coefficient of d(%r)"
+                                  % (y, w[0], g))
+        weights.append(x.scale(ONE / kappa))
+    return tuple(weights)
+
+
 def extract_coeffs(h: Form):
     """Canonical sphere-valued coefficients (f_-, f_0, f_+) of a sphere one-form.
 
@@ -111,19 +126,12 @@ def extract_coeffs(h: Form):
     f_- db_- + f_0 db_0 + f_+ db_+ = h.
     """
     check_sphere_form(h)
-    fm = f0 = fp = AlgebraElement.zero()
+    fs = (AlgebraElement.zero(),) * 3
     for w, x in h.terms.items():
-        if w == EP:
-            fm = fm + (x * (_c * _c)).scale(_q(-2))
-            f0 = f0 + (x * (_a * _c)).scale(-(_q(-1) * two_q))
-            fp = fp + x * (_a * _a)
-        elif w == EM:
-            fm = fm + x * (_d * _d)
-            f0 = f0 + (x * (_d * _b)).scale(-two_q)
-            fp = fp + (x * (_b * _b)).scale(_q(2))
-        else:
+        if w not in (EP, EM):
             raise ValueError("form has a component outside e+ and e-")
-    return fm, f0, fp
+        fs = tuple(f + x * wt for f, wt in zip(fs, _frame_weights(w)))
+    return fs
 
 
 def bwb_check(n: int):

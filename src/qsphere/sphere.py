@@ -237,9 +237,8 @@ def coaction_matrix():
     """Left-coaction matrix M on the frame (db-, db0, db+), read off the coproduct:
     M_ij sums the left legs of Delta(b_i) whose right leg is b_j (d kills the rest)."""
     frame = [next(iter(g.terms)) for g in GENS.values()]  # the monomials ab, bc, cd
-    deltas = [coproduct(g).items() for g in GENS.values()]
-    return [[AlgebraElement._wrap({x: co for (x, y), co in dg if y == m}) for m in frame]
-            for dg in deltas]
+    rows = [coproduct(g).by_leg(1) for g in GENS.values()]
+    return [[row.get(m, AlgebraElement.zero()) for m in frame] for row in rows]
 
 
 def metric_matrix():
@@ -547,12 +546,8 @@ def wedge_tables_check():
 def spin_multiplet(ell: int):
     """The 2*ell+1 sphere elements obtained by bucketing the coproduct of
     b+^ell over its first-leg monomials (highest-weight matrix elements)."""
-    x = bp ** ell
-    buckets = {}
-    for (m1, m2), co in coproduct(x).items():
-        acc = buckets.setdefault(m1, AlgebraElement.zero())
-        buckets[m1] = acc + AlgebraElement({m2: co})
-    out = [buckets[m] for m in sorted(buckets, key=lambda m: -m.k)]
+    buckets = coproduct(bp ** ell).by_leg(0)
+    out = [buckets[m] for m in sorted(buckets, key=lambda m: -m[2])]
     if len(out) != 2 * ell + 1:
         raise ArithmeticError("spin-%d multiplet has %d members" % (ell, len(out)))
     if any(m.degree() for v in out for m in v.terms):

@@ -3,7 +3,9 @@
 The scan walks the source of every module in src/qsphere.  Each
 top-level function and class, each public top-level assignment and each
 method other than a dunder must be referenced somewhere in the library
-outside its own definition: by name, or as an attribute.  A name kept
+outside its own definition: a top-level name by name or as an attribute,
+a method or property only as an attribute (x.name), so that a local
+variable of the same name does not count as its caller.  A name kept
 without such a caller is listed in KEPT, with its reason.
 """
 
@@ -32,42 +34,37 @@ def _dunder(name):
 
 
 def _definitions(module, tree):
-    """(qualified name, bare name, defining node) of everything the scan covers."""
+    """(qualified name, bare name, defining node, is a method) of everything
+    the scan covers."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _dunder(node.name):
-            yield f"{module}.{node.name}", node.name, node
+            yield f"{module}.{node.name}", node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
-                    yield f"{module}.{node.name}.{item.name}", item.name, item
+                    yield f"{module}.{node.name}.{item.name}", item.name, item, True
         targets = node.targets if isinstance(node, ast.Assign) else (
             [node.target] if isinstance(node, ast.AnnAssign) else [])
         for target in targets:
             for name in ast.walk(target):
                 if isinstance(name, ast.Name) and not name.id.startswith("_"):
-                    yield f"{module}.{name.id}", name.id, node
-
-
-def _referenced_name(node):
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        return node.id
-    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        return node.attr
-    return None
+                    yield f"{module}.{name.id}", name.id, node, False
 
 
 def _uncalled(trees):
     """The qualified and bare names of the definitions no code outside them reads."""
-    uses = {}  # bare name -> the reference nodes, in the whole library
+    loads, reads = {}, {}  # bare name -> its Name loads / its attribute reads, library-wide
     for tree in trees.values():
         for node in ast.walk(tree):
-            name = _referenced_name(node)
-            if name is not None:
-                uses.setdefault(name, set()).add(node)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.id, set()).add(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add(node)
     out = {}  # qualified name -> bare name
     for module, tree in trees.items():
-        for qualname, name, node in _definitions(module, tree):
-            if not uses.get(name, set()) - set(ast.walk(node)):
+        for qualname, name, node, method in _definitions(module, tree):
+            uses = reads.get(name, set()) | (set() if method else loads.get(name, set()))
+            if not uses - set(ast.walk(node)):
                 out[qualname] = name
     return out
 
@@ -82,14 +79,17 @@ def test_every_name_has_a_caller_in_the_library():
 
 def test_the_scan_sees_dead_code():
     tree = ast.parse(
-        "def used():\n    return 1\n\n"
+        "def used(l):\n    return l\n\n"
         "def dead():\n    return dead()\n\n"
-        "class K:\n    def m(self):\n        return used()\n\n"
+        "class K:\n    def m(self):\n        return used(1)\n\n"
+        "    @property\n    def l(self):\n        return 0\n\n"
         "    def __len__(self):\n        return 0\n\n"
         "CONST = K()\n_private = 1\n"
     )
-    # dead() calls only itself, and nothing reads m or CONST
-    assert _uncalled({"mod": tree}) == {"mod.dead": "dead", "mod.K.m": "m", "mod.CONST": "CONST"}
+    # dead() calls only itself, nothing reads m or CONST, and the load of the
+    # local variable l in used() is not a read of the property K.l
+    assert _uncalled({"mod": tree}) == {
+        "mod.dead": "dead", "mod.K.m": "m", "mod.K.l": "l", "mod.CONST": "CONST"}
 
 
 def test_memo_table_scan_finds_every_table():

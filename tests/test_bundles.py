@@ -149,9 +149,9 @@ def test_partitions():
 
 
 def test_extract_coeffs_weights_are_the_partitions():
-    # the weights extract_coeffs types are the x_r of the charge -+2
-    # partitions, taken in frame order (db-, db0, db+) and rescaled so that
-    # x_r y_r = weight_r times the e+- coefficient of db_r
+    # the weights of extract_coeffs are the x_r of the charge -+2 partitions,
+    # taken in frame order (db-, db0, db+) and rescaled so that x_r y_r =
+    # weight_r times the e+- coefficient of db_r, typed here in DEL_B/DELBAR_B
     rng = random.Random(25)
     for word, n, legs in ((EP, -2, DEL_B), (EM, 2, DELBAR_B)):
         weights = []
@@ -161,6 +161,21 @@ def test_extract_coeffs_weights_are_the_partitions():
             weights.append(x.scale(ONE / kappa))
         for h in (legs["-"], rnd_section(rng, n)):
             assert extract_coeffs(Form({word: h})) == tuple(h * w for w in weights)
+
+
+def test_extract_coeffs_reads_the_partitions(monkeypatch, fresh_tables):
+    # a bent antipode bends the partitions, and extract_coeffs must see it
+    real = bundles.antipode
+    monkeypatch.setattr(bundles, "antipode", lambda x: real(x).scale(2))
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        extract_coeffs(Form({EP: b * b}))
+
+
+def test_extract_coeffs_refuses_a_partition_out_of_frame_order(monkeypatch, fresh_tables):
+    real = bundles.partition_of_unity
+    monkeypatch.setattr(bundles, "partition_of_unity", lambda n: real(n)[::-1])
+    with pytest.raises(ArithmeticError, match="is not the e- coefficient of d"):
+        extract_coeffs(Form({EM: a * a}))
 
 
 def test_extract_coeffs_examples():

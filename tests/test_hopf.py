@@ -122,6 +122,20 @@ def test_coproduct_is_homomorphism():
         assert coproduct(x * y) == coproduct(x) * coproduct(y)
 
 
+def test_by_leg_slices_rebuild_the_coproduct():
+    rng = random.Random(23)
+    for _ in range(50):
+        x = normalize(tuple(rng.choice("abcd") for _ in range(rng.randint(1, 6))))
+        delta = coproduct(x)
+        for leg in (0, 1):
+            total = TensorSquare.zero()
+            for m, y in delta.by_leg(leg).items():
+                assert isinstance(y, AlgebraElement) and y
+                mono = AlgebraElement({m: ONE})
+                total = total + (TensorSquare.of(mono, y) if leg == 0 else TensorSquare.of(y, mono))
+            assert total == delta
+
+
 def test_hopf_axioms():
     assert verify_hopf_axioms(sample_size=100, seed=42)
 
@@ -166,7 +180,7 @@ def test_pbw_validity_of_products():
         w = tuple(rng.choice("abcd") for _ in range(rng.randint(1, 6)))
         x = normalize(w)
         for m in x.terms:
-            assert m.i * m.l == 0
+            assert m[0] * m[3] == 0
 
 
 def test_mono_mul_crossing():
