@@ -313,6 +313,12 @@ class TensorForm(Combination):
 
     __rmul__ = _left_multiply
 
+    def __mul__(self, other):
+        """Right multiplication by a scalar, which is central."""
+        if isinstance(other, (int, Scalar)):
+            return self.scale(other)
+        return NotImplemented
+
     def is_basic(self):
         """Total charge zero in every term: such tensors descend."""
         for (w, labels), x in self.terms.items():

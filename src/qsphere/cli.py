@@ -333,11 +333,12 @@ def _fn_nabla(v):
 
 
 def _fn_dirac(v):
-    from .spin import Spinor, dirac
+    from .spin import dirac
     x = _as_element(v, "dirac")
-    if any(m.degree() not in (1, -1) for m in x.terms):
-        raise EvalError("dirac() needs components of charge +1 and -1 only")
-    return AlgebraElement._wrap(dirac(Spinor._wrap(x.terms)).terms)
+    try:
+        return dirac(x)
+    except ValueError:
+        raise EvalError("dirac() needs components of charge +1 and -1 only") from None
 
 
 def _fn_lap(v):
@@ -558,6 +559,8 @@ def _main(argv):
 
     if (args.expr is None) == (args.suite is None):
         parser.error("give exactly one of an expression or --suite")
+    if args.expr is not None and args.json_path is not None:
+        parser.error("--json writes a suite report, not an expression's value")
     if args.max_n < 0:
         parser.error("--max-n must not be negative")
     if args.sample is not None and args.sample < 1:

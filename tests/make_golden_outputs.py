@@ -37,6 +37,8 @@ HAND_WRITTEN = (
     # first uses of the calculus on the paths that load it late
     "a*ep", "e0^2", "ep^0", "ep^-1", "lap(d(a))", "S(e0)", "nabla(0)",
     "d(nabla(d(b0)))", "star(nabla(d(b0)))", "nabla(d(b0))+1", "nabla(d(b0))+0",
+    # a tensor scales by a scalar on either side, but not by an element on the right
+    "nabla(d(b0))*2", "nabla(d(b0))*a",
 )
 
 PBW_PRODUCTS = ("d^5*a^7", "a^4*d^3", "b^2*c*a^3*d^2", "S(d^4*a^6)", "d^12*a^12")

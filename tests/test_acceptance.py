@@ -68,7 +68,6 @@ from qsphere.sphere import (
     wedge_tables_check,
 )
 from qsphere.spin import (
-    Spinor,
     dirac,
     dirac_commutator_check,
     dirac_first_order_check,
@@ -215,10 +214,10 @@ def test_riemann_and_ricci():
 
 
 def test_dirac_operator_identities():
-    assert dirac(Spinor(minus_part=a)) == Spinor(plus_part=b)
-    assert dirac(Spinor(minus_part=c)) == Spinor(plus_part=gd)
-    assert dirac(Spinor(plus_part=b)) == Spinor(minus_part=a.scale(q(1)))
-    assert dirac(Spinor(plus_part=gd)) == Spinor(minus_part=c.scale(q(1)))
+    assert dirac(a) == b
+    assert dirac(c) == gd
+    assert dirac(b) == a.scale(q(1))
+    assert dirac(gd) == c.scale(q(1))
     # composition table, anticommutators, and the diag(q^2, 1) square
     assert gamma_algebra_check() == []
     # the twelve first-order and twelve squared table entries
@@ -228,7 +227,7 @@ def test_dirac_operator_identities():
     for sign in (1, -1):
         ev = Scalar.s_power(1) * sign
         for m0, p0 in ((a, b), (c, gd)):
-            sig = Spinor(minus_part=m0.scale(ev), plus_part=p0)
+            sig = m0.scale(ev) + p0
             assert dirac(sig) == sig.scale(ev)
         assert ev.specialize(Fraction(1)) == sign
     assert dirac_commutator_check(sample_size=50, seed=7) == []

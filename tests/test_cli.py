@@ -25,7 +25,7 @@ from qsphere.cli import (
 )
 from qsphere.scalars import ONE, Scalar, two_q
 from qsphere.sphere import b0, bm, bp, one
-from qsphere.spin import GENERATOR_SPINORS, Spinor
+from qsphere.spin import GENERATOR_SPINORS, dirac, spinor_parts
 
 q = Scalar.q_power
 GENS = (a, b, c, gd)
@@ -62,7 +62,7 @@ SPINOR_COEFFS = (Scalar.from_int(-2), q(3), Scalar.s_power(-1), Scalar.s_power(3
 
 
 def random_spinor(rng):
-    out = Spinor()
+    out = AlgebraElement.zero()
     for _ in range(rng.randrange(1, 4)):
         f = one
         for _ in range(rng.randrange(3)):
@@ -116,7 +116,8 @@ def test_syntax_error_positions():
 
 def test_eval_type_errors():
     for bad in ("dirac(b0)", "lap(a)", "del(a)", "star(e0)", "nabla(b0)",
-                "b0^-1", "ep + nabla(d(b0))", "dirac(a*a)"):
+                "b0^-1", "ep + nabla(d(b0))", "dirac(a*a)", "dirac(a+1)",
+                "nabla(d(b0))*a"):
         with pytest.raises(EvalError):
             evaluate_text(bad)
 
@@ -181,18 +182,17 @@ def random_tensor_form(rng):
 
 
 def test_spinor_repr_reparses():
-    # the text dirac() takes: one element, split back into S- and S+ by degree
+    # the text dirac() takes: one element, whose degrees +1 and -1 name S- and S+
     rng = random.Random(15)
-    spinors = [Spinor()]
+    spinors = [AlgebraElement.zero()]
     for _ in range(40):
         parts = degree_split(random_element(rng))
-        spinors.append(Spinor(parts.get(1), parts.get(-1)))
-    assert any(s.minus_part and s.plus_part for s in spinors)
+        spinors.append(sum((parts[n] for n in (1, -1) if n in parts), AlgebraElement.zero()))
+    assert any(all(spinor_parts(s)) for s in spinors)
     for sigma in spinors:
-        parts = degree_split(_lift(evaluate_text(repr(sigma)), 1))
-        assert set(parts) <= {1, -1}
-        assert Spinor(parts.get(1), parts.get(-1)) == sigma
-    assert repr(Spinor()) == "0"
+        assert _lift(evaluate_text(repr(sigma)), 1) == sigma
+        assert _lift(evaluate_text("dirac(%r)" % sigma), 1) == dirac(sigma)
+    assert repr(AlgebraElement.zero()) == "0"
 
 
 def test_combination_group_laws():
@@ -390,6 +390,23 @@ def test_unwritable_json_path_is_a_usage_error(capsys, tmp_path, kind):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert str(path) in lines[0]
+
+
+def test_json_with_an_expression_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        main(["a", "--json", str(path)])
+    assert err.value.code == 2
+    assert not path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("qsphere: error: --json ")
+
+
+def test_tensor_scales_on_either_side():
+    for co in ("2", "q", "(1+q)", "0"):
+        left = evaluate_text("%s*nabla(d(b0))" % co)
+        assert evaluate_text("nabla(d(b0))*%s" % co) == left
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")

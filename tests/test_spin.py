@@ -6,7 +6,7 @@ import pytest
 from qsphere import spin
 from qsphere.algebra import a, b, c, d
 from qsphere.bundles import basic_pairs, covariant_D, partition_of_unity
-from qsphere.calculus import Form, d as dd
+from qsphere.calculus import EP, Form, d as dd
 from qsphere.riemann import nabla
 from qsphere.scalars import ONE, Scalar, qint, two_q
 from qsphere.sphere import DB, DEL, F0, _matmul, b0, bm, bp, del_split, one
@@ -16,7 +16,6 @@ from qsphere.spin import (
     LAMBDA,
     LAMBDA_INV,
     SpinorRow,
-    Spinor,
     canonical_coefficients,
     dirac,
     dirac_commutator_check,
@@ -26,6 +25,7 @@ from qsphere.spin import (
     gamma_algebra_check,
     gamma_gamma,
     projector_e,
+    spinor_parts,
     transported_dirac,
     trivialisation_checks,
 )
@@ -39,16 +39,16 @@ COEFFS = (Scalar.from_int(-2), q(3), LAMBDA, LAMBDA_INV * q(1), ONE / (ONE + q(-
 
 def reference_dirac(sigma):
     """The whole-element formula that the dirac table applies per monomial."""
-    out = Spinor()
-    for part, n in ((sigma.minus_part, 1), (sigma.plus_part, -1)):
+    out = one.zero()
+    for part, n in zip(spinor_parts(sigma), (1, -1)):
         D = dd(part) - Form.of(part.scale(qint(n, q(2))), "0")
         for omega, y in basic_pairs(D, n):
-            out = out + gamma(omega, Spinor(minus_part=y) if n == 1 else Spinor(plus_part=y))
+            out = out + gamma(omega, y)
     return out
 
 
 def rnd_spinor(rng):
-    out = Spinor()
+    out = one.zero()
     for _ in range(4):
         f = random_sphere_element(rng)
         out = out + (f * rng.choice(GENERATOR_SPINORS)).scale(rng.choice(COEFFS))
@@ -75,20 +75,23 @@ def test_check_functions_all_pass():
 
 
 def test_spinor_types_validate():
+    # a spinor is an element whose monomials have degree +1 (S-) or -1 (S+)
+    assert spinor_parts(a + q(1) * d) == (a, q(1) * d)
+    assert spinor_parts(one.zero()) == (0, 0)
+    for bad in (one, a * a, a + one):
+        with pytest.raises(ValueError):
+            spinor_parts(bad)
+        with pytest.raises(ValueError):
+            dirac(bad)
+        with pytest.raises(ValueError):
+            gamma(DB["+"], bad)
+        with pytest.raises(ValueError):
+            SpinorRow.from_spinor(bad)
+    # the coefficient of e+ must have degree -2 whatever the spinor
     with pytest.raises(ValueError):
-        Spinor(minus_part=b)
-    with pytest.raises(ValueError):
-        Spinor(plus_part=a)
-    with pytest.raises(ValueError):
-        Spinor(minus_part=one)
+        gamma(Form.of(a, EP), a)
     with pytest.raises(ValueError):
         SpinorRow(a, one)
-    # a left factor acts on each part: a^2 * b has degree +1, an S- term,
-    # but it would have come out of S+, so a factor of nonzero degree raises
-    with pytest.raises(ValueError):
-        a * Spinor(minus_part=a)
-    with pytest.raises(ValueError):
-        (a * a) * Spinor(plus_part=b)
     row = SpinorRow(bp, b0 * b0)
     sig = row.to_spinor()
     back = SpinorRow.from_spinor(sig)
@@ -97,15 +100,13 @@ def test_spinor_types_validate():
         gamma(Form.of(one, "0"), GENERATOR_SPINORS[0])
     with pytest.raises(ValueError):
         gamma(Form.of(b0), GENERATOR_SPINORS[0])
-    assert Spinor() == 0
-    assert Spinor(minus_part=a) != 0
 
 
 def test_dirac_on_generators():
-    assert dirac(Spinor(minus_part=a)) == Spinor(plus_part=b)
-    assert dirac(Spinor(minus_part=c)) == Spinor(plus_part=d)
-    assert dirac(Spinor(plus_part=b)) == Spinor(minus_part=q(1) * a)
-    assert dirac(Spinor(plus_part=d)) == Spinor(minus_part=q(1) * c)
+    assert dirac(a) == b
+    assert dirac(c) == d
+    assert dirac(b) == q(1) * a
+    assert dirac(d) == q(1) * c
     # the monopole derivative pieces behind the first two values
     Da = covariant_D(a)
     Dc = covariant_D(c)
@@ -119,7 +120,7 @@ def test_dirac_eigen_spinors():
     for sign in (1, -1):
         ev = LAMBDA_INV * sign
         for m0, p0 in ((a, b), (c, d)):
-            sig = Spinor(minus_part=m0.scale(ev), plus_part=p0)
+            sig = m0.scale(ev) + p0
             assert dirac(sig) == sig.scale(ev)
         assert ev.specialize(Fraction(1)) == sign
 
@@ -128,10 +129,10 @@ def test_z2_grading():
     rng = random.Random(61)
     for _ in range(8):
         f = random_sphere_element(rng)
-        minus = dirac(f * Spinor(minus_part=rng.choice([a, c])))
-        assert not minus.minus_part and minus.plus_part
-        plus = dirac(f * Spinor(plus_part=rng.choice([b, d])))
-        assert not plus.plus_part and plus.minus_part
+        minus, plus = spinor_parts(dirac(f * rng.choice([a, c])))
+        assert not minus and plus
+        minus, plus = spinor_parts(dirac(f * rng.choice([b, d])))
+        assert not plus and minus
 
 
 def test_dirac_leibniz():
@@ -159,27 +160,25 @@ def test_dirac_general_square():
         fm, f0, fp = canonical_coefficients(f)
         fib = fm * bm + f0 * b0 + fp * bp
         holo = del_split(f)[0]
-        got_a = dirac(dirac(Spinor(minus_part=f * a)))
-        want_a = Spinor(
-            minus_part=q(1) * (f * a) + q(-1) * (fib * a) - q(-1) * (fp * c)
-        ) + gamma_gamma(nabla(holo), Spinor(minus_part=a))
+        got_a = dirac(dirac(f * a))
+        want_a = (q(1) * (f * a) + q(-1) * (fib * a) - q(-1) * (fp * c)
+                  + gamma_gamma(nabla(holo), a))
         assert got_a == want_a
-        got_c = dirac(dirac(Spinor(minus_part=f * c)))
-        want_c = Spinor(
-            minus_part=q(1) * (f * c) + q(-1) * (fib * c) + fm * a + f0 * c
-        ) + gamma_gamma(nabla(holo), Spinor(minus_part=c))
+        got_c = dirac(dirac(f * c))
+        want_c = (q(1) * (f * c) + q(-1) * (fib * c) + fm * a + f0 * c
+                  + gamma_gamma(nabla(holo), c))
         assert got_c == want_c
 
 
 def test_dirac_of_gamma_del():
     for i in "-0+":
         for sigma in (a, c):
-            start = gamma(DEL[i], Spinor(minus_part=sigma))
-            assert not start.minus_part
+            start = gamma(DEL[i], sigma)
+            assert not spinor_parts(start)[0]
             want = (q(2) * two_q) * ({"-": bm, "0": b0, "+": bp}[i] * sigma)
             if i == "0":
                 want = want + q(2) * sigma
-            assert dirac(start) == Spinor(minus_part=want)
+            assert dirac(start) == want
 
 
 def test_row_spinor_roundtrip():
@@ -196,9 +195,9 @@ def test_row_spinor_roundtrip():
         sig = f * rng.choice(GENERATOR_SPINORS)
         assert SpinorRow.from_spinor(sig).to_spinor() == sig
         # chirality summands land in the matching idempotent summand
-        minus_row = SpinorRow.from_spinor(Spinor(minus_part=f * rng.choice([a, c])))
+        minus_row = SpinorRow.from_spinor(f * rng.choice([a, c]))
         assert not any(_matmul([minus_row], e)[0])
-        plus_row = SpinorRow.from_spinor(Spinor(plus_part=f * rng.choice([b, d])))
+        plus_row = SpinorRow.from_spinor(f * rng.choice([b, d]))
         assert not any(_matmul([plus_row], one_minus_e)[0])
 
 
@@ -239,3 +238,14 @@ def test_trivialisation_fault_is_reported(monkeypatch):
     monkeypatch.setattr(spin, "projector_e", skewed)
     names = [name for name, _ in trivialisation_checks()]
     assert "triv-idem-00" in names
+
+
+def test_trivialisation_honours_seed_and_sample(monkeypatch):
+    from qsphere.cli import run_suite
+
+    calls = []
+    monkeypatch.setattr(spin, "trivialisation_checks", lambda **kw: calls.append(kw) or [])
+    run_suite("dirac")
+    run_suite("dirac", seed=5, sample=3)
+    assert calls == [{"sample_size": 10, "seed": 7}, {"sample_size": 3, "seed": 12}]
+    assert trivialisation_checks(sample_size=3, seed=12) == []
