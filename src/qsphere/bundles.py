@@ -18,7 +18,9 @@ one to split a charged form into basic form (x) section pairs (the legs
 of the Levi-Civita tensors, the spinor tails of the Dirac operator);
 such expansions are not unique, so each partition is built once, in a
 fixed order.  extract_coeffs reads its weights off the charge -+2
-partitions too: the x_r, rescaled to the e+- parts of the db_i.
+partitions too: the x_r, rescaled to the e+- parts of the db_i.  Each
+partition's matrix (y_r x_s) is an idempotent, projector(n); the two
+spinor idempotents e and 1 - e are projector(-1) and projector(1).
 """
 
 from __future__ import annotations
@@ -79,6 +81,13 @@ def check_partition(n: int, pairs):
     if total != AlgebraElement.one():
         raise ValueError("partition does not sum to 1")
     return tuple(pairs)
+
+
+def projector(n: int):
+    """The charge-n idempotent (y_r x_s) over partition_of_unity(n), as row
+    tuples; it squares to itself because sum x_s y_s = 1."""
+    part = partition_of_unity(n)
+    return tuple(tuple(y * x for x, _ in part) for _, y in part)
 
 
 def basic_pairs(h: Form, n: int):

@@ -546,22 +546,28 @@ def _main(argv):
     parser.add_argument("expr", nargs="?", help="expression to evaluate and print")
     # set after add_argument, which would iterate the choices to check the metavar
     parser.add_argument("--suite", help="check suite to run").choices = _SuiteChoices()
-    parser.add_argument("--max-n", type=int, default=6, dest="max_n",
+    # suite-only options default to None, so that one given with an expression shows
+    parser.add_argument("--max-n", type=int, default=None, dest="max_n",
                         help="bound for the graded families (default 6)")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed for samples")
+    parser.add_argument("--seed", type=int, default=None, help="RNG seed for samples")
     parser.add_argument("--sample", type=int, default=None,
                         help="override the per-check sample sizes")
     parser.add_argument("--json", dest="json_path", default=None, metavar="PATH",
                         help="also write the report as JSON")
-    parser.add_argument("--quiet", action="store_true",
+    parser.add_argument("--quiet", action="store_const", const=True, default=None,
                         help="print only failures and the summary")
     args = parser.parse_args(argv)
 
     if (args.expr is None) == (args.suite is None):
         parser.error("give exactly one of an expression or --suite")
-    if args.expr is not None and args.json_path is not None:
-        parser.error("--json writes a suite report, not an expression's value")
-    if args.max_n < 0:
+    if args.expr is not None:
+        if args.json_path is not None:
+            parser.error("--json writes a suite report, not an expression's value")
+        for flag in ("max_n", "seed", "sample", "quiet"):
+            if getattr(args, flag) is not None:
+                parser.error("--%s applies to a suite run, not to an expression"
+                             % flag.replace("_", "-"))
+    if args.max_n is not None and args.max_n < 0:
         parser.error("--max-n must not be negative")
     if args.sample is not None and args.sample < 1:
         parser.error("--sample must be positive")
@@ -596,9 +602,9 @@ def _main(argv):
             return 2
     report = run_suite(
         args.suite,
-        seed=args.seed,
+        seed=0 if args.seed is None else args.seed,
         sample=args.sample,
-        max_n=args.max_n,
+        max_n=6 if args.max_n is None else args.max_n,
     )
     sys.stdout.write(format_report(report, quiet=args.quiet))
     if json_file is not None:

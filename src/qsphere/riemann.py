@@ -38,6 +38,8 @@ from .sphere import (
     F0,
     G_PRESENTATION,
     _matmul,
+    _matrix_items,
+    _matsub,
     _random_sphere_word,
     _scale_by_last_leg,
     bm,
@@ -144,11 +146,8 @@ def projector_checks():
         ("rowdb", _matmul(row, dbcol)[0][0]),
     ]
 
-    MM, Mdb = _matmul(M, M), _matmul(M, dbcol)
-    for i in range(3):
-        for j in range(3):
-            items.append((f"EE-{i}{j}", MM[i][j] - M[i][j]))
-        items.append((f"Edb-{i}", Mdb[i][0]))
+    items += _matrix_items("EE", _matsub(_matmul(M, M), M))
+    items += _matrix_items("Edb", _matmul(M, dbcol))
 
     # -E dE reproduces the connection on the generators' differentials
     for j in range(3):

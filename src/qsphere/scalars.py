@@ -405,6 +405,10 @@ class Scalar:
         )
 
     def __hash__(self):
+        # an integer value hashes as its int, since it compares equal to it
+        p = self._p
+        if p is not None and len(p) < 2 and not self._e and self._c == 1:
+            return hash(p[0] if p else 0)
         return hash((self.num, self.den))
 
     def __add__(self, other):

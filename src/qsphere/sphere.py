@@ -27,7 +27,7 @@ from operator import add
 
 from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d
-from .algebra import b0, bm, bp, coproduct, one
+from .algebra import b0, bm, bp, coproduct, one, require_degree
 from .calculus import (
     E0,
     EM,
@@ -57,6 +57,7 @@ def chiral_split(tau: Form):
 
 def del_split(f):
     """(del f, delbar f): the e+ and e- parts of df for a sphere function."""
+    require_degree(f, 0, "del_split() needs a sphere element")
     df = d(f)
     if E0 in df.terms:
         raise RuntimeError("df acquired an e0 part on a degree-0 element")
@@ -226,6 +227,13 @@ def _matmul(X, Y):
         [reduce(add, (X[i][k] * Y[k][j] for k in range(len(Y)))) for j in range(len(Y[0]))]
         for i in range(len(X))
     ]
+
+
+def _matrix_items(name, X):
+    """The check items (name-ij, X[i][j]) of a matrix, or (name-i, X[i][0]) of a column."""
+    for i, row in enumerate(X):
+        for j, x in enumerate(row):
+            yield (f"{name}-{i}{j}" if len(row) > 1 else f"{name}-{i}"), x
 
 
 def _matsub(X, Y):
@@ -416,6 +424,7 @@ def laplacian(f) -> AlgebraElement:
     """The scalar Laplacian, newly built from the per-monomial table."""
     if not isinstance(f, AlgebraElement):
         raise TypeError("laplacian() needs a sphere element")
+    require_degree(f, 0, "laplacian() needs a sphere element")
     return AlgebraElement.extend(_lap_mono, f.terms.items())
 
 

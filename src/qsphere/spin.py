@@ -14,13 +14,15 @@ eigen-spinors with eigenvalues +-q^(1/2), and its square is the scalar
 Laplacian plus a curvature correction on each spin-1 multiplet.
 
 Both spinor bundles are trivial.  The 2x2 idempotent (y_r x_s) over the
-charge -1 partition of unity (1-e is the same construction at charge +1)
+charge -1 partition of unity, e = bundles.projector(-1) (1 - e is
+projector(1), the same construction at charge +1; a check ties the two)
 
     e = [[-q^-1 b0, q b-], [-b+, 1 + q b0]]
 
 splits the free rank-2 module into S+ (the image of e) and S- (the
-image of 1-e), and transporting the Dirac operator through
-(f, g) |-> f(a + L b) + g(c + L d) with L = q^(-1/2) turns it into an
+image of 1-e).  A row is a plain pair (f, g) of sphere elements, and
+transporting the Dirac operator through row_to_spinor,
+(f, g) |-> f(a + L b) + g(c + L d) with L = q^(-1/2), turns it into an
 explicit matrix of right-acting difference operators.  The coefficient
 triple of df used there is not unique; the canonical extraction from
 the charge +-2 partitions of unity is used throughout, and the total
@@ -34,7 +36,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraElement, Check, Monomial, _run_items, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d, require_degree
-from .bundles import basic_pairs, covariant_D, extract_coeffs, partition_of_unity
+from .bundles import basic_pairs, covariant_D, extract_coeffs, projector
 from .calculus import _GENERATORS, EM, EP, TensorForm, check_sphere_form, d
 from .riemann import decompose_legs
 from .scalars import ONE, Scalar, two_q
@@ -45,6 +47,7 @@ from .sphere import (
     F0,
     GENS,
     _matmul,
+    _matrix_items,
     _matsub,
     _random_sphere_word,
     b0,
@@ -234,44 +237,21 @@ def dirac_commutator_check(sample_size=50, seed=7):
 # the trivialisation
 
 
-class SpinorRow(tuple):
-    """A spinor in the trivialised picture: a row 2-vector (f, g) over the sphere."""
-
-    __slots__ = ()
-
-    def __new__(cls, f: AlgebraElement, g: AlgebraElement):
-        for x in (f, g):
-            require_degree(x, 0, "row entries must be sphere elements")
-        return tuple.__new__(cls, (f, g))
-
-    @property
-    def f(self):
-        return self[0]
-
-    @property
-    def g(self):
-        return self[1]
-
-    def to_spinor(self) -> AlgebraElement:
-        """Pair the row with the column (a + L b, c + L d)."""
-        return self.f * _a + self.g * _c + (self.f * _b + self.g * _d).scale(LAMBDA)
-
-    @staticmethod
-    def from_spinor(sigma: AlgebraElement) -> "SpinorRow":
-        m, p = spinor_parts(sigma)
-        return SpinorRow(
-            m * _d - (p * _c).scale(LAMBDA_INV * _q(-1)),
-            -((m * _b).scale(_q(1))) + (p * _a).scale(LAMBDA_INV),
-        )
+def row_to_spinor(row) -> AlgebraElement:
+    """The spinor f(a + L b) + g(c + L d) of a row (f, g) over the sphere."""
+    for x in row:
+        require_degree(x, 0, "row entries must be sphere elements")
+    f, g = row
+    return f * _a + g * _c + (f * _b + g * _d).scale(LAMBDA)
 
 
-def projector_e():
-    """(y_r x_s) over the charge -1 partition: the image is S+, the kernel S-."""
-    part = partition_of_unity(-1)
-    return tuple(tuple(y * x for x, _ in part) for _, y in part)
-
-
-_ID2 = ((one, _zero), (_zero, one))
+def spinor_to_row(sigma: AlgebraElement):
+    """The row (f, g) of a spinor, inverse to row_to_spinor."""
+    m, p = spinor_parts(sigma)
+    return (
+        m * _d - (p * _c).scale(LAMBDA_INV * _q(-1)),
+        -((m * _b).scale(_q(1))) + (p * _a).scale(LAMBDA_INV),
+    )
 
 
 def canonical_coefficients(f):
@@ -284,13 +264,13 @@ def canonical_coefficients(f):
     return extract_coeffs(d(f))
 
 
-def transported_dirac(row: SpinorRow, coeffs=canonical_coefficients) -> SpinorRow:
-    """The Dirac operator on row 2-vectors in the trivialisation.
+def transported_dirac(row, coeffs=canonical_coefficients):
+    """The Dirac operator on rows (f, g) in the trivialisation, as a row.
 
     Matrices multiply from the right; the coefficient extraction plays
     the part of the right-acting derivative entries.
     """
-    e = projector_e()
+    e, f1 = projector(-1), projector(1)
     f, g = row
     fm, f0, fp = coeffs(f)
     gm, g0, gp = coeffs(g)
@@ -303,72 +283,56 @@ def transported_dirac(row: SpinorRow, coeffs=canonical_coefficients) -> SpinorRo
         out[j] = out[j] + (u[j] + ue[j].scale(_q(4) - 1)).scale(LAMBDA * _q(-1))
 
     (third,) = _matmul([(f0 - gm, fp.scale(_q(-1)))], e)
-    (fourth,) = _matmul([(-gm, fp.scale(_q(-1)) - g0)], _matsub(_ID2, e))
+    (fourth,) = _matmul([(-gm, fp.scale(_q(-1)) - g0)], f1)
     for j in range(2):
         out[j] = out[j] + third[j].scale(LAMBDA * _q(2)) - fourth[j].scale(LAMBDA)
 
-    return SpinorRow(out[0], out[1])
+    return out[0], out[1]
 
 
 def trivialisation_checks(sample_size=10, seed=7):
     """Everything the trivialisation promises, itemized.
 
-    Covers the idempotent and its kernels, the chiral derivatives of e,
-    the covariant derivative in projector form, and agreement of the
-    transported Dirac operator with the upstairs one through the
-    isomorphism, on the two unit rows and sample_size seeded random ones.
+    Covers the two idempotents, their sum and their kernels, the chiral
+    derivatives of e, the covariant derivative in projector form, and
+    agreement of the transported Dirac operator with the upstairs one
+    through the isomorphism, on the two unit rows and sample_size seeded
+    random ones.
     """
-    e = projector_e()
-    f1 = _matsub(_ID2, e)
-    de = tuple(tuple(d(x) for x in r) for r in e)
-    dele = tuple(tuple(del_split(x)[0] for x in r) for r in e)
-    delbare = tuple(tuple(del_split(x)[1] for x in r) for r in e)
-    items = []
-
+    e, f1 = projector(-1), projector(1)
+    de = [[d(x) for x in r] for r in e]
+    dele = [[del_split(x)[0] for x in r] for r in e]
+    delbare = [[del_split(x)[1] for x in r] for r in e]
     ac, bd = [[_a], [_c]], [[_b], [_d]]  # the columns of S- and S+ generators
-    ee = _matmul(e, e)
-    for i in range(2):
-        for j in range(2):
-            items.append((f"triv-idem-{i}{j}", ee[i][j] - e[i][j]))
+    Dac = [[covariant_D(_a)], [covariant_D(_c)]]
+    Dbd = [[covariant_D(_b)], [covariant_D(_d)]]
+    ede, dee = _matmul(e, de), _matmul(de, e)
 
-    for i, (x,) in enumerate(_matmul(e, ac)):
-        items.append((f"triv-ker-minus-{i}", x))
-    for i, (x,) in enumerate(_matmul(f1, bd)):
-        items.append((f"triv-ker-plus-{i}", x))
-
-    ede = _matmul(e, de)
-    dee = _matmul(de, e)
-    f1df1 = _matmul(f1, [[-x for x in r] for r in de])
-    for i in range(2):
-        for j in range(2):
-            items.append((f"triv-del-{i}{j}", dele[i][j] - ede[i][j]))
-            items.append((f"triv-delbar-{i}{j}", delbare[i][j] - dee[i][j]))
-            items.append((f"triv-delbar-alt-{i}{j}", delbare[i][j] + f1df1[i][j]))
-
-    Dminus = (covariant_D(_a), covariant_D(_c))
-    Dplus = (covariant_D(_b), covariant_D(_d))
-    edeac = _matmul(ede, ac)
-    deebd = _matmul(dee, bd)
-    for i in range(2):
-        items.append((f"triv-D-minus-{i}", Dminus[i] + edeac[i][0]))
-        items.append((f"triv-D-plus-{i}", Dplus[i] - deebd[i][0]))
-    for i, (x,) in enumerate(_matmul(dele, bd)):
-        items.append((f"triv-del-plus-{i}", x))
-    for i, (x,) in enumerate(_matmul(delbare, ac)):
-        items.append((f"triv-delbar-minus-{i}", x))
+    items = [
+        *_matrix_items("triv-idem", _matsub(_matmul(e, e), e)),
+        # e + f1 = 1, as e - (1 - f1) = 0
+        *_matrix_items("triv-sum", _matsub(e, _matsub(((one, _zero), (_zero, one)), f1))),
+        *_matrix_items("triv-ker-minus", _matmul(e, ac)),
+        *_matrix_items("triv-ker-plus", _matmul(f1, bd)),
+        *_matrix_items("triv-del", _matsub(dele, ede)),
+        *_matrix_items("triv-delbar", _matsub(delbare, dee)),
+        *_matrix_items("triv-delbar-alt", _matsub(delbare, _matmul(f1, de))),
+        *_matrix_items("triv-D-minus", _matsub(Dac, _matmul(ede, [[-_a], [-_c]]))),
+        *_matrix_items("triv-D-plus", _matsub(Dbd, _matmul(dee, bd))),
+        *_matrix_items("triv-del-plus", _matmul(dele, bd)),
+        *_matrix_items("triv-delbar-minus", _matmul(delbare, ac)),
+    ]
 
     rng = random.Random(seed)
-    rows = [SpinorRow(one, _zero), SpinorRow(_zero, one)] + [
-        SpinorRow(_random_sphere_word(rng), _random_sphere_word(rng))
-        for _ in range(sample_size)
+    rows = [(one, _zero), (_zero, one)] + [
+        (_random_sphere_word(rng), _random_sphere_word(rng)) for _ in range(sample_size)
     ]
     for t, row in enumerate(rows):
-        back = SpinorRow.from_spinor(dirac(row.to_spinor()))
-        got = transported_dirac(row)
-        items.append((f"triv-dirac-{t}-f", got.f - back.f))
-        items.append((f"triv-dirac-{t}-g", got.g - back.g))
+        back = spinor_to_row(dirac(row_to_spinor(row)))
+        for part, got, want in zip("fg", transported_dirac(row), back):
+            items.append((f"triv-dirac-{t}-{part}", got - want))
 
-    sigma = SpinorRow(one, _zero).to_spinor()
+    sigma = row_to_spinor((one, _zero))
     items.append(("triv-eigenrow", dirac(sigma) - sigma.scale(LAMBDA_INV)))
 
     return _run_items(items)

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from qsphere import bundles
-from qsphere.algebra import AlgebraElement, a, b, c, d as gd, degree_split, normalize, one
+from qsphere.algebra import AlgebraElement, a, b, b0, bm, bp, c, d as gd, degree_split, normalize, one
 from qsphere.bundles import (
     bwb_check,
     check_partition,
     covariant_D,
     extract_coeffs,
     partition_of_unity,
+    projector,
 )
+from qsphere.sphere import _matmul
 from qsphere.calculus import E0, EM, EP, Form, d
 from qsphere.scalars import ONE, Scalar, q, qint, two_q
 
@@ -146,6 +148,24 @@ def test_partitions():
     with pytest.raises(ValueError, match="must have degrees"):
         check_partition(1, [(a, a)])  # x must have degree -1
     assert partition_of_unity(2) is partition_of_unity(2)  # built once
+
+
+def test_projectors_are_idempotent():
+    for n in range(-4, 5):
+        e = projector(n)
+        assert len(e) == len(partition_of_unity(n))
+        assert _matmul(e, e) == [list(r) for r in e]
+
+
+def test_projector_is_the_docstring_matrix():
+    # e = [[-q^-1 b0, q b-], [-b+, 1 + q b0]], as the spin module docstring writes it
+    e = projector(-1)
+    assert e == ((-(q2(-1) * b0), q2(1) * bm), (-bp, one + q2(1) * b0))
+    # and 1 - e is projector(1), (y_r x_s) over the charge +1 partition
+    part = partition_of_unity(1)
+    one_minus_e = [[(one if i == j else 0) - e[i][j] for j in range(2)] for i in range(2)]
+    assert one_minus_e == [[y * x for x, _ in part] for _, y in part]
+    assert one_minus_e == [list(r) for r in projector(1)]
 
 
 def test_extract_coeffs_weights_are_the_partitions():

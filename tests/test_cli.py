@@ -403,6 +403,28 @@ def test_json_with_an_expression_is_a_usage_error(capsys, tmp_path):
     assert captured.err.splitlines()[-1].startswith("qsphere: error: --json ")
 
 
+@pytest.mark.parametrize("flags", [["--seed", "3"], ["--quiet"], ["--sample", "5"],
+                                   ["--max-n", "2"], ["--seed", "0"], ["--max-n", "-1"]])
+def test_suite_option_with_an_expression_is_a_usage_error(capsys, flags):
+    with pytest.raises(SystemExit) as err:
+        main(["a"] + flags)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "qsphere: error: %s applies to a suite run, not to an expression" % flags[0])
+
+
+def test_suite_runs_keep_their_defaults(monkeypatch):
+    from qsphere import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: calls.append(kw) or {"results": []})
+    monkeypatch.setattr(cli, "format_report", lambda report, quiet: "")
+    assert main(["--suite", "bwb"]) == 0
+    assert calls == [{"seed": 0, "sample": None, "max_n": 6}]
+
+
 def test_tensor_scales_on_either_side():
     for co in ("2", "q", "(1+q)", "0"):
         left = evaluate_text("%s*nabla(d(b0))" % co)

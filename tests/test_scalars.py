@@ -41,6 +41,21 @@ def test_basic_constants():
     assert ONE
 
 
+def test_integer_values_hash_as_their_int():
+    # equal values hash equal, so a set or dict key does not tell 1 from ONE
+    for n in (0, 1, -1, 2, -7, 10 ** 30):
+        x = Scalar.from_int(n)
+        assert x == n and hash(x) == hash(n)
+    # integer values reached by arithmetic, also through the general path
+    assert hash(q / q) == hash(1) and hash(two_q - q - ONE / q) == hash(0)
+    general = ONE / (ONE + q)
+    assert hash(general * (ONE + q)) == hash(1)
+    assert len({ONE, 1}) == 1 and len({ZERO, 0, ONE - ONE}) == 1
+    assert {ONE: "unit"}[1] == "unit"
+    # values that are not integers keep their own hash
+    assert hash(q) != hash(1) and hash(ONE / 2) == hash(ONE / 2)
+
+
 def test_qint_examples():
     q2 = q ** 2
     assert qint(2, q2) == ONE + q2

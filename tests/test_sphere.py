@@ -250,10 +250,14 @@ def test_laplacian_table_matches_the_whole_element_routes():
         # every result is built afresh: mutating one leaves the next intact
         got.terms.clear()
         assert laplacian(x) == want
-    # degree +-1 has an e0 part, as before the table
+    # a non-sphere element is refused before its e0 part can reach the table
     for bad in (a, b0 + a):
-        with pytest.raises(RuntimeError, match="e0 part"):
+        with pytest.raises(ValueError, match="laplacian\\(\\) needs a sphere element"):
             laplacian(bad)
+        with pytest.raises(ValueError, match="del_split\\(\\) needs a sphere element"):
+            del_split(bad)
+        with pytest.raises(ValueError, match="needs a sphere element"):
+            eigenvalue_on([bad])
 
 
 def uncached_metric_builds():

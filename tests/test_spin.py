@@ -5,7 +5,7 @@ import pytest
 
 from qsphere import spin
 from qsphere.algebra import a, b, c, d
-from qsphere.bundles import basic_pairs, covariant_D, partition_of_unity
+from qsphere.bundles import basic_pairs, covariant_D, projector
 from qsphere.calculus import EP, Form, d as dd
 from qsphere.riemann import nabla
 from qsphere.scalars import ONE, Scalar, qint, two_q
@@ -15,7 +15,6 @@ from qsphere.spin import (
     GENERATOR_SPINORS,
     LAMBDA,
     LAMBDA_INV,
-    SpinorRow,
     canonical_coefficients,
     dirac,
     dirac_commutator_check,
@@ -24,8 +23,9 @@ from qsphere.spin import (
     gamma,
     gamma_algebra_check,
     gamma_gamma,
-    projector_e,
+    row_to_spinor,
     spinor_parts,
+    spinor_to_row,
     transported_dirac,
     trivialisation_checks,
 )
@@ -86,16 +86,17 @@ def test_spinor_types_validate():
         with pytest.raises(ValueError):
             gamma(DB["+"], bad)
         with pytest.raises(ValueError):
-            SpinorRow.from_spinor(bad)
+            spinor_to_row(bad)
     # the coefficient of e+ must have degree -2 whatever the spinor
     with pytest.raises(ValueError):
         gamma(Form.of(a, EP), a)
-    with pytest.raises(ValueError):
-        SpinorRow(a, one)
-    row = SpinorRow(bp, b0 * b0)
-    sig = row.to_spinor()
-    back = SpinorRow.from_spinor(sig)
-    assert type(back) is SpinorRow and back == row and back != SpinorRow(b0 * b0, bp)
+    # a row is a plain pair of sphere elements
+    with pytest.raises(ValueError, match="row entries must be sphere elements"):
+        row_to_spinor((a, one))
+    row = (bp, b0 * b0)
+    sig = row_to_spinor(row)
+    back = spinor_to_row(sig)
+    assert type(back) is tuple and back == row and back != (b0 * b0, bp)
     with pytest.raises(ValueError):
         gamma(Form.of(one, "0"), GENERATOR_SPINORS[0])
     with pytest.raises(ValueError):
@@ -183,21 +184,21 @@ def test_dirac_of_gamma_del():
 
 def test_row_spinor_roundtrip():
     rng = random.Random(65)
-    e = projector_e()
+    e = projector(-1)
     one_minus_e = tuple(
         tuple((one if i == j else one.zero()) - e[i][j] for j in range(2))
         for i in range(2)
     )
     for _ in range(8):
-        row = SpinorRow(random_sphere_element(rng), random_sphere_element(rng))
-        assert SpinorRow.from_spinor(row.to_spinor()) == row
+        row = (random_sphere_element(rng), random_sphere_element(rng))
+        assert spinor_to_row(row_to_spinor(row)) == row
         f = random_sphere_element(rng)
         sig = f * rng.choice(GENERATOR_SPINORS)
-        assert SpinorRow.from_spinor(sig).to_spinor() == sig
+        assert row_to_spinor(spinor_to_row(sig)) == sig
         # chirality summands land in the matching idempotent summand
-        minus_row = SpinorRow.from_spinor(f * rng.choice([a, c]))
+        minus_row = spinor_to_row(f * rng.choice([a, c]))
         assert not any(_matmul([minus_row], e)[0])
-        plus_row = SpinorRow.from_spinor(f * rng.choice([b, d]))
+        plus_row = spinor_to_row(f * rng.choice([b, d]))
         assert not any(_matmul([plus_row], one_minus_e)[0])
 
 
@@ -212,32 +213,35 @@ def test_transported_coefficient_independence():
         return tuple(x + h * y for x, y in zip(base, null_row))
 
     for t in range(10):
-        row = SpinorRow(random_sphere_element(rng), random_sphere_element(rng))
+        row = (random_sphere_element(rng), random_sphere_element(rng))
         assert transported_dirac(row, coeffs=shifted) == transported_dirac(row)
 
 
-def test_projector_is_the_docstring_matrix():
-    # e = [[-q^-1 b0, q b-], [-b+, 1 + q b0]], as the module docstring writes it
-    e = projector_e()
-    assert e == ((-(q(-1) * b0), q(1) * bm), (-bp, one + q(1) * b0))
-    # and 1 - e is (y_r x_s) over the charge +1 partition
-    part = partition_of_unity(1)
-    assert [[(one if i == j else 0) - e[i][j] for j in range(2)] for i in range(2)] == [
-        [y * x for x, _ in part] for _, y in part
-    ]
+def skew_projector(monkeypatch, charge):
+    """Make spin read a projector(charge) whose 00 entry is doubled."""
+    real = spin.projector
+
+    def skewed(n):
+        x = [list(r) for r in real(n)]
+        if n == charge:
+            x[0][0] = x[0][0].scale(2)
+        return x
+
+    monkeypatch.setattr(spin, "projector", skewed)
 
 
 def test_trivialisation_fault_is_reported(monkeypatch):
-    real = spin.projector_e
-
-    def skewed():
-        e = [list(r) for r in real()]
-        e[0][0] = e[0][0].scale(2)
-        return e
-
-    monkeypatch.setattr(spin, "projector_e", skewed)
+    skew_projector(monkeypatch, -1)
     names = [name for name, _ in trivialisation_checks()]
     assert "triv-idem-00" in names
+
+
+def test_skewed_complement_breaks_the_sum(monkeypatch):
+    # 1 - e is built as projector(1), not from e, so a skew in it alone must
+    # break the sum e + (1 - e) = 1
+    skew_projector(monkeypatch, 1)
+    names = [name for name, _ in trivialisation_checks()]
+    assert "triv-sum-00" in names and "triv-idem-00" not in names
 
 
 def test_trivialisation_honours_seed_and_sample(monkeypatch):
