@@ -5,8 +5,9 @@ tests/test_golden_outputs.py compares byte for byte.
 
 The corpus is the benchmark's seeded CLI expressions (drawn here from
 perfbench/workloads.py and stored literally, so the test does not import
-the benchmark), hand-written validator and operator lines, PBW products
-with both a and d, and the full suite at two seeds.  Rerun it only when
+the benchmark), hand-written validator and operator lines, every operator
+on one argument of each kind of value, PBW products with both a and d,
+and the full suite at two seeds.  Rerun it only when
 an output is meant to change, and read the diff of the JSON file.
 """
 
@@ -41,6 +42,15 @@ HAND_WRITTEN = (
     "nabla(d(b0))*2", "nabla(d(b0))*a",
 )
 
+# one argument of each kind and degree an operator may meet: scalars,
+# elements of degree 0, 1 and 2 and of mixed degree, spinors, forms of each
+# degree, with and without e0, and a tensor
+OPERATOR_ARGUMENTS = (
+    "0", "1", "q", "a", "b0", "a*a", "a+1", "b0*a", "e0", "ep", "d(b0)", "d(a)",
+    "ep*em", "a*a*ep", "b*b*ep", "nabla(d(b0))", "0*ep", "e0*ep*em", "d(b0)*d(bp)",
+    "star(1)", "a*em", "b0+a",
+)
+
 PBW_PRODUCTS = ("d^5*a^7", "a^4*d^3", "b^2*c*a^3*d^2", "S(d^4*a^6)", "d^12*a^12")
 
 
@@ -54,6 +64,13 @@ def corpus():
             yield [expr]
     for expr in HAND_WRITTEN + PBW_PRODUCTS:
         yield [expr]
+    from qsphere.cli import _FUNCTIONS
+
+    for name in _FUNCTIONS:
+        for arg in OPERATOR_ARGUMENTS:
+            expr = "%s(%s)" % (name, arg)
+            if expr not in HAND_WRITTEN:
+                yield [expr]
     for seed in (0, 7919):
         yield ["--suite", "all", "--seed", str(seed)]
 
