@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from importlib import import_module
 
 from .scalars import ONE, ZERO, Scalar, _from_parts, _join_pieces, _scalar_piece
 
@@ -656,6 +657,34 @@ CHECKS = (
           lambda o: verify_hopf_axioms(sample_size=o.n(100), seed=o.seed + 42)),
     Check("pbw-confluence", "hopf", _confluence_witness),
 )
+
+
+# ---------------------------------------------------------------------------
+# the operators of the expression grammar
+#
+# name -> (operator, domain).  Each operator reads its function off its
+# layer when it is called, so the registry loads no layer above this one
+# and a call reaches whatever function the layer holds under that name
+# (S and eps too: they read this module's globals).  The domain names the
+# kinds of value an operator takes; cli._DOMAINS says how the CLI lifts a
+# value into it and words a value outside it.
+
+
+def _layer(name):
+    return import_module("." + name, __package__)
+
+
+OPERATORS = {
+    "d": (lambda x: _layer("calculus").d(x), "element or form"),
+    "del": (lambda f: _layer("sphere").del_split(f)[0], "sphere element"),
+    "delbar": (lambda f: _layer("sphere").del_split(f)[1], "sphere element"),
+    "star": (lambda x: _layer("sphere").hodge_star(x), "form"),
+    "nabla": (lambda tau: _layer("riemann").nabla(tau), "one-form"),
+    "dirac": (lambda sigma: _layer("spin").dirac(sigma), "spinor"),
+    "lap": (lambda f: _layer("sphere").laplacian(f), "sphere element"),
+    "S": (lambda x: antipode(x), "element"),
+    "eps": (lambda x: counit(x), "element"),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ them and reports.  Suite reports are deterministic: with the same seed
 and engine version the bytes are identical run over run.
 
 Importing this module loads only the scalars and the algebra, which
-also defines the sphere atoms b0, bp and bm.  The calculus is imported by
-the first form atom (e0, ep, em) or operator that needs it, and each
-geometry layer likewise (lap, star, del and delbar load sphere; nabla
-loads riemann and bundles; dirac loads spin).  The check registry, which
-needs them all, is built on first use, and argparse loads only in main.
+also defines the sphere atoms b0, bp and bm and the operators
+(algebra.OPERATORS).  The calculus is imported by the first form atom
+(e0, ep, em) or operator that needs it, and each geometry layer likewise:
+an operator loads its layer when called (lap, star, del and delbar load
+sphere; nabla loads riemann and bundles; dirac loads spin).  The check
+registry, which needs them all, is built on first use, and argparse loads
+only in main.
 
 Exit codes: 0 all good, 1 a check failed or stdout was closed early,
 2 bad usage, a bad expression or a report that could not be written.
@@ -33,7 +35,7 @@ import re
 import sys
 
 from . import __version__
-from .algebra import AlgebraElement, antipode, counit, one, render_value
+from .algebra import OPERATORS, AlgebraElement, one, render_value
 from .algebra import a as _ga, b as _gb, c as _gc, d as _gd
 from .algebra import b0 as _gb0, bm as _gbm, bp as _gbp
 from .scalars import ONE, Scalar
@@ -156,7 +158,7 @@ class _Parser:
             return self.maybe_power(("int", self.integer()))
         if kind == "name":
             self.take()
-            if self.at_sym("(") and text in _FUNCTIONS:
+            if self.at_sym("(") and text in OPERATORS:
                 self.take()
                 arg = self.expr()
                 if not self.at_sym(")"):
@@ -274,97 +276,35 @@ def _power(v, k):
     return out
 
 
-def _as_element(v, fn):
-    if isinstance(v, Scalar):
-        return one.scale(v)
-    if isinstance(v, AlgebraElement):
-        return v
-    raise EvalError("%s() needs an algebra element, got a %s" % (fn, type(v).__name__))
-
-
-def _as_sphere_element(v, fn):
-    x = _as_element(v, fn)
-    if any(m.degree() != 0 for m in x.terms):
-        raise EvalError("%s() needs a degree-0 (sphere) element" % fn)
-    return x
-
-
-def _fn_d(v):
-    from .calculus import Form, TensorForm, d
-    if isinstance(v, Form):
-        return d(v)
-    if isinstance(v, TensorForm):
-        raise EvalError("d() does not act on tensors")
-    return d(_as_element(v, "d"))
-
-
-def _fn_del(v):
-    from .sphere import del_split
-    return del_split(_as_sphere_element(v, "del"))[0]
-
-
-def _fn_delbar(v):
-    from .sphere import del_split
-    return del_split(_as_sphere_element(v, "delbar"))[1]
-
-
-def _fn_star(v):
-    from .calculus import Form
-    from .sphere import hodge_star
-    if isinstance(v, (Scalar, AlgebraElement)):
-        v = Form.of(_as_element(v, "star"))
-    if not isinstance(v, Form):
-        raise EvalError("star() needs a form on the sphere")
-    try:
-        return hodge_star(v)
-    except ValueError as exc:
-        raise EvalError("star(): %s" % exc) from None
-
-
-def _fn_nabla(v):
-    from .calculus import Form
-    from .riemann import nabla
-    if not isinstance(v, Form):
-        raise EvalError("nabla() needs a one-form on the sphere")
-    try:
-        return nabla(v)
-    except Exception as exc:
-        raise EvalError("nabla(): %s" % exc) from None
-
-
-def _fn_dirac(v):
-    from .spin import dirac
-    x = _as_element(v, "dirac")
-    try:
-        return dirac(x)
-    except ValueError:
-        raise EvalError("dirac() needs components of charge +1 and -1 only") from None
-
-
-def _fn_lap(v):
-    from .sphere import laplacian
-    return laplacian(_as_sphere_element(v, "lap"))
-
-
-def _fn_antipode(v):
-    return antipode(_as_element(v, "S"))
-
-
-def _fn_counit(v):
-    return counit(_as_element(v, "eps"))
-
-
-_FUNCTIONS = {
-    "d": _fn_d,
-    "del": _fn_del,
-    "delbar": _fn_delbar,
-    "star": _fn_star,
-    "nabla": _fn_nabla,
-    "dirac": _fn_dirac,
-    "lap": _fn_lap,
-    "S": _fn_antipode,
-    "eps": _fn_counit,
+# domain of an operator (algebra.OPERATORS) -> (the ranks of the values it
+# takes, the rank a scalar or element is lifted to, the text for a value
+# of another kind, the text for a value the operator refuses with
+# ValueError).  A row without the last text refuses nothing: a ValueError
+# there is a fault of the engine, not of the input.
+_NOT_AN_ELEMENT = "{name}() needs an algebra element, got a {kind}"
+_DOMAINS = {
+    "element": ((0, 1), 1, _NOT_AN_ELEMENT, None),
+    "sphere element": ((0, 1), 1, _NOT_AN_ELEMENT, "{name}() needs a degree-0 (sphere) element"),
+    "spinor": ((0, 1), 1, _NOT_AN_ELEMENT, "{name}() needs components of charge +1 and -1 only"),
+    "element or form": ((0, 1, 2), 1, "{name}() does not act on tensors", None),
+    "form": ((0, 1, 2), 2, "{name}() needs a form on the sphere", "{name}(): {error}"),
+    "one-form": ((2,), 2, "{name}() needs a one-form on the sphere", "{name}(): {error}"),
 }
+
+
+def _call(name, v):
+    """The grammar operator name applied to v, lifted into its domain."""
+    operator, domain = OPERATORS[name]
+    ranks, lift_to, wrong_kind, refused = _DOMAINS[domain]
+    if _rank(v) not in ranks:
+        raise EvalError(wrong_kind.format(name=name, kind=type(v).__name__))
+    v = _lift(v, lift_to)
+    try:
+        return operator(v)
+    except ValueError as exc:
+        if refused is None:
+            raise
+        raise EvalError(refused.format(name=name, error=exc)) from None
 
 
 def evaluate(node):
@@ -376,7 +316,7 @@ def evaluate(node):
     if tag == "pow":
         return _power(evaluate(node[1]), node[2])
     if tag == "call":
-        return _FUNCTIONS[node[1]](evaluate(node[2]))
+        return _call(node[1], evaluate(node[2]))
     out = evaluate(node[1])
     if tag == "product":
         for factor in node[2]:
@@ -539,7 +479,13 @@ def main(argv=None):
 
 def _main(argv):
     import argparse
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # one line of diagnosis, without the usage block (--help shows it)
+            self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+    parser = Parser(
         prog="qsphere",
         description="Evaluate an expression or run an exact check suite.",
     )

@@ -35,6 +35,7 @@ from .sphere import (
     DB,
     DEL,
     DELBAR,
+    DSREL_ROW,
     F0,
     G_PRESENTATION,
     _matmul,
@@ -131,9 +132,10 @@ def cotorsion() -> TensorForm:
 
 # the 3x3 idempotent E presenting the one-forms as a summand of a free
 # module, stored as column (x) row: the single dot product row . column = 1
-# makes E^2 = E one engine identity instead of nine
+# makes E^2 = E one engine identity instead of nine.  The row is minus the
+# differentiated sphere relation, so row . db = 0 is that relation
 E_COL = (two_q * bm, F0, two_q * bp)
-E_ROW = (-bp, F0, -(_q(2) * bm))
+E_ROW = tuple(-DSREL_ROW[i] for i in "-0+")
 
 
 def projector_checks():

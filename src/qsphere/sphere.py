@@ -116,9 +116,15 @@ def soldering_check():
     return _run_items(items)
 
 
-def _dsrel_left():
-    """q^2 bm db+ + bp db- - F0 db0: the sphere relation differentiated."""
-    return _q(2) * (bm * DB["+"]) + bp * DB["-"] - F0 * DB["0"]
+# the sphere relation differentiated, q^2 bm db+ + bp db- - F0 db0 = 0, as
+# a row on the frame (db-, db0, db+); its chiral halves hold as well, and
+# riemann.E_ROW is minus it
+DSREL_ROW = {"-": bp, "0": -F0, "+": _q(2) * bm}
+
+
+def _dsrel_on(forms):
+    """The row DSREL_ROW applied to forms keyed like GENS."""
+    return reduce(add, (DSREL_ROW[i] * forms[i] for i in GENS))
 
 
 def one_form_relation_check():
@@ -126,16 +132,10 @@ def one_form_relation_check():
     bimodule commutation table, all verified upstairs."""
     db0, dbp, dbm = DB["0"], DB["+"], DB["-"]
     items = [
-        ("dSrel-left", _dsrel_left()),
+        ("dSrel-left", _dsrel_on(DB)),
         ("dSrel-right", _q(2) * (dbm * bp) + dbp * bm - db0 * F0),
-        (
-            "dShol-del",
-            _q(2) * (bm * DEL["+"]) + bp * DEL["-"] - F0 * DEL["0"],
-        ),
-        (
-            "dShol-delbar",
-            _q(2) * (bm * DELBAR["+"]) + bp * DELBAR["-"] - F0 * DELBAR["0"],
-        ),
+        ("dShol-del", _dsrel_on(DEL)),
+        ("dShol-delbar", _dsrel_on(DELBAR)),
     ]
 
     def rel(name, lhs, rhs):
@@ -662,7 +662,7 @@ def _massive_witness(opts):
 
 CHECKS = (
     Check("sphere-relations", "sphere", lambda o: sphere_relations_check()),
-    Check("sphere-relations-d", "sphere", lambda o: _zero_or_witness(_dsrel_left())),
+    Check("sphere-relations-d", "sphere", lambda o: _zero_or_witness(_dsrel_on(DB))),
     Check("one-form-bimodule", "sphere", lambda o: one_form_relation_check()),
     Check("soldering", "sphere", lambda o: soldering_check()),
     Check("wedge-tables", "sphere", lambda o: wedge_tables_check()),

@@ -64,9 +64,9 @@ def corpus():
             yield [expr]
     for expr in HAND_WRITTEN + PBW_PRODUCTS:
         yield [expr]
-    from qsphere.cli import _FUNCTIONS
+    from qsphere.algebra import OPERATORS
 
-    for name in _FUNCTIONS:
+    for name in OPERATORS:
         for arg in OPERATOR_ARGUMENTS:
             expr = "%s(%s)" % (name, arg)
             if expr not in HAND_WRITTEN:

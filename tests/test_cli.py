@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import qsphere
-from qsphere.algebra import AlgebraElement, a, b, c, coproduct, degree_split
+from qsphere.algebra import OPERATORS, AlgebraElement, a, b, c, coproduct, degree_split
 from qsphere.algebra import d as gd
 from qsphere.calculus import EM, EP, Form, d as dd, tensor, wedge
 from qsphere.cli import (
+    _DOMAINS,
     CliSyntaxError,
     EvalError,
     _lift,
@@ -415,6 +416,32 @@ def test_suite_option_with_an_expression_is_a_usage_error(capsys, flags):
         "qsphere: error: %s applies to a suite run, not to an expression" % flags[0])
 
 
+@pytest.mark.parametrize("argv", [["a", "--seed", "3"], ["a", "--json", "x.json"],
+                                  ["--suite", "nosuch"], [], ["a", "--bogus"]])
+def test_usage_error_is_one_line(capsys, argv):
+    # the diagnosis alone, without argparse's usage block
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qsphere: error: ")
+
+
+def test_engine_fault_is_not_a_usage_error(monkeypatch):
+    # only a ValueError is the operator refusing its input; any other
+    # exception is a fault of the engine and leaves the evaluator as it is
+    from qsphere import riemann
+
+    def broken(tau):
+        raise ArithmeticError("engine fault")
+
+    monkeypatch.setattr(riemann, "nabla", broken)
+    with pytest.raises(ArithmeticError, match="engine fault"):
+        evaluate_text("nabla(d(b0))")
+
+
 def test_suite_runs_keep_their_defaults(monkeypatch):
     from qsphere import cli
 
@@ -507,8 +534,11 @@ LAYERS = {"qsphere.calculus", "qsphere.sphere", "qsphere.riemann", "qsphere.bund
      LAYERS - {"qsphere.spin"}),
     ("from qsphere.cli import evaluate_text; evaluate_text('dirac(b0*a)')", LAYERS),
     ("from qsphere.cli import run_suite; run_suite('laplace')", LAYERS),
+    # a usage error prints no usage block, so it builds no --suite choices
+    ("from qsphere.cli import main\ntry:\n    main(['a', '--seed', '3'])\n"
+     "except SystemExit:\n    pass", {"argparse"}),
 ], ids=["import", "sphere_atoms", "d", "form_atom", "main", "lap", "nabla", "dirac",
-        "run_suite"])
+        "run_suite", "usage_error"])
 def test_a_call_loads_only_the_layers_it_reaches(code, loaded):
     assert loaded_by(code) == loaded
 
@@ -523,7 +553,7 @@ OPERATOR_ARGUMENTS = {
 def test_every_grammar_name_works_from_a_cold_start():
     import qsphere.cli as cli_mod
 
-    assert set(OPERATOR_ARGUMENTS) == set(cli_mod._FUNCTIONS)
+    assert set(OPERATOR_ARGUMENTS) == set(OPERATORS)
     exprs = ["%s(%s)" % item for item in OPERATOR_ARGUMENTS.items()]
     exprs += list(cli_mod._ATOM_VALUES)
     # one child evaluates all of them in turn, starting from the CLI import alone
@@ -536,6 +566,11 @@ def test_every_grammar_name_works_from_a_cold_start():
     proc = run_child("-c", script, *exprs)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [render_value(evaluate_text(e)) for e in exprs]
+
+
+def test_every_domain_has_an_operator_and_every_operator_a_domain():
+    # a dead row or a misspelt domain name would otherwise go unnoticed
+    assert {domain for _, domain in OPERATORS.values()} == set(_DOMAINS)
 
 
 SUITE_CHOICES = ("'hopf', 'calculus', 'sphere', 'metric', 'hodge', 'laplace', "
