@@ -7,8 +7,8 @@ The corpus is the benchmark's seeded CLI expressions (drawn here from
 perfbench/workloads.py and stored literally, so the test does not import
 the benchmark), hand-written validator and operator lines, every operator
 on one argument of each kind of value, PBW products with both a and d,
-and the full suite at two seeds.  Rerun it only when
-an output is meant to change, and read the diff of the JSON file.
+and the full suite at two seeds.  Rerun it only when an output is meant
+to change, and read the diff of the JSON file.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
+from qsphere.algebra import OPERATORS  # noqa: E402
 from test_golden_outputs import GOLDEN, capture  # noqa: E402
 
 DRAWS_PER_SEED = 150
@@ -64,8 +65,6 @@ def corpus():
             yield [expr]
     for expr in HAND_WRITTEN + PBW_PRODUCTS:
         yield [expr]
-    from qsphere.algebra import OPERATORS
-
     for name in OPERATORS:
         for arg in OPERATOR_ARGUMENTS:
             expr = "%s(%s)" % (name, arg)

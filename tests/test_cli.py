@@ -431,7 +431,7 @@ def test_usage_error_is_one_line(capsys, argv):
 
 def test_engine_fault_is_not_a_usage_error(monkeypatch):
     # only a ValueError is the operator refusing its input; any other
-    # exception is a fault of the engine and leaves the evaluator as it is
+    # exception is a fault of the engine and propagates unchanged
     from qsphere import riemann
 
     def broken(tau):
