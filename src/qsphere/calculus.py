@@ -292,11 +292,12 @@ def omega_recursion_check(nmax: int) -> bool:
 
 
 class TensorForm(Combination):
-    """Sum of f . e^word (x) e^l1 (x) e^l2 ... with f on the far left.
+    """Sum of f . e^word (x) e^leg with f on the far left: a form tensored
+    with one charged basis one-form, keyed (word, leg).
 
-    The first leg may be any exterior word; the remaining legs are basis
-    one-forms from {+, -} (the charged directions).  Coefficients cross
-    the tensor signs because the tensor product is over the algebra.
+    The form may be any exterior word; the leg is "+" or "-" (the
+    charged directions).  Coefficients cross the tensor sign because
+    the tensor product is over the algebra.
     """
 
     __slots__ = ()
@@ -305,11 +306,10 @@ class TensorForm(Combination):
 
     @staticmethod
     def _key(key):
-        w, labels = key
-        labels = tuple(labels)
-        if not all(t in ("+", "-") for t in labels):
-            raise ValueError("tensor legs must be '+' or '-', not %r" % (labels,))
-        return ExteriorWord(w), labels
+        w, leg = key
+        if leg not in ("+", "-"):
+            raise ValueError("a tensor leg must be '+' or '-', not %r" % (leg,))
+        return ExteriorWord(w), leg
 
     __rmul__ = _left_multiply
 
@@ -321,42 +321,29 @@ class TensorForm(Combination):
 
     def is_basic(self):
         """Total charge zero in every term: such tensors descend."""
-        for (w, labels), x in self.terms.items():
-            chg = w.charge() + sum(_CHG[t] for t in labels)
+        for (w, leg), x in self.terms.items():
+            chg = w.charge() + _CHG[leg]
             for m in x.terms:
                 if m.degree() + chg != 0:
                     return False
         return True
 
-    def wedge_in(self) -> "TensorForm":
-        """Collapse the first tensor sign with a wedge."""
+    def wedge_in(self) -> Form:
+        """The form with the tensor sign collapsed to a wedge."""
         def terms():
-            for (w, labels), x in self.terms.items():
-                if not labels:
-                    raise ValueError("nothing to wedge into: the tensor has no legs")
-                st = _straighten_word(w + (labels[0],))
+            for (w, leg), x in self.terms.items():
+                st = _straighten_word(w + (leg,))
                 if st is not None:
                     word, co = st
-                    yield (word, labels[1:]), x.scale(co)
+                    yield word, x.scale(co)
 
-        return TensorForm._wrap(accumulate({}, terms()))
-
-    def as_form(self) -> Form:
-        """A tensor with no extra legs is a plain form."""
-        f = Form()
-        for (w, labels), x in self.terms.items():
-            if labels:
-                raise ValueError("a tensor with legs is not a plain form")
-            f.terms[w] = x
-        return f
+        return Form._wrap(accumulate({}, terms()))
 
     def _pieces(self):
         out = []
-        for w, labels in sorted(
-            self.terms, key=lambda k: (len(k[0]), render_word(k[0]), k[1])
-        ):
-            tail = "(x)".join([render_word(w) or "1"] + [render_word((l,)) for l in labels])
-            out.extend(self.terms[(w, labels)]._pieces(tail))
+        for w, leg in sorted(self.terms, key=lambda k: (len(k[0]), render_word(k[0]), k[1])):
+            tail = "%s(x)%s" % (render_word(w) or "1", _WORD_NAMES[leg])
+            out.extend(self.terms[(w, leg)]._pieces(tail))
         return out
 
 
@@ -368,7 +355,7 @@ def tensor(x: Form, y: Form) -> TensorForm:
     def terms():
         for w1, x1 in x.terms.items():
             for w2, x2 in y.terms.items():
-                yield (w1, (w2[0],)), x1 * push_left(w1, x2)
+                yield (w1, w2[0]), x1 * push_left(w1, x2)
 
     return TensorForm._wrap(accumulate({}, terms()))
 

@@ -42,7 +42,7 @@ from .sphere import (
     _matrix_items,
     _matsub,
     _random_sphere_word,
-    _scale_by_last_leg,
+    _scale_by_leg,
     bm,
     bp,
     chiral_split,
@@ -64,12 +64,9 @@ def decompose_legs(tf: TensorForm):
     eta_r = y_r e^b is basic (bundles.basic_pairs).
     """
     pairs = []
-    for (w, labels), x in tf.terms.items():
-        if len(labels) != 1:
-            raise ValueError("expected exactly one tensor leg")
-        beta = labels[0]
-        for omega, yr in basic_pairs(Form._wrap({w: x}), -2 if beta == "+" else 2):
-            pairs.append((omega, Form.of(yr, beta)))
+    for (w, leg), x in tf.terms.items():
+        for omega, yr in basic_pairs(Form._wrap({w: x}), -2 if leg == "+" else 2):
+            pairs.append((omega, Form.of(yr, leg)))
     return pairs
 
 
@@ -84,7 +81,7 @@ def nabla(tau) -> TensorForm:
     if set(tau.terms) - {EP, EM}:
         raise ValueError("the connection applies to one-forms")
     return TensorForm._wrap({
-        (v, (w[0],)): y for w, x in tau.terms.items() for v, y in covariant_D(x).terms.items()
+        (v, w[0]): y for w, x in tau.terms.items() for v, y in covariant_D(x).terms.items()
     })
 
 
@@ -105,14 +102,14 @@ LEVI_CIVITA = Connection1()
 
 def torsion(tau) -> Form:
     """Wedge of the connection minus the exterior derivative; always 0 here."""
-    return nabla(tau).wedge_in().as_form() - d(tau)
+    return nabla(tau).wedge_in() - d(tau)
 
 
 def _wedge_first(omega: Form, tf: TensorForm, co=ONE):
     """The terms of co . omega wedged into the first leg of tf."""
-    for (v, labels), x in tf.terms.items():
+    for (v, leg), x in tf.terms.items():
         for u, z in wedge(omega, Form._wrap({v: x})).terms.items():
-            yield (u, labels), z.scale(co)
+            yield (u, leg), z.scale(co)
 
 
 def cotorsion_parts():
@@ -120,7 +117,7 @@ def cotorsion_parts():
     left, right = {}, {}
     for co, i, j in G_PRESENTATION:
         ti, tj = DB[i], DB[j]
-        accumulate(left, tensor(nabla(ti).wedge_in().as_form(), tj).scale(co).terms.items())
+        accumulate(left, tensor(nabla(ti).wedge_in(), tj).scale(co).terms.items())
         accumulate(right, _wedge_first(ti, nabla(tj), co))
     return TensorForm._wrap(left), TensorForm._wrap(right)
 
@@ -192,7 +189,7 @@ def riemann_tensor(tau) -> TensorForm:
         accumulate(acc, _wedge_first(omega, nabla(eta)))
         accumulate(acc, (-tensor(d(omega), eta)).terms.items())
     total = TensorForm._wrap(acc)
-    if total != _scale_by_last_leg(tensor(upsilon(), tau), _CHIRALITY):
+    if total != _scale_by_leg(tensor(upsilon(), tau), _CHIRALITY):
         raise RuntimeError("curvature is not the area form times the chirality scalar")
     return total
 
@@ -206,7 +203,7 @@ def ricci(lift: TensorForm) -> TensorForm:
     """
     if not lift.is_basic():
         raise ValueError("the lift must be basic to cross the curvature")
-    return _scale_by_last_leg(lift, _CHIRALITY)
+    return _scale_by_leg(lift, _CHIRALITY)
 
 
 # ---------------------------------------------------------------------------

@@ -273,15 +273,15 @@ def _metric_sum() -> TensorForm:
 
 def _symmetry_witness(g):
     """None when g wedges to zero (is q-symmetric)."""
-    return _zero_or_witness(g.wedge_in().as_form())
+    return _zero_or_witness(g.wedge_in())
 
 
-_MIXED = frozenset(((EP, ("-",)), (EM, ("+",))))
+_MIXED = frozenset(((EP, "-"), (EM, "+")))
 
 
 def _chiral_witness(g):
     """None when g has only the mixed e+ (x) e- and e- (x) e+ components."""
-    extra = sorted("".join(w + labels) for w, labels in set(g.terms) - _MIXED)
+    extra = sorted("".join(w + (leg,)) for w, leg in set(g.terms) - _MIXED)
     if extra:
         return "unexpected %s component" % ", ".join(extra)
 
@@ -375,7 +375,7 @@ def _lift_sum(alpha):
 
 def _lift_witness(lift):
     """None when the lift wedges back to the area form."""
-    return _zero_or_witness(lift.wedge_in().as_form() - upsilon())
+    return _zero_or_witness(lift.wedge_in() - upsilon())
 
 
 def lift_iY(alpha: Scalar) -> TensorForm:
@@ -386,20 +386,14 @@ def lift_iY(alpha: Scalar) -> TensorForm:
     return lift
 
 
-def _scale_by_last_leg(tf: TensorForm, by) -> TensorForm:
-    """Each term of tf scaled by the Scalar by[label] of its last leg."""
-    def terms():
-        for (w, labels), x in tf.terms.items():
-            if not labels:
-                raise ValueError("no tensor leg to act on")
-            yield (w, labels), x.scale(by[labels[-1]])
-
-    return TensorForm._wrap(accumulate({}, terms()))
+def _scale_by_leg(tf: TensorForm, by) -> TensorForm:
+    """Each term of tf scaled by the Scalar by[leg] of its leg."""
+    return TensorForm._wrap({(w, leg): x.scale(by[leg]) for (w, leg), x in tf.terms.items()})
 
 
 def star_second_leg(tf: TensorForm) -> TensorForm:
-    """Hodge star applied to the last tensor leg."""
-    return _scale_by_last_leg(tf, {"+": ONE, "-": -ONE})
+    """Hodge star applied to the tensor leg."""
+    return _scale_by_leg(tf, {"+": ONE, "-": -ONE})
 
 
 @lru_cache(maxsize=None)

@@ -166,12 +166,12 @@ def test_two_form_derivative_identities():
 def test_metric():
     g = metric_g()
     assert g.is_basic()
-    assert set(g.terms) == {(EP, ("-",)), (EM, ("+",))}
+    assert set(g.terms) == {(EP, "-"), (EM, "+")}
     assert g == g_plus_minus() + g_minus_plus()
-    assert g.wedge_in().as_form() == 0
+    assert g.wedge_in() == 0
     # the chiral halves wedge to opposite multiples of the area form
-    assert g_plus_minus().wedge_in().as_form() == upsilon().scale(q(2))
-    assert g_minus_plus().wedge_in().as_form() == upsilon().scale(-q(2))
+    assert g_plus_minus().wedge_in() == upsilon().scale(q(2))
+    assert g_minus_plus().wedge_in() == upsilon().scale(-q(2))
 
 
 def test_hodge_star():
@@ -205,7 +205,7 @@ def test_hodge_star_bimodule():
 def test_lift_family():
     for alpha in (q(-2) / 2, q(-2) / (1 + q(-4)), Scalar.from_int(0), q(3)):
         lift = lift_iY(alpha)
-        assert lift.wedge_in().as_form() == upsilon()
+        assert lift.wedge_in() == upsilon()
         assert lift.is_basic()
     # the symmetric member is the difference of the chiral halves of the
     # metric, normalized by q^-2/2
@@ -321,7 +321,7 @@ def test_proportionality_helper():
 @pytest.mark.parametrize("fault, message", [
     (lambda g: g + tensor(DB["+"], DB["-"]), "not q-symmetric"),
     (lambda g: a * g, "does not descend"),
-    (lambda g: g + TensorForm({(EP, ("+",)): b ** 4}), "chiral components"),
+    (lambda g: g + TensorForm({(EP, "+"): b ** 4}), "chiral components"),
 ], ids=["symmetry", "basic", "chiral"])
 def test_metric_guards_raise(monkeypatch, fresh_tables, fault, message):
     # the guards run when _metric_table is built, so it is emptied around
