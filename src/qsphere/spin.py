@@ -35,7 +35,7 @@ import random
 from functools import lru_cache
 
 from .algebra import AlgebraElement, Check, Monomial, _run_items, accumulate
-from .algebra import a as _a, b as _b, c as _c, d as _d, require_degree
+from .algebra import a as _a, b as _b, c as _c, d as _d, degree_split, require_degree
 from .bundles import basic_pairs, covariant_D, extract_coeffs, projector
 from .calculus import _GENERATORS, EM, EP, TensorForm, check_sphere_form, d
 from .riemann import decompose_legs
@@ -79,13 +79,10 @@ def spinor_parts(sigma: AlgebraElement):
 
     Raises ValueError unless every monomial has degree +1 or -1.
     """
-    parts = {1: {}, -1: {}}
-    for m, co in sigma.terms.items():
-        part = parts.get(m.degree())
-        if part is None:
-            raise ValueError("a spinor has components of degree +1 and -1 only")
-        part[m] = co
-    return AlgebraElement._wrap(parts[1]), AlgebraElement._wrap(parts[-1])
+    parts = degree_split(sigma)
+    if parts.keys() - {1, -1}:
+        raise ValueError("a spinor has components of degree +1 and -1 only")
+    return parts.get(1, AlgebraElement()), parts.get(-1, AlgebraElement())
 
 
 GENERATOR_SPINORS = (_a, _c, _b, _d)
