@@ -185,6 +185,24 @@ class Combination:
         return render_value(self)
 
 
+def proportionality(x, y):
+    """The Scalar lam with x = lam . y for combinations x and y of one kind,
+    or None if there is none; ZERO when x = 0 and y != 0."""
+    if not y:
+        return None
+    if not x:
+        return ZERO
+    k, co = next(iter(y.terms.items()))
+    top = x.terms.get(k)
+    if y._nested:  # compare on the first monomial of that coefficient
+        m, co = next(iter(co.terms.items()))
+        top = None if top is None else top.terms.get(m)
+    if top is None:
+        return None
+    lam = top / co
+    return lam if x == y.scale(lam) else None
+
+
 # ---------------------------------------------------------------------------
 # named checks, declared by each module beside the maths they check
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import AlgebraElement, Check, Monomial, antipode, coproduct, require_degree
-from .algebra import a as _a, b as _b, b0, bm, bp, c as _c, d as _d
+from .algebra import a as _a, b as _b, b0, bm, bp, c as _c, d as _d, proportionality
 from .calculus import E0, EM, EP, Form, check_sphere_form, d, monopole_omega
 from .scalars import ONE, Scalar, qint
 
@@ -116,10 +116,8 @@ def _frame_weights(w):
     and kappa_r y_r is the e^w coefficient of d(b_r)."""
     weights = []
     for (x, y), g in zip(partition_of_unity(-w.charge()), (bm, b0, bp), strict=True):
-        ((m, _),) = y.terms.items()
-        coeff = d(g).terms.get(w, AlgebraElement.zero())
-        kappa = coeff.terms.get(m)
-        if kappa is None or coeff != y.scale(kappa):
+        kappa = proportionality(d(g).coefficient(w), y)
+        if not kappa:  # None, or zero when d(g) has no e^w part
             raise ArithmeticError("partition leg %r is not the e%s coefficient of d(%r)"
                                   % (y, w[0], g))
         weights.append(x.scale(ONE / kappa))

@@ -27,7 +27,7 @@ from operator import add
 
 from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness, accumulate
 from .algebra import a as _a, b as _b, c as _c, d as _d
-from .algebra import b0, bm, bp, coproduct, one, require_degree
+from .algebra import b0, bm, bp, coproduct, one, proportionality, require_degree
 from .calculus import (
     E0,
     EM,
@@ -422,19 +422,6 @@ def laplacian(f) -> AlgebraElement:
     return AlgebraElement.extend(_lap_mono, f.terms.items())
 
 
-def proportionality(x: Form, y: Form):
-    """The Scalar lam with x = lam . y, or None if there is none."""
-    if not y.terms:
-        return None
-    w, coeff = next(iter(y.terms.items()))
-    m, co = next(iter(coeff.terms.items()))
-    top = x.coefficient(w).terms.get(m)
-    if top is None:
-        return None
-    lam = top / co
-    return lam if x == y.scale(lam) else None
-
-
 def maxwell_check(i):
     """Spin-off of the Laplacian: the massive Maxwell operator on A ~ db_i.
 
@@ -565,10 +552,8 @@ def eigenvalue_on(elements):
     for v in elements:
         if not v:
             raise ValueError("the zero vector has no eigenvalue")
-        hv = laplacian(v)
-        m, co = next(iter(v.terms.items()))
-        cand = hv.terms.get(m, Scalar.from_int(0)) / co
-        if hv != v.scale(cand):
+        cand = proportionality(laplacian(v), v)
+        if cand is None:
             raise ArithmeticError("not an exact eigenvector")
         if lam is None:
             lam = cand

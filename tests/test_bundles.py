@@ -198,6 +198,13 @@ def test_extract_coeffs_refuses_a_partition_out_of_frame_order(monkeypatch, fres
         extract_coeffs(Form({EM: a * a}))
 
 
+def test_extract_coeffs_refuses_a_zero_frame_coefficient(monkeypatch, fresh_tables):
+    # with d broken to zero every kappa_r is zero: a ratio, but not a weight
+    monkeypatch.setattr(bundles, "d", lambda x: Form.zero())
+    with pytest.raises(ArithmeticError, match="is not the e\\+ coefficient of d"):
+        extract_coeffs(Form({EP: b * b}))
+
+
 def test_extract_coeffs_examples():
     # u = b^2 gives the canonical coefficients of the holomorphic leg
     h = Form({EP: b * b})

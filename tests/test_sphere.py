@@ -311,7 +311,13 @@ def test_maxwell():
 def test_proportionality_helper():
     assert proportionality(DB["+"].scale(q(5)), DB["+"]) == q(5)
     assert proportionality(DB["+"], DB["-"]) is None
-    assert proportionality(Form.zero(), DB["+"]) is None
+    # 0 = 0 . y, so the zero form has ratio zero; y = 0 gives no ratio
+    assert proportionality(Form.zero(), DB["+"]) == 0
+    assert proportionality(DB["+"], Form.zero()) is None
+    # one helper serves every kind: flat elements and nested tensors too
+    assert proportionality(b0.scale(q(3)), b0) == q(3)
+    assert proportionality(b0 + one, b0) is None
+    assert proportionality(metric_g().scale(two_q), metric_g()) == two_q
 
 
 # Each library guard raises ArithmeticError when its identity fails, so it
