@@ -58,7 +58,7 @@ _q = Scalar.q_power
 
 
 def decompose_legs(tf: TensorForm):
-    """Rewrite a one-legged tensor as a list of (omega_r, eta_r) form pairs.
+    """Rewrite a tensor as a list of (omega_r, eta_r) form pairs.
 
     The leg e^b is padded with 1 = sum x_r y_r at charge -+2 so that
     eta_r = y_r e^b is basic (bundles.basic_pairs).
@@ -74,8 +74,8 @@ def nabla(tau) -> TensorForm:
     """The Levi-Civita connection on basic one-forms.
 
     The covariant derivative D(x) of each coefficient x becomes the
-    first leg of a tensor whose second leg is x's basis one-form; the
-    e+ and e- terms have different second legs, so they share no key.
+    form of a tensor whose leg is x's basis one-form; the e+ and e-
+    terms have different legs, so they share no key.
     """
     check_sphere_form(tau)  # e+ (e-) coefficients have charge -2 (+2)
     if set(tau.terms) - {EP, EM}:
@@ -106,7 +106,7 @@ def torsion(tau) -> Form:
 
 
 def _wedge_first(omega: Form, tf: TensorForm, co=ONE):
-    """The terms of co . omega wedged into the first leg of tf."""
+    """The terms of co . omega wedged onto the form of tf."""
     for (v, leg), x in tf.terms.items():
         for u, z in wedge(omega, Form._wrap({v: x})).terms.items():
             yield (u, leg), z.scale(co)
