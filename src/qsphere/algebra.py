@@ -66,16 +66,17 @@ _UNIT = Monomial(0, 0, 0, 0)
 # sparse linear combinations
 
 
-def accumulate(acc, items):
-    """Add (key, coefficient) pairs into the dict acc in place, dropping
-    every key whose coefficient cancels to zero; returns acc."""
+def accumulate(acc, items, sub=False):
+    """Add (key, coefficient) pairs into the dict acc in place, or subtract
+    them when sub is true, dropping every key whose coefficient cancels to
+    zero; returns acc."""
     for k, c in items:
         v = acc.get(k)
         if v is None:
             if c:
-                acc[k] = c
+                acc[k] = -c if sub else c
         else:
-            v = v + c
+            v = v - c if sub else v + c
             if v:
                 acc[k] = v
             else:
@@ -167,9 +168,7 @@ class Combination:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._wrap(
-            accumulate(dict(self.terms), ((k, -c) for k, c in other.terms.items()))
-        )
+        return self._wrap(accumulate(dict(self.terms), other.terms.items(), sub=True))
 
     def __rsub__(self, other):
         return -self + other
@@ -302,6 +301,19 @@ def _mono_product(m1: Monomial, m2: Monomial):
     return tuple(out)
 
 
+def _multiply_into(acc, xs, ys, co=ONE):
+    """Add co * x * y into the dict acc, for the term dicts xs of x and ys
+    of y: the one product loop.  co is folded into each coefficient of x,
+    and each pair's row of _mono_product goes straight into acc; returns
+    acc."""
+    for m1, c1 in xs.items():
+        c1 = c1 * co
+        for m2, c2 in ys.items():
+            c12 = c1 * c2
+            accumulate(acc, ((m, c12 * c) for m, c in _mono_product(m1, m2)))
+    return acc
+
+
 class AlgebraElement(Combination):
     """A finite Q(s)-linear combination of normal-form monomials."""
 
@@ -328,12 +340,7 @@ class AlgebraElement(Combination):
             return self.scale(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                accumulate(out, ((m, c12 * c) for m, c in _mono_product(m1, m2)))
-        return AlgebraElement._wrap(out)
+        return AlgebraElement._wrap(_multiply_into({}, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -544,11 +551,11 @@ class TensorSquare(Combination):
         for (mx, my), co in self.terms.items():
             x = left.get(mx)
             if x is None:
-                x = left[mx] = fl(AlgebraElement._wrap({mx: ONE}))
+                x = left[mx] = fl(AlgebraElement._wrap({mx: ONE})).terms
             y = right.get(my)
             if y is None:
-                y = right[my] = fr(AlgebraElement._wrap({my: ONE}))
-            accumulate(out, ((m, c * co) for m, c in (x * y).terms.items()))
+                y = right[my] = fr(AlgebraElement._wrap({my: ONE})).terms
+            _multiply_into(out, x, y, co)
         return AlgebraElement._wrap(out)
 
     def _pieces(self):
@@ -627,8 +634,8 @@ def verify_hopf_axioms(sample_size=100, seed=42):
         for (m1, m2), co in dx.items():
             accumulate(diff, (((n1, n2, m2), co * c2)
                               for (n1, n2), c2 in _coproduct_mono(m1).items()))
-            accumulate(diff, (((m1, n1, n2), -co * c2)
-                              for (n1, n2), c2 in _coproduct_mono(m2).items()))
+            accumulate(diff, (((m1, n1, n2), co * c2)
+                              for (n1, n2), c2 in _coproduct_mono(m2).items()), sub=True)
         if diff:
             raise ArithmeticError(f"coassociativity fails on {w}")
 

@@ -18,9 +18,12 @@ positions of the nonzero entries of p have gcd 1.  A sum or product works
 at the gcd of its operands' strides (and, for a sum, of their shift
 difference); only when the second entry of its result is zero can
 cancellation have raised the stride, and only then is it recomputed, as
-in (1+q^2)(1-q^2) = 1-q^4 with stride 8.  Multiplying by a one-term value
-scales a tuple, multiplying by the object ONE returns the other operand,
-and reducing a sum or a product costs at most one integer gcd.  Two
+in (1+q^2)(1-q^2) = 1-q^4 with stride 8.  Some results are decided before
+any arithmetic: a sum with a zero operand is the other operand (negated
+for 0 - y), a difference of two values equal slot for slot is ZERO (every
+identity check ends in one), a product with a zero operand is ZERO, and
+a Laurent value times the unit 1 = s^0 * (1,) / 1 is that value itself.  Otherwise multiplying by a one-term value scales a tuple, and
+reducing a sum or a product costs at most one integer gcd.  Two
 multi-term tuples multiply through _laurent_product, a table bounded at
 4096 entries and keyed by the canonical (p_a, k_a, p_b, k_b): the engine
 meets few distinct such products and repeats each many times.
@@ -270,19 +273,11 @@ def _from_pair(num, den):
 
 
 def _plus(x, y, sub):
-    """x + y, or x - y when sub is true."""
+    """x + y, or x - y when sub is true, for nonzero x and y."""
     pa, pb = x._p, y._p
     if pa is None or pb is None:
-        if not y:
-            return x
-        if not x:
-            return -y if sub else y
         yn = pneg(y.num) if sub else y.num
         return _from_pair(padd(pmul(x.num, y.den), pmul(yn, x.den)), pmul(x.den, y.den))
-    if not pb:
-        return x
-    if not pa:
-        return -y if sub else y
     # align on a common denominator and a common stride g, add, strip both
     # ends; g == 0 only for two one-term values with one shift
     ea, eb, ka, kb, c, cb = x._e, y._e, x._k, y._k, x._c, y._c
@@ -336,8 +331,8 @@ class Scalar:
     returns; +, -, * and / on it take that general path.  Results that come
     back with a monomial denominator become Laurent again, so each value has
     exactly one representation and equality compares the slots.  Values are
-    immutable, so a product with the object ONE returns the other operand
-    itself.
+    immutable, so a result decided before any arithmetic (a sum with zero,
+    a product with the unit) is the other operand itself.
 
     The properties num and den give the canonical dense pair: den != 0 with
     a positive leading coefficient, num and den share no polynomial factor
@@ -416,6 +411,10 @@ class Scalar:
             if not isinstance(other, int):
                 return NotImplemented
             other = Scalar.from_int(other)
+        if other._p == ():
+            return self
+        if self._p == ():
+            return other
         return _plus(self, other, False)
 
     __radd__ = __add__
@@ -435,41 +434,54 @@ class Scalar:
             if not isinstance(other, int):
                 return NotImplemented
             other = Scalar.from_int(other)
+        pa, pb = self._p, other._p
+        if pb == ():
+            return self
+        if pa == ():
+            return -other
+        if self is other or (
+            self._e == other._e and pa == pb and self._k == other._k
+            and self._c == other._c and self._g == other._g
+        ):
+            return ZERO
         return _plus(self, other, True)
 
     def __rsub__(self, other):
-        return _plus(Scalar.from_int(other), self, True)
+        return Scalar.from_int(other) - self
 
     def __mul__(self, other):
-        if other is ONE:
-            return self
         if other.__class__ is not Scalar:
             if not isinstance(other, int):
                 return NotImplemented
             other = Scalar.from_int(other)
-        if self is ONE:
-            return other
         pa, pb = self._p, other._p
         if pa is None or pb is None:
-            if not self or not other:
+            if pa == () or pb == ():
                 return ZERO
             return _from_pair(pmul(self.num, other.num), pmul(self.den, other.den))
-        if not pa or not pb:
-            return ZERO
-        ka, kb = self._k, other._k
-        if len(pa) == 1:
-            a = pa[0]
-            if len(pb) == 1:
-                p = (a * pb[0],)
-            else:
-                p = pb if a == 1 else tuple([a * b for b in pb])
-            k = kb
-        elif len(pb) == 1:
+        # a one-term operand scales the other; the unit 1 * s^0 / 1 returns
+        # it, and a zero operand returns ZERO before any shift is added
+        if len(pb) == 1:
             b = pb[0]
-            p = pa if b == 1 else tuple([a * b for a in pa])
-            k = ka
+            if b == 1 and not other._e and other._c == 1:
+                return self
+            if len(pa) == 1:
+                p, k = (pa[0] * b,), 0
+            elif not pa:
+                return ZERO
+            else:
+                p, k = (pa if b == 1 else tuple([a * b for a in pa])), self._k
+        elif len(pa) == 1:
+            a = pa[0]
+            if a == 1 and not self._e and self._c == 1:
+                return other
+            if not pb:
+                return ZERO
+            p, k = (pb if a == 1 else tuple([a * b for b in pb])), other._k
+        elif not pa or not pb:
+            return ZERO
         else:
-            p, k = _laurent_product(pa, ka, pb, kb)
+            p, k = _laurent_product(pa, self._k, pb, other._k)
         c = self._c * other._c
         if c == 1:
             out = _new(Scalar)

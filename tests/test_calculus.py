@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qsphere import calculus
-from qsphere.algebra import AlgebraElement, a, b, c, d as gd, degree_split, normalize, one
+from qsphere.algebra import AlgebraElement, a, b, c, coproduct, d as gd, degree_split, normalize, one
 from qsphere.calculus import (
     E0,
     EM,
@@ -308,3 +308,36 @@ def test_generator_derivatives_check_sees_a_bent_derivative(monkeypatch, fresh_t
     check = next(c for c in calculus.CHECKS if c.anchor == "generator-derivatives")
     monkeypatch.setitem(calculus._D_GEN, "a", Form({E0: a, EP: b.scale(q2(3))}))
     assert [name for name, _ in check.fn(None)] == ["d(a)"]
+
+
+# --- subtraction of every Combination kind -------------------------------------
+
+
+def _rebuilt(x):
+    """x with every Scalar coefficient rebuilt from its dense pair, so that no
+    coefficient is the object it was built from."""
+    if x._nested:
+        return x._wrap({k: _rebuilt(y) for k, y in x.terms.items()})
+    return x._wrap({k: Scalar(co.num, co.den) for k, co in x.terms.items()})
+
+
+def _random_kinds(rng):
+    """One seeded value of each kind: an element, a tensor square, a form
+    and a tensor, whose coefficients are elements."""
+    def elem():
+        co = rng.choice((ONE, q, -q2(-1), ONE + q, Scalar((1,), (1, 0, 1))))
+        return normalize(rnd_word(rng, 4)).scale(co) + rng.choice((a, b, c, gd, one))
+
+    x = elem()
+    leg = Form.of(elem(), EP) + Form.of(elem(), EM)
+    return x, coproduct(x), elem() * d(elem()) + d(elem()), tensor(d(elem()), leg)
+
+
+def test_every_combination_kind_subtracts_coefficientwise():
+    rng = random.Random(2028)
+    for _ in range(15):
+        for x, y in zip(_random_kinds(rng), _random_kinds(rng)):
+            assert x and type(x) is type(y)
+            assert not (x - x).terms and not (x - _rebuilt(x)).terms
+            assert x - y == x + (-y)
+            assert (x - y) + y == x and y - x == -(x - y)

@@ -431,3 +431,36 @@ def test_map_legs_returns_a_fresh_element():
             first.terms.clear()
             first.terms[Monomial(0, 1, 0, 0)] = ONE
             assert dx.map_legs(fl, fr) == expected
+
+
+# --- the one product loop against the per-pair formula ------------------------
+
+
+_COEFFS = (ONE, q, -s, ONE + q, Scalar((2,), (3,)), ONE / (ONE + q ** -4))
+
+
+def _random_element(rng, terms=3):
+    """A sum of up to terms normal-form words of length 0-4, each scaled."""
+    out = AlgebraElement.zero()
+    for _ in range(rng.randint(1, terms)):
+        word = tuple(rng.choice("abcd") for _ in range(rng.randint(0, 4)))
+        out = out + normalize(word).scale(rng.choice(_COEFFS))
+    return out
+
+
+def _product_per_pair(x, y):
+    """x * y as the sum over term pairs of c1 c2 times their _mono_product row."""
+    out = AlgebraElement.zero()
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            row = AlgebraElement(dict(algebra._mono_product(m1, m2)))
+            out = out + row.scale(c1 * c2)
+    return out
+
+
+def test_product_matches_the_per_pair_formula():
+    rng = random.Random(2028)
+    for _ in range(60):
+        x, y = _random_element(rng), _random_element(rng)
+        assert x * y == _product_per_pair(x, y), (x, y)
+    assert not (x * AlgebraElement.zero()) and not (AlgebraElement.zero() * x)

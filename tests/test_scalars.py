@@ -273,6 +273,56 @@ def test_kernel_matches_dense_reference(x, y, k):
         assert (got.num, got.den) == want
 
 
+# --- results decided before any arithmetic
+#
+# +, - and * return an operand itself, or ZERO, when the other operand is
+# ZERO, the unit or (for -) equal slot for slot; a one-term operand scales
+# the other.  Each such result must be the value Scalar(num, den) builds
+# from the dense reference, slot for slot and in its hash.
+
+
+def _s_term(a, k):
+    """a * s^k, built from its dense pair."""
+    return Scalar((0,) * k + (a,)) if k >= 0 else Scalar((a,), (0,) * -k + (1,))
+
+
+@st.composite
+def decided_pairs(draw):
+    """(x, y) with y one of x itself, x rebuilt from its dense pair, -x,
+    ZERO, a zero or a unit that is not the object ZERO or ONE, ONE, -s^k,
+    s^k or 2 s^k; in either order."""
+    x = draw(_kernel_operand)
+    k = draw(st.integers(min_value=-6, max_value=6))
+    y = draw(st.sampled_from([
+        x, Scalar(x.num, x.den), -x, ZERO, Scalar(()), ONE, Scalar((1,)),
+        _s_term(-1, k), _s_term(1, k), _s_term(2, k),
+    ]))
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None)
+@given(decided_pairs())
+def test_decided_results_match_the_dense_reference(pair):
+    x, y = pair
+    for got, want in _reference_cases(x, y, 1)[:3]:
+        ref = Scalar(*want)
+        assert _slots(got) == _slots(ref) and hash(got) == hash(ref)
+    for zero in (x - x, x - Scalar(x.num, x.den), ZERO * y, y * ZERO):
+        assert _slots(zero) == _slots(ZERO) and hash(zero) == hash(0)
+
+
+def test_decided_results_examples():
+    x = (ONE + q ** 2) / 3
+    assert x - Scalar(x.num, x.den) is ZERO and x - x is ZERO
+    assert ZERO + x is x and x + ZERO is x and x - ZERO is x
+    assert x * ONE is x and Scalar((1,)) * x is x
+    # a zero product carries no shift from the other operand
+    for zero in (ZERO * s ** 3, s ** -5 * ZERO, ZERO * (ONE / (ONE + q ** -4))):
+        assert zero is ZERO and zero._e == 0
+    assert _slots(ZERO - x) == _slots(-x)
+
+
 # --- cross-check against sympy ----------------------------------------------
 
 
@@ -294,6 +344,7 @@ def test_sympy_oracle(x, y):
     for ours, theirs in [
         (x * y, _to_sympy(x) * _to_sympy(y)),
         (x + y, _to_sympy(x) + _to_sympy(y)),
+        (x - y, _to_sympy(x) - _to_sympy(y)),
     ]:
         assert _to_sympy(ours) == sympy.cancel(theirs)
 
