@@ -112,19 +112,16 @@ def _wedge_first(omega: Form, tf: TensorForm, co=ONE):
             yield (u, leg), z.scale(co)
 
 
-def cotorsion_parts():
-    """The (nabla wedge id) and (id wedge nabla) halves applied to the metric."""
-    left, right = {}, {}
-    for co, i, j in G_PRESENTATION:
-        ti, tj = DB[i], DB[j]
-        accumulate(left, tensor(nabla(ti).wedge_in(), tj).scale(co).terms.items())
-        accumulate(right, _wedge_first(ti, nabla(tj), co))
-    return TensorForm._wrap(left), TensorForm._wrap(right)
-
-
 def cotorsion() -> TensorForm:
-    left, right = cotorsion_parts()
-    return left - right
+    """(id wedge nabla)(g) on the metric g = sum co db_i (x) db_j.
+
+    The other half of the cotorsion, (nabla wedge id)(g), is
+    dd(b_i) (x) db_j term by term and so vanishes with the torsion; the
+    cotorsion is zero exactly when this half is."""
+    acc = {}
+    for co, i, j in G_PRESENTATION:
+        accumulate(acc, _wedge_first(DB[i], nabla(DB[j]), co))
+    return TensorForm._wrap(acc)
 
 
 # the 3x3 idempotent E presenting the one-forms as a summand of a free
