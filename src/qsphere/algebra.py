@@ -85,16 +85,15 @@ def accumulate(acc, items, sub=False):
 
 
 class Combination:
-    """A finite linear combination {key: coefficient} with no zero
-    coefficients.  Coefficients are Scalars or, for the kinds that set
-    _nested, algebra elements; the vector-space structure, the linear
-    extension of memoised operator tables and the printer are shared by
-    every kind."""
+    """A finite linear combination {key: Scalar} with no zero
+    coefficients.  Every kind keys its terms by a tuple ending in a
+    monomial, or by the monomial alone; the vector-space structure, the
+    linear extension of memoised operator tables and the printer are
+    shared by every kind."""
 
     __slots__ = ("terms",)
 
     _key = staticmethod(lambda k: k)  # coerce a key given to the constructor
-    _nested = False  # True when the coefficients are algebra elements
 
     def __init__(self, terms=None):
         key = self._key
@@ -116,23 +115,15 @@ class Combination:
         """The sum of co * table(k) over the (k, co) pairs, newly built.
 
         table maps a basis key to a value of this kind, usually a memoised
-        operator table; the result shares no dict or coefficient element
-        with a table value, so callers may mutate it."""
+        operator table; the result shares no dict with a table value, so
+        callers may mutate it."""
         acc = {}
-        if cls._nested:
-            for k, co in pairs:
-                for key, y in table(k).terms.items():
-                    inner = acc.setdefault(key, {})
-                    accumulate(inner, ((m, co * c) for m, c in y.terms.items()))
-            return cls._wrap({key: AlgebraElement._wrap(t) for key, t in acc.items() if t})
         for k, co in pairs:
             accumulate(acc, ((key, co * c) for key, c in table(k).terms.items()))
         return cls._wrap(acc)
 
     def copy(self):
         """A newly built copy that shares no dict with self."""
-        if self._nested:
-            return self._wrap({k: y.copy() for k, y in self.terms.items()})
         return self._wrap(dict(self.terms))
 
     def _coerce(self, other):
@@ -193,9 +184,6 @@ def proportionality(x, y):
         return ZERO
     k, co = next(iter(y.terms.items()))
     top = x.terms.get(k)
-    if y._nested:  # compare on the first monomial of that coefficient
-        m, co = next(iter(co.terms.items()))
-        top = None if top is None else top.terms.get(m)
     if top is None:
         return None
     lam = top / co

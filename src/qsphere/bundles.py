@@ -43,7 +43,7 @@ def _covariant_D_mono(m: Monomial) -> Form:
     Form.extend."""
     x = AlgebraElement({m: ONE})
     out = d(x) - x * monopole_omega(m.degree())
-    if E0 in out.terms:
+    if E0 in out.by_word():
         raise ArithmeticError("covariant derivative failed to be horizontal")
     return out
 
@@ -95,18 +95,11 @@ def basic_pairs(h: Form, n: int):
     (basic form, y_r) pairs with h = sum omega_r y_r.
 
     Inserting 1 = sum x_r y_r of the charge-n partition moves the
-    surplus degree out of each coefficient and onto y_r; x_r crosses
-    the exterior word on its way and picks up its crossing factor.
+    surplus degree out of each coefficient and onto y_r: omega_r is
+    h x_r, where x_r crosses each exterior word and picks up its
+    crossing factor.
     """
-    part = partition_of_unity(n)
-    pairs = []
-    for w, x in h.terms.items():
-        shift = -n * w.crossing()
-        for xr, yr in part:
-            omega = Form({w: (x * xr).scale(_q(shift))})
-            if omega:
-                pairs.append((omega, yr))
-    return pairs
+    return [(omega, yr) for xr, yr in partition_of_unity(n) if (omega := h * xr)]
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +127,7 @@ def extract_coeffs(h: Form):
     """
     check_sphere_form(h)
     fs = (AlgebraElement.zero(),) * 3
-    for w, x in h.terms.items():
+    for w, x in h.by_word().items():
         if w not in (EP, EM):
             raise ValueError("form has a component outside e+ and e-")
         fs = tuple(f + x * wt for f, wt in zip(fs, _frame_weights(w)))
@@ -174,10 +167,10 @@ def bwb_check(n: int):
             expected = head + tail
         if d(x) != expected:
             failures.append((s, t, "derivative formula"))
-        Dx = covariant_D(x)
-        if EM in Dx.terms:
+        Dx = covariant_D(x).by_word()
+        if EM in Dx:
             failures.append((s, t, "holomorphy (e- component)"))
-        if E0 in Dx.terms:
+        if E0 in Dx:
             failures.append((s, t, "horizontality (e0 component)"))
     return failures
 

@@ -18,9 +18,9 @@ and exterior algebra
 
 The d e+- values are the unique ones compatible with d^2 = 0 given the
 rest; that compatibility is checked at import time, and a failure
-raises.  Forms keep their algebra coefficients on the far left of each
-basis word.  Words are ordered +, -, 0; e.g. the top form is
-e+ ^ e- ^ e0.
+raises.  A form is a flat sum of terms co . m . e^w: a Scalar co, a PBW
+monomial m on the far left and a basis word e^w, keyed (w, m).  Words
+are ordered +, -, 0; e.g. the top form is e+ ^ e- ^ e0.
 
 e+- carry charge +-2 and e0 charge 0; a form descends to the sphere
 (is "basic") precisely when coefficient degree and word charge cancel,
@@ -37,6 +37,7 @@ from .algebra import (
     Check,
     Combination,
     Monomial,
+    _mono_product,
     _run_items,
     accumulate,
     antipode,
@@ -109,88 +110,113 @@ def _straighten_word(letters):
     return ExteriorWord(letters), coeff
 
 
-def push_left(word, x: AlgebraElement) -> AlgebraElement:
-    """Move x from the right of the basis word e^word to its left."""
-    crossings = ExteriorWord(word).crossing()
-    if crossings == 0:
-        return x
-    out = AlgebraElement()
-    for m, co in x.terms.items():
-        out.terms[m] = co * _q(crossings * m.degree())
-    return out
+def _slices(terms):
+    """{key without its monomial: the element of the terms under it} of
+    flat form or tensor terms, newly built, in order of first appearance."""
+    out = {}
+    for k, co in terms.items():
+        out.setdefault(k[:-1], {})[k[-1]] = co
+    return {slot: AlgebraElement._wrap(t) for slot, t in out.items()}
 
 
-def _left_multiply(self, other):
-    """Left multiplication of a form or tensor by a coefficient (or scalar)."""
-    if isinstance(other, (int, Scalar)):
-        return self.scale(other)
-    if not isinstance(other, AlgebraElement):
-        return NotImplemented
-    return self._wrap({k: v for k, x in self.terms.items() if (v := other * x)})
+def _wedge_rule(w1, k2):
+    """The key prefix and sign of e^w1 ^ e^w2 for the word w2 that opens
+    the key k2 (a tensor key keeps its leg), or None when it vanishes."""
+    st = _straighten_word(w1 + k2[0])
+    return st and ((st[0],) + k2[1:-1], st[1])
+
+
+def _product(kind, x, y, rule):
+    """The one product loop of forms and tensors: the sum over pairs of
+    terms c1 m1 e^w1 of the form x and c2 m2 e^k2 of y.  rule(w1, k2)
+    gives the prefix of the result key and a Scalar, or None; m2 crosses
+    e^w1 with q^(crossing(w1) deg m2), and the _mono_product row of
+    m1 m2 goes straight into the result."""
+    acc = {}
+    for (w1, m1), c1 in x.terms.items():
+        cross = w1.crossing()
+        for k2, c2 in y.terms.items():
+            st = rule(w1, k2)
+            if st is None:
+                continue
+            pre, co = st
+            m2 = k2[-1]
+            c12 = c1 * c2 * co
+            if cross:
+                c12 = c12 * _q(cross * m2.degree())
+            accumulate(acc, ((pre + (m,), c12 * c) for m, c in _mono_product(m1, m2)))
+    return kind._wrap(acc)
 
 
 class Form(Combination):
-    """A differential form: {ExteriorWord: AlgebraElement}, coefficients left."""
+    """A differential form: {(ExteriorWord, Monomial): Scalar}, the term
+    co . m . e^w keyed (w, m), its monomial on the far left."""
 
     __slots__ = ()
 
-    _key = ExteriorWord
-    _nested = True
+    @staticmethod
+    def _key(key):
+        w, m = key
+        return ExteriorWord(w), Monomial(*m)
 
     @staticmethod
     def of(x: AlgebraElement, word=()):
-        return Form({ExteriorWord(word): x})
+        w = ExteriorWord(word)
+        return Form._wrap({(w, m): co for m, co in x.terms.items()})
+
+    def by_word(self):
+        """{word: its coefficient}, newly built, in order of first appearance."""
+        return {w: x for (w,), x in _slices(self.terms).items()}
 
     def coefficient(self, word) -> AlgebraElement:
-        return self.terms.get(ExteriorWord(word), AlgebraElement())
-
-    __rmul__ = _left_multiply
+        """The coefficient of e^word, newly built."""
+        return self.by_word().get(ExteriorWord(word), AlgebraElement())
 
     def __mul__(self, other):
         """Right multiplication by a coefficient, or wedge with a form."""
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
         if isinstance(other, AlgebraElement):
-            return Form._wrap({
-                w: v for w, x in self.terms.items() if (v := x * push_left(w, other))
-            })
+            return wedge(self, Form.of(other))
         if isinstance(other, Form):
             return wedge(self, other)
         return NotImplemented
 
+    def __rmul__(self, other):
+        """Left multiplication by a coefficient (or scalar)."""
+        if isinstance(other, (int, Scalar)):
+            return self.scale(other)
+        if isinstance(other, AlgebraElement):
+            return wedge(Form.of(other), self)
+        return NotImplemented
+
     def _pieces(self):
         out = []
-        for w in sorted(self.terms, key=lambda w: (len(w), render_word(w))):
-            out.extend(self.terms[w]._pieces(render_word(w)))
+        parts = self.by_word()
+        for w in sorted(parts, key=lambda w: (len(w), render_word(w))):
+            out.extend(parts[w]._pieces(render_word(w)))
         return out
 
 
-def wedge(x: Form, y: Form) -> Form:
-    def terms():
-        for w1, x1 in x.terms.items():
-            for w2, x2 in y.terms.items():
-                st = _straighten_word(w1 + w2)
-                if st is not None:
-                    word, co = st
-                    yield word, (x1 * push_left(w1, x2)).scale(co)
-
-    return Form._wrap(accumulate({}, terms()))
+def wedge(x: Form, y):
+    """x ^ y for a form y, or x wedged onto the form of a tensor y."""
+    return _product(type(y), x, y, _wedge_rule)
 
 
 # ---------------------------------------------------------------------------
 # the exterior derivative
 
 _D_GEN = {
-    "a": Form({E0: _ga, EP: _gb.scale(_q(1))}),
-    "b": Form({EM: _ga, E0: _gb.scale(-_q(-2))}),
-    "c": Form({E0: _gc, EP: _gd.scale(_q(1))}),
-    "d": Form({EM: _gc, E0: _gd.scale(-_q(-2))}),
+    "a": Form.of(_ga, E0) + Form.of(_gb.scale(_q(1)), EP),
+    "b": Form.of(_ga, EM) + Form.of(_gb.scale(-_q(-2)), E0),
+    "c": Form.of(_gc, E0) + Form.of(_gd.scale(_q(1)), EP),
+    "d": Form.of(_gc, EM) + Form.of(_gd.scale(-_q(-2)), E0),
 }
 
 _D_WORD_BASE = {
-    "0": Form({VOL: AlgebraElement.one().scale(_q(3))}),
-    "+": Form({ExteriorWord("+0"): AlgebraElement.one().scale(-(_q(2) + ONE))}),
-    "-": Form({ExteriorWord("-0"): AlgebraElement.one().scale(_q(-2) + _q(-4))}),
+    "0": Form.of(one.scale(_q(3)), VOL),
+    "+": Form.of(one.scale(-(_q(2) + ONE)), "+0"),
+    "-": Form.of(one.scale(_q(-2) + _q(-4)), "-0"),
 }
 
 
@@ -229,10 +255,10 @@ def _d_word(w: ExteriorWord) -> Form:
 
 @lru_cache(maxsize=None)
 def _d_basis(key) -> Form:
-    """d(m e^w) = d(m) ^ e^w + m d(e^w) for the basis form of key = (m, w):
-    the memoised table behind d on forms.  Its values are read only through
-    Form.extend."""
-    m, w = key
+    """d(m e^w) = d(m) ^ e^w + m d(e^w) for the basis form of key = (w, m),
+    the key of that term in a Form: the memoised table behind d on forms.
+    Its values are read only through Form.extend."""
+    w, m = key
     return wedge(_d_mono(m), Form.of(one, w)) + AlgebraElement._wrap({m: ONE}) * _d_word(w)
 
 
@@ -241,9 +267,7 @@ def d(x) -> Form:
     if isinstance(x, AlgebraElement):
         return Form.extend(_d_mono, x.terms.items())
     if isinstance(x, Form):
-        return Form.extend(_d_basis, (
-            ((m, w), co) for w, coeff in x.terms.items() for m, co in coeff.terms.items()
-        ))
+        return Form.extend(_d_basis, x.terms.items())
     raise TypeError("d() needs an algebra element or a form")
 
 
@@ -292,8 +316,9 @@ def omega_recursion_check(nmax: int) -> bool:
 
 
 class TensorForm(Combination):
-    """Sum of f . e^word (x) e^leg with f on the far left: a form tensored
-    with one charged basis one-form, keyed (word, leg).
+    """Sum of co . m . e^word (x) e^leg with the monomial m on the far left:
+    a form tensored with one charged basis one-form, stored flat as
+    {(word, leg, monomial): Scalar}.
 
     The form may be any exterior word; the leg is "+" or "-" (the
     charged directions).  Coefficients cross the tensor sign because
@@ -302,16 +327,18 @@ class TensorForm(Combination):
 
     __slots__ = ()
 
-    _nested = True
-
     @staticmethod
     def _key(key):
-        w, leg = key
+        w, leg, m = key
         if leg not in ("+", "-"):
             raise ValueError("a tensor leg must be '+' or '-', not %r" % (leg,))
-        return ExteriorWord(w), leg
+        return ExteriorWord(w), leg, Monomial(*m)
 
-    __rmul__ = _left_multiply
+    def by_slot(self):
+        """{(word, leg): its coefficient}, newly built, in order of first appearance."""
+        return _slices(self.terms)
+
+    __rmul__ = Form.__rmul__
 
     def __mul__(self, other):
         """Right multiplication by a scalar, which is central."""
@@ -321,43 +348,33 @@ class TensorForm(Combination):
 
     def is_basic(self):
         """Total charge zero in every term: such tensors descend."""
-        for (w, leg), x in self.terms.items():
-            chg = w.charge() + _CHG[leg]
-            for m in x.terms:
-                if m.degree() + chg != 0:
-                    return False
-        return True
+        return all(m.degree() + w.charge() + _CHG[leg] == 0 for w, leg, m in self.terms)
 
     def wedge_in(self) -> Form:
         """The form with the tensor sign collapsed to a wedge."""
         def terms():
-            for (w, leg), x in self.terms.items():
+            for (w, leg, m), co in self.terms.items():
                 st = _straighten_word(w + (leg,))
                 if st is not None:
-                    word, co = st
-                    yield word, x.scale(co)
+                    yield (st[0], m), co * st[1]
 
         return Form._wrap(accumulate({}, terms()))
 
     def _pieces(self):
         out = []
-        for w, leg in sorted(self.terms, key=lambda k: (len(k[0]), render_word(k[0]), k[1])):
+        parts = self.by_slot()
+        for w, leg in sorted(parts, key=lambda k: (len(k[0]), render_word(k[0]), k[1])):
             tail = "%s(x)%s" % (render_word(w) or "1", _WORD_NAMES[leg])
-            out.extend(self.terms[(w, leg)]._pieces(tail))
+            out.extend(parts[(w, leg)]._pieces(tail))
         return out
 
 
 def tensor(x: Form, y: Form) -> TensorForm:
     """x (x) y for a one-form y with charged components only."""
-    if set(y.terms) - {EP, EM}:
+    if y.by_word().keys() - {EP, EM}:
         raise ValueError("second leg must be a charged basis one-form")
-
-    def terms():
-        for w1, x1 in x.terms.items():
-            for w2, x2 in y.terms.items():
-                yield (w1, w2[0]), x1 * push_left(w1, x2)
-
-    return TensorForm._wrap(accumulate({}, terms()))
+    # the key prefix of e^w1 (x) e^leg, the leg the one letter of y's word
+    return _product(TensorForm, x, y, lambda w1, k2: ((w1, k2[0][0]), ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +391,7 @@ def check_sphere_form(form: Form):
     """Raise ValueError unless form lives on the sphere: no e0, and every
     term basic, its coefficient of degree minus its word's charge (-2 on
     e+, +2 on e-, 0 on the 0-form and area parts)."""
-    for w, x in form.terms.items():
+    for w, x in form.by_word().items():
         if "0" in w:
             raise ValueError("form does not live on the sphere (e0 present)")
         n = -w.charge()

@@ -266,13 +266,14 @@ def _power(v, k):
         raise EvalError("negative powers exist only for scalars")
     if isinstance(v, AlgebraElement):
         return v ** k
-    # a basis one-form; k = 0 collapses to the scalar unit
+    # a basis one-form; k = 0 collapses to the scalar unit, and the
+    # powers stop at the first zero product (a one-form squares to zero)
     if k == 0:
         return ONE
     from .calculus import wedge
     out = v
-    for _ in range(k - 1):
-        out = wedge(out, v)
+    while out and k > 1:
+        out, k = wedge(out, v), k - 1
     return out
 
 

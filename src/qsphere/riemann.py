@@ -63,11 +63,8 @@ def decompose_legs(tf: TensorForm):
     The leg e^b is padded with 1 = sum x_r y_r at charge -+2 so that
     eta_r = y_r e^b is basic (bundles.basic_pairs).
     """
-    pairs = []
-    for (w, leg), x in tf.terms.items():
-        for omega, yr in basic_pairs(Form._wrap({w: x}), -2 if leg == "+" else 2):
-            pairs.append((omega, Form.of(yr, leg)))
-    return pairs
+    return [(omega, Form.of(yr, leg)) for (w, leg), x in tf.by_slot().items()
+            for omega, yr in basic_pairs(Form.of(x, w), -2 if leg == "+" else 2)]
 
 
 def nabla(tau) -> TensorForm:
@@ -78,10 +75,11 @@ def nabla(tau) -> TensorForm:
     terms have different legs, so they share no key.
     """
     check_sphere_form(tau)  # e+ (e-) coefficients have charge -2 (+2)
-    if set(tau.terms) - {EP, EM}:
+    parts = tau.by_word()
+    if parts.keys() - {EP, EM}:
         raise ValueError("the connection applies to one-forms")
     return TensorForm._wrap({
-        (v, w[0]): y for w, x in tau.terms.items() for v, y in covariant_D(x).terms.items()
+        (v, w[0], m): co for w, x in parts.items() for (v, m), co in covariant_D(x).terms.items()
     })
 
 
@@ -105,23 +103,14 @@ def torsion(tau) -> Form:
     return nabla(tau).wedge_in() - d(tau)
 
 
-def _wedge_first(omega: Form, tf: TensorForm, co=ONE):
-    """The terms of co . omega wedged onto the form of tf."""
-    for (v, leg), x in tf.terms.items():
-        for u, z in wedge(omega, Form._wrap({v: x})).terms.items():
-            yield (u, leg), z.scale(co)
-
-
 def cotorsion() -> TensorForm:
     """(id wedge nabla)(g) on the metric g = sum co db_i (x) db_j.
 
     The other half of the cotorsion, (nabla wedge id)(g), is
     dd(b_i) (x) db_j term by term and so vanishes with the torsion; the
     cotorsion is zero exactly when this half is."""
-    acc = {}
-    for co, i, j in G_PRESENTATION:
-        accumulate(acc, _wedge_first(DB[i], nabla(DB[j]), co))
-    return TensorForm._wrap(acc)
+    return sum((wedge(DB[i], nabla(DB[j])).scale(co) for co, i, j in G_PRESENTATION),
+               TensorForm())
 
 
 # the 3x3 idempotent E presenting the one-forms as a summand of a free
@@ -183,7 +172,7 @@ def riemann_tensor(tau) -> TensorForm:
     """
     acc = {}
     for omega, eta in decompose_legs(nabla(tau)):
-        accumulate(acc, _wedge_first(omega, nabla(eta)))
+        accumulate(acc, wedge(omega, nabla(eta)).terms.items())
         accumulate(acc, (-tensor(d(omega), eta)).terms.items())
     total = TensorForm._wrap(acc)
     if total != _scale_by_leg(tensor(upsilon(), tau), _CHIRALITY):
@@ -248,9 +237,8 @@ def _ricci_geometric_witness(opts):
 def _classical_limit_witness(opts):
     for lift in (einstein_lift(), geometric_lift()):
         diff = ricci(lift) - metric_g()
-        for x in diff.terms.values():
-            if any(co.specialize(1) != 0 for co in x.terms.values()):
-                return "Ricci != g at q = 1"
+        if any(co.specialize(1) != 0 for co in diff.terms.values()):
+            return "Ricci != g at q = 1"
 
 
 CHECKS = (

@@ -447,6 +447,8 @@ class Scalar:
         return _plus(self, other, True)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return Scalar.from_int(other) - self
 
     def __mul__(self, other):
@@ -502,6 +504,8 @@ class Scalar:
     def __truediv__(self, other):
         if isinstance(other, int):
             other = Scalar.from_int(other)
+        elif other.__class__ is not Scalar:
+            return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero Scalar")
         p = other._p
@@ -510,6 +514,8 @@ class Scalar:
         return _from_pair(pmul(self.num, other.den), pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return Scalar.from_int(other) / self
 
     def __pow__(self, k):

@@ -25,7 +25,7 @@ import random
 from functools import lru_cache, reduce
 from operator import add
 
-from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness, accumulate
+from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness
 from .algebra import a as _a, b as _b, c as _c, d as _d
 from .algebra import b0, bm, bp, coproduct, one, proportionality, require_degree
 from .calculus import (
@@ -52,14 +52,14 @@ GENS = {"-": bm, "0": b0, "+": bp}
 
 def chiral_split(tau: Form):
     """(e+ part, e- part) of a one-form: its del and delbar halves."""
-    return Form({EP: tau.coefficient(EP)}), Form({EM: tau.coefficient(EM)})
+    return tuple(Form.of(tau.coefficient(w), w) for w in (EP, EM))
 
 
 def del_split(f):
     """(del f, delbar f): the e+ and e- parts of df for a sphere function."""
     require_degree(f, 0, "del_split() needs a sphere element")
     df = d(f)
-    if E0 in df.terms:
+    if E0 in df.by_word():
         raise RuntimeError("df acquired an e0 part on a degree-0 element")
     return chiral_split(df)
 
@@ -261,10 +261,8 @@ G_PRESENTATION = ((_q(2), "-", "+"), (ONE, "+", "-"), (-two_q, "0", "0"))
 
 def _metric_over(left, right) -> TensorForm:
     """sum co . left_i (x) right_j over the terms (co, i, j) of G_PRESENTATION."""
-    acc = {}
-    for co, i, j in G_PRESENTATION:
-        accumulate(acc, tensor(left[i], right[j]).scale(co).terms.items())
-    return TensorForm._wrap(acc)
+    return sum((tensor(left[i], right[j]).scale(co) for co, i, j in G_PRESENTATION),
+               TensorForm())
 
 
 def _metric_sum() -> TensorForm:
@@ -281,7 +279,7 @@ _MIXED = frozenset(((EP, "-"), (EM, "+")))
 
 def _chiral_witness(g):
     """None when g has only the mixed e+ (x) e- and e- (x) e+ components."""
-    extra = sorted("".join(w + (leg,)) for w, leg in set(g.terms) - _MIXED)
+    extra = sorted("".join(w + (leg,)) for w, leg in g.by_slot().keys() - _MIXED)
     if extra:
         return "unexpected %s component" % ", ".join(extra)
 
@@ -352,14 +350,14 @@ def geometric_lift() -> TensorForm:
 
 
 # the Hodge star on the basis words, as (image word, sign)
-_STAR = {EP: (EP, 1), EM: (EM, -1), VOL: (SCALAR_WORD, 1), SCALAR_WORD: (VOL, 1)}
+_STAR = {EP: (EP, ONE), EM: (EM, -ONE), VOL: (SCALAR_WORD, ONE), SCALAR_WORD: (VOL, ONE)}
 
 
 def hodge_star(x):
     """The Hodge star of a sphere form (check_sphere_form raises on any
     other): +1 on e+, -1 on e-, *1 = Y and *Y = 1."""
     check_sphere_form(x)
-    return Form._wrap({_STAR[w][0]: c if _STAR[w][1] > 0 else -c for w, c in x.terms.items()})
+    return Form._wrap({(_STAR[w][0], m): c * _STAR[w][1] for (w, m), c in x.terms.items()})
 
 
 # Wedging either chiral half of the metric gives +-q^2 Y (the e+ ^ e-
@@ -388,7 +386,7 @@ def lift_iY(alpha: Scalar) -> TensorForm:
 
 def _scale_by_leg(tf: TensorForm, by) -> TensorForm:
     """Each term of tf scaled by the Scalar by[leg] of its leg."""
-    return TensorForm._wrap({(w, leg): x.scale(by[leg]) for (w, leg), x in tf.terms.items()})
+    return TensorForm._wrap({k: co * by[k[1]] for k, co in tf.terms.items()})
 
 
 def star_second_leg(tf: TensorForm) -> TensorForm:
@@ -404,12 +402,12 @@ def _lap_mono(m) -> AlgebraElement:
     f = AlgebraElement({m: ONE})
     _, dbarf = del_split(f)
     two_form = d(dbarf)
-    if set(two_form.terms) - {VOL}:
+    if two_form.by_word().keys() - {VOL}:
         raise RuntimeError("del delbar f is not proportional to the area form")
     h = two_form.coefficient(VOL)
     # the -1/2 d*d route must agree
     check = d(hodge_star(d(f))).scale(Scalar.from_int(-1) / 2)
-    if check != Form({VOL: h}):
+    if check != two_form:
         raise ArithmeticError("Laplacian routes disagree")
     return h
 

@@ -90,11 +90,12 @@ GENERATOR_SPINORS = (_a, _c, _b, _d)
 
 def gamma(omega, sigma: AlgebraElement) -> AlgebraElement:
     """Clifford action of a one-form: chirality-matched multiplication."""
-    if set(omega.terms) - {EP, EM}:
+    parts = omega.by_word()
+    if parts.keys() - {EP, EM}:
         raise ValueError("gamma acts on one-forms")
     check_sphere_form(omega)
     minus, plus = spinor_parts(sigma)
-    return omega.coefficient(EM) * plus + omega.coefficient(EP) * minus
+    return parts.get(EM, _zero) * plus + parts.get(EP, _zero) * minus
 
 
 def gamma_gamma(tf: TensorForm, sigma: AlgebraElement) -> AlgebraElement:

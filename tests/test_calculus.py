@@ -4,7 +4,18 @@ import random
 import pytest
 
 from qsphere import calculus
-from qsphere.algebra import AlgebraElement, a, b, c, coproduct, d as gd, degree_split, normalize, one
+from qsphere.algebra import (
+    AlgebraElement,
+    Monomial,
+    a,
+    b,
+    c,
+    coproduct,
+    d as gd,
+    degree_split,
+    normalize,
+    one,
+)
 from qsphere.calculus import (
     E0,
     EM,
@@ -21,7 +32,6 @@ from qsphere.calculus import (
     monopole_curvature,
     monopole_omega,
     omega_recursion_check,
-    push_left,
     tensor,
     wedge,
 )
@@ -29,6 +39,7 @@ from qsphere.scalars import ONE, Scalar, q, qint
 
 q2 = Scalar.q_power
 TOP = ExteriorWord("+-0")  # e+ ^ e- ^ e0, the top form upstairs
+UNIT = Monomial(0, 0, 0, 0)
 
 
 def rnd_word(rng, nmax=5):
@@ -52,21 +63,24 @@ def test_word_validity():
 
 
 def test_generator_derivatives():
-    assert d(a) == Form({E0: a, EP: q * b})
-    assert d(b) == Form({EM: a, E0: -(q ** -2) * b})
-    assert d(c) == Form({E0: c, EP: q * gd})
-    assert d(gd) == Form({EM: c, E0: -(q ** -2) * gd})
+    assert d(a) == Form.of(a, E0) + Form.of(q * b, EP)
+    assert d(b) == Form.of(a, EM) + Form.of(-(q ** -2) * b, E0)
+    assert d(c) == Form.of(c, E0) + Form.of(q * gd, EP)
+    assert d(gd) == Form.of(c, EM) + Form.of(-(q ** -2) * gd, E0)
 
 
 def test_commutation_rules():
     # e+- x = q^(deg x) x e+-,  e0 x = q^(2 deg x) x e0
     for x, deg in [(a, 1), (b, -1), (c, 1), (gd, -1)]:
-        assert basis(EP) * x == Form({EP: q2(deg) * x})
-        assert basis(EM) * x == Form({EM: q2(deg) * x})
-        assert basis(E0) * x == Form({E0: q2(2 * deg) * x})
-    assert push_left(EP, a) == q * a
-    assert push_left(E0, a) == q ** 2 * a
-    assert push_left(E0, b * gd) == q ** -4 * (b * gd)
+        assert basis(EP) * x == Form.of(q2(deg) * x, EP)
+        assert basis(EM) * x == Form.of(q2(deg) * x, EM)
+        assert basis(E0) * x == Form.of(q2(2 * deg) * x, E0)
+    # a coefficient crosses each letter of the word, left and right products agree
+    assert basis(EP) * a == q * a * basis(EP) == Form.of(q * a, EP)
+    assert basis(E0) * a == Form.of(q ** 2 * a, E0)
+    assert basis(E0) * (b * gd) == Form.of(q ** -4 * (b * gd), E0)
+    assert basis(VOL) * a == a * basis(VOL).scale(q ** 2) != basis(VOL) * b
+    assert basis(TOP) * (a * a) == Form.of(q ** 8 * (a * a), TOP)
 
 
 def test_exterior_relations():
@@ -77,13 +91,13 @@ def test_exterior_relations():
     assert wedge(basis(E0), basis(EM)) + q ** -4 * wedge(basis(EM), basis(E0)) == 0
     # canonical top form: e- ^ e+ ^ e0 = -q^2 e+ ^ e- ^ e0
     lhs = wedge(basis(EM), wedge(basis(EP), basis(E0)))
-    assert lhs == Form({TOP: -(q ** 2) * one})
+    assert lhs == Form.of(-(q ** 2) * one, TOP)
 
 
 def test_d_of_basis_forms():
-    assert d(basis(E0)) == Form({VOL: q2(3) * one})
-    assert d(basis(EP)) == Form({ExteriorWord("+0"): -(q ** 2 + ONE) * one})
-    assert d(basis(EM)) == Form({ExteriorWord("-0"): (q ** -2 + q ** -4) * one})
+    assert d(basis(E0)) == Form.of(q2(3) * one, VOL)
+    assert d(basis(EP)) == Form.of(-(q ** 2 + ONE) * one, "+0")
+    assert d(basis(EM)) == Form.of((q ** -2 + q ** -4) * one, "-0")
 
 
 def test_d_squared_zero():
@@ -97,7 +111,7 @@ def test_d_squared_zero():
     for w in (EP, EM, E0):
         for _ in range(10):
             x = normalize(rnd_word(rng, 3))
-            assert not d(d(Form({w: x})))
+            assert not d(d(Form.of(x, w)))
 
 
 def rnd_element(rng):
@@ -112,30 +126,31 @@ WORDS = [ExteriorWord(w) for n in range(4) for w in itertools.combinations("+-0"
 
 
 def test_combination_extend_and_copy():
-    """Linear extension of a table, for a flat kind and a nested kind."""
-    flat = {1: a + b, 2: b}
-    nested = {1: Form({EP: a + b, EM: c}), 2: Form({EP: b, EM: c})}
-    for kind, table in ((AlgebraElement, flat), (Form, nested)):
+    """Linear extension of a table, for an element and a form."""
+    elements = {1: a + b, 2: b}
+    forms = {1: Form.of(a + b, EP) + Form.of(c, EM), 2: Form.of(b, EP) + Form.of(c, EM)}
+    for kind, table in ((AlgebraElement, elements), (Form, forms)):
         want = {k: v.copy() for k, v in table.items()}
         # b (and, for the form, the whole e- word) cancels: no key is left
-        # behind, and no empty coefficient either
+        # behind, and no zero coefficient either
         got = kind.extend(table.get, [(1, ONE), (2, -ONE)])
         assert got == (a if kind is AlgebraElement else Form.of(a, EP))
-        if kind is Form:
-            assert EM not in got.terms and all(got.terms.values())
-        # clearing a result, or one of its coefficients, leaves the table intact
+        assert len(got.terms) == 1 and all(got.terms.values())
+        # clearing a result, a copy or a coefficient read off a form leaves
+        # the table intact
         got = kind.extend(table.get, [(1, ONE)])
         assert got == table[1] and got.terms is not table[1].terms
-        if kind is Form:
-            got.terms[EP].terms.clear()
         got.terms.clear()
-        assert table == want
+        assert table == want and table[1]
         copied = table[1].copy()
         assert copied == table[1] and copied.terms is not table[1].terms
-        if kind is Form:
-            assert all(copied.terms[w].terms is not y.terms for w, y in table[1].terms.items())
         copied.terms.clear()
-        assert table == want
+        assert table == want and table[1]
+        if kind is Form:
+            part = table[1].coefficient(EP)
+            assert part == a + b
+            part.terms.clear()
+            assert table == want and table[1].coefficient(EP) == a + b
         # no pairs: the zero of the kind
         zero = kind.extend(table.get, ())
         assert type(zero) is kind and zero == kind.zero()
@@ -149,9 +164,10 @@ def test_d_matches_reference_sums():
         for m, co in x.terms.items():
             expected = expected + _d_mono(m).scale(co)
         assert d(x) == expected
-        f = Form({w: rnd_element(rng) for w in rng.sample(WORDS, rng.randint(1, 4))})
+        f = sum((Form.of(rnd_element(rng), w) for w in rng.sample(WORDS, rng.randint(1, 4))),
+                Form())
         expected = Form()
-        for w, coeff in f.terms.items():
+        for w, coeff in f.by_word().items():
             expected = expected + wedge(d(coeff), basis(w)) + coeff * _d_word(w)
         assert d(f) == expected
         assert not d(d(x)) and not d(d(f))
@@ -161,8 +177,8 @@ def reference_d_form(f):
     """d of a form term by term, as d computed it before the _d_basis table:
     each word of d(coeff) straightened against w, plus coeff . d(e^w)."""
     out = Form()
-    for w, coeff in f.terms.items():
-        for w1, y in d(coeff).terms.items():
+    for w, coeff in f.by_word().items():
+        for w1, y in d(coeff).by_word().items():
             st = _straighten_word(w1 + w)
             if st is not None:
                 out = out + Form.of(y.scale(st[1]), st[0])
@@ -185,19 +201,20 @@ def test_d_basis_table_matches_the_term_formula():
                 for form in (f, closed):
                     assert d(form) == reference_d_form(form)
                 assert not d(closed)
+    cleared = 0
     for _ in range(30):
-        f = Form({
-            w: rnd_element(rng).scale(rng.choice(FORM_COEFFS))
+        f = sum((
+            Form.of(rnd_element(rng).scale(rng.choice(FORM_COEFFS)), w)
             for w in rng.sample(WORDS, rng.randint(1, 5))
-        })
+        ), Form())
         want = reference_d_form(f)
         got = d(f)
         assert got == want
         # every result is built afresh: mutating one leaves the next intact
-        for y in got.terms.values():
-            y.terms.clear()
+        cleared += bool(got)
         got.terms.clear()
         assert d(f) == want
+    assert cleared > 20
 
 
 def test_straighten_word_matches_uncached():
@@ -218,8 +235,10 @@ def test_super_leibniz_on_one_forms():
     rng = random.Random(32)
     words = [EP, EM, E0]
     for _ in range(25):
-        xi = Form({rng.choice(words): normalize(rnd_word(rng, 3))})
-        eta = Form({rng.choice(words): normalize(rnd_word(rng, 3))})
+        w = rng.choice(words)
+        xi = Form.of(normalize(rnd_word(rng, 3)), w)
+        w = rng.choice(words)
+        eta = Form.of(normalize(rnd_word(rng, 3)), w)
         assert d(wedge(xi, eta)) == wedge(d(xi), eta) - wedge(xi, d(eta))
 
 
@@ -229,27 +248,39 @@ def test_d_preserves_charge():
         x = normalize(rnd_word(rng, 5))
         for g, part in degree_split(x).items():
             # total charge: coefficient degree plus word charge, per term
-            charges = {m.degree() + w.charge() for w, y in d(part).terms.items() for m in y.terms}
+            charges = {m.degree() + w.charge() for w, m in d(part).terms}
             assert charges <= {g}
 
 
 def test_monopole_connection():
-    assert monopole_omega(1) == Form({E0: one})
-    assert monopole_omega(-1) == Form({E0: -(q ** -2) * one})
+    assert monopole_omega(1) == Form.of(one, E0)
+    assert monopole_omega(-1) == Form.of(-(q ** -2) * one, E0)
     assert monopole_omega(0) == 0
     for n in range(-6, 7):
         f = monopole_curvature(n)
-        assert f == Form({VOL: q2(3) * qint(n, q2(2)) * one})
+        assert f == Form.of(q2(3) * qint(n, q2(2)) * one, VOL)
     assert omega_recursion_check(6)
 
 
 def test_tensor_crossing():
     # e+ (x) f e- pulls f through with q^(deg f)
-    t = tensor(basis(EP), Form({EM: gd * gd}))
-    assert t.terms == {(EP, "-"): q2(-2) * (gd * gd)}
-    assert wedge(basis(EP), Form({EM: gd * gd})) == tensor(
-        basis(EP), Form({EM: gd * gd})
+    t = tensor(basis(EP), Form.of(gd * gd, EM))
+    assert t.terms == {(EP, "-", Monomial(0, 0, 0, 2)): q2(-2)}
+    assert wedge(basis(EP), Form.of(gd * gd, EM)) == tensor(
+        basis(EP), Form.of(gd * gd, EM)
     ).wedge_in()
+
+
+def test_form_keys_end_in_a_monomial():
+    # a word alone is refused as a key, not stored as a word with a
+    # coefficient element; a tuple of exponents becomes a Monomial
+    for key in (EP, VOL, ()):
+        with pytest.raises((TypeError, ValueError)):
+            Form({key: ONE})
+    assert Form({(EP, (0, 1, 0, 0)): q}) == Form.of(q * b, EP)
+    assert TensorForm({("+", "-", (1, 0, 0, 0)): ONE}) == tensor(Form.of(a, EP), basis(EM))
+    with pytest.raises(ValueError):
+        TensorForm({(EP, "-"): ONE})
 
 
 def test_tensor_leg_checks_raise():
@@ -257,7 +288,7 @@ def test_tensor_leg_checks_raise():
     # a two-letter leg and an unknown letter are all refused
     for key in (((), ()), (EP, ("+", "-")), (EP, "+-"), (EP, "x")):
         with pytest.raises(ValueError, match="tensor leg"):
-            TensorForm({key: one})
+            TensorForm({key + (UNIT,): ONE})
     with pytest.raises(ValueError):
         tensor(basis(EP), basis(E0))
     # the leg is checked even when the first factor is empty
@@ -267,9 +298,9 @@ def test_tensor_leg_checks_raise():
 
 def test_tensor_is_basic():
     # d^2 e+ (x) c^2 e- is charge balanced: (-2+2) + (2-2) = 0
-    t = tensor(Form({EP: gd * gd}), Form({EM: c * c}))
+    t = tensor(Form.of(gd * gd, EP), Form.of(c * c, EM))
     assert t.is_basic()
-    assert not tensor(basis(EP), Form({EM: c * c})).is_basic()
+    assert not tensor(basis(EP), Form.of(c * c, EM)).is_basic()
 
 
 # Each guard raises ArithmeticError when its identity fails, so it still
@@ -297,7 +328,7 @@ def test_omega_recursion_guards_raise(monkeypatch, shift, message):
 def test_d_squared_guard_raises(monkeypatch, fresh_tables):
     # a wrong d e0 breaks d^2 = 0; _d_word caches d on basis words and
     # _d_basis d on basis forms, and fresh_tables empties both around the fault
-    monkeypatch.setitem(calculus._D_WORD_BASE, "0", Form({VOL: one.scale(q2(2))}))
+    monkeypatch.setitem(calculus._D_WORD_BASE, "0", Form.of(one.scale(q2(2)), VOL))
     with pytest.raises(ArithmeticError, match="square to zero"):
         calculus._check_d_squared()
 
@@ -306,7 +337,7 @@ def test_generator_derivatives_check_sees_a_bent_derivative(monkeypatch, fresh_t
     # the check builds the frame matrix Omega itself, so d(a) cannot pass by
     # meeting the entry of _D_GEN it is computed from
     check = next(c for c in calculus.CHECKS if c.anchor == "generator-derivatives")
-    monkeypatch.setitem(calculus._D_GEN, "a", Form({E0: a, EP: b.scale(q2(3))}))
+    monkeypatch.setitem(calculus._D_GEN, "a", Form.of(a, E0) + Form.of(b.scale(q2(3)), EP))
     assert [name for name, _ in check.fn(None)] == ["d(a)"]
 
 
@@ -316,14 +347,12 @@ def test_generator_derivatives_check_sees_a_bent_derivative(monkeypatch, fresh_t
 def _rebuilt(x):
     """x with every Scalar coefficient rebuilt from its dense pair, so that no
     coefficient is the object it was built from."""
-    if x._nested:
-        return x._wrap({k: _rebuilt(y) for k, y in x.terms.items()})
     return x._wrap({k: Scalar(co.num, co.den) for k, co in x.terms.items()})
 
 
 def _random_kinds(rng):
     """One seeded value of each kind: an element, a tensor square, a form
-    and a tensor, whose coefficients are elements."""
+    and a tensor."""
     def elem():
         co = rng.choice((ONE, q, -q2(-1), ONE + q, Scalar((1,), (1, 0, 1))))
         return normalize(rnd_word(rng, 4)).scale(co) + rng.choice((a, b, c, gd, one))

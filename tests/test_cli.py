@@ -178,7 +178,7 @@ def test_roundtrip_forms():
 
 
 def random_tensor_form(rng):
-    leg = Form({EP: random_element(rng, 2), EM: random_element(rng, 2)})
+    leg = Form.of(random_element(rng, 2), EP) + Form.of(random_element(rng, 2), EM)
     return tensor(random_form(rng), leg)
 
 
@@ -566,6 +566,40 @@ def test_every_grammar_name_works_from_a_cold_start():
     proc = run_child("-c", script, *exprs)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [render_value(evaluate_text(e)) for e in exprs]
+
+
+def test_every_coefficient_is_a_scalar():
+    # every kind of value is a flat {key: Scalar}; a form or tensor key ends
+    # in the monomial its Scalar multiplies
+    from qsphere import riemann, sphere
+    from qsphere.algebra import Monomial
+    from qsphere.calculus import TensorForm
+
+    values = [op(evaluate_text(OPERATOR_ARGUMENTS[name])) for name, (op, _) in OPERATORS.items()]
+    values += [sphere.metric_g(), sphere.einstein_lift(), sphere.geometric_lift()]
+    values += [riemann.nabla(sphere.DB[i]) for i in "-0+"]
+    values += [riemann.riemann_tensor(sphere.DEL["+"]), riemann.cotorsion()]
+    kinds = set()
+    for v in values:
+        kinds.add(type(v))
+        if type(v) is Scalar:
+            continue
+        assert all(type(co) is Scalar for co in v.terms.values()), v
+        monomials = v.terms if type(v) is AlgebraElement else [k[-1] for k in v.terms]
+        assert all(type(m) is Monomial for m in monomials), v
+    assert kinds == {Scalar, AlgebraElement, Form, TensorForm}
+
+
+@pytest.mark.parametrize("expr", ["ep^99999999", "e0^3000000", "em^2"])
+def test_powers_of_a_form_atom_stop_at_the_first_zero(monkeypatch, expr):
+    # a basis one-form squares to zero: one wedge, not k - 1 of them
+    from qsphere import calculus
+
+    calls, real = [], calculus.wedge
+    monkeypatch.setattr(calculus, "wedge", lambda x, y: calls.append(1) or real(x, y))
+    assert evaluate_text(expr) == 0 and len(calls) == 1
+    calls.clear()
+    assert evaluate_text("ep^1") == Form.of(one, EP) and calls == []
 
 
 def test_every_domain_has_an_operator_and_every_operator_a_domain():

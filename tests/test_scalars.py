@@ -27,6 +27,7 @@ from qsphere.scalars import (
     s,
     two_q,
 )
+from qsphere.algebra import AlgebraElement, a
 
 lam = Scalar.s_power(-1)  # q^(-1/2)
 
@@ -104,6 +105,22 @@ def test_division_by_zero():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         ZERO ** -1
+
+
+@pytest.mark.parametrize("other", [1.5, Fraction(1, 2), a], ids=["float", "Fraction", "element"])
+def test_foreign_operands_are_refused(other):
+    # only integers are coerced; anything else would build a Scalar that is
+    # not canonical (float entries, or one that compares unequal to its value)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x / y):
+        for x, y in ((q, other), (other, q), (ONE, other), (other, ONE)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    if not isinstance(other, AlgebraElement):  # a Scalar scales an element
+        for x, y in ((q, other), (other, q)):
+            with pytest.raises(TypeError):
+                x * y
+    # integers still are coerced, on either side
+    assert 1 - q == -(q - 1) and 2 / q == 2 * q ** -1 and q / 2 == q * (ONE / 2)
 
 
 def test_canonical_form_is_reduced():

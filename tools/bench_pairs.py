@@ -19,7 +19,10 @@ taken just before the child starts.
 ``BENCHMARK.json`` the record gives each side's median and quartiles, the
 ratio of the medians (change / parent) and the number of pairs the change
 won.  It also holds each side's commit, ``src/`` line count and ``src/``
-hash, as the benchmark's own environment record reports them.
+hash, as the benchmark's own environment record reports them, and the
+median wall time of 5 fresh ``python -m qsphere.cli --suite all --quiet``
+children (``suite_all_s``), the two sides alternating, each child with its
+own empty ``PYTHONPYCACHEPREFIX``.
 
 The record goes to ``--out`` (standard output by default); progress goes
 to standard error.  The exit code is 1 when any run reported a wrong
@@ -42,6 +45,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SUITE_ALL_RUNS = 5
 
 
 def end_to_end_metrics():
@@ -89,6 +93,25 @@ def run_point(checkout, workload, seed, seconds):
         "child_wall_s": wall,
     }
     return point, json.loads(env_line)["env"]
+
+
+def suite_all_seconds(checkouts):
+    """{side: median wall time of SUITE_ALL_RUNS --suite all children}."""
+    times = {side: [] for side in SIDES}
+    for i in range(SUITE_ALL_RUNS):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            cache = tempfile.mkdtemp(prefix="bench-pycache-")
+            env = dict(os.environ, PYTHONPYCACHEPREFIX=cache,
+                       PYTHONPATH=str(checkouts[side] / "src"))
+            try:
+                start = perf_counter()
+                subprocess.run([sys.executable, "-m", "qsphere.cli", "--suite", "all", "--quiet"],
+                               cwd=checkouts[side], env=env, check=True,
+                               stdout=subprocess.DEVNULL, timeout=600)
+                times[side].append(perf_counter() - start)
+            finally:
+                shutil.rmtree(cache, ignore_errors=True)
+    return {side: statistics.median(t) for side, t in times.items()}
 
 
 def quartiles(values):
@@ -165,6 +188,9 @@ def main(argv=None):
             pairs.append(pair)
         workloads[workload] = {"seeds": seeds, "metrics": summarize(pairs, better), "pairs": pairs}
 
+    print("--suite all, %d runs per side" % SUITE_ALL_RUNS, file=sys.stderr, flush=True)
+    for side, seconds in suite_all_seconds(checkouts).items():
+        sides[side]["suite_all_s"] = seconds
     correct = all(p[side]["correct"] for w in workloads.values() for p in w["pairs"] for side in SIDES)
     record = {
         "command": "tools/bench_pairs.py --workloads %s --seeds %s --seconds %g" % (
