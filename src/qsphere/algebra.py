@@ -66,15 +66,18 @@ _UNIT = Monomial(0, 0, 0, 0)
 # sparse linear combinations
 
 
-def accumulate(acc, items, sub=False):
-    """Add (key, coefficient) pairs into the dict acc in place, or subtract
-    them when sub is true, dropping every key whose coefficient cancels to
-    zero; returns acc."""
+def accumulate(acc, items, co=None, sub=False):
+    """The one multiply-accumulate kernel: add co * c (c when co is None) for
+    every (key, c) pair of items, no c zero, into the dict acc in place, or
+    subtract it when sub is true; a key whose coefficient cancels is dropped."""
+    if co is not None and not co:
+        return acc
     for k, c in items:
+        if co is not None:
+            c = c * co
         v = acc.get(k)
         if v is None:
-            if c:
-                acc[k] = -c if sub else c
+            acc[k] = -c if sub else c
         else:
             v = v - c if sub else v + c
             if v:
@@ -82,6 +85,11 @@ def accumulate(acc, items, sub=False):
             else:
                 del acc[k]
     return acc
+
+
+def _unslice(slices):
+    """The flat terms {prefix + (m,): Scalar} of slices {prefix: {m: Scalar}}."""
+    return {pre + (m,): c for pre, t in slices.items() for m, c in t.items()}
 
 
 class Combination:
@@ -111,16 +119,19 @@ class Combination:
         return cls._wrap({})
 
     @classmethod
-    def extend(cls, table, pairs):
-        """The sum of co * table(k) over the (k, co) pairs, newly built.
-
-        table maps a basis key to a value of this kind, usually a memoised
-        operator table; the result shares no dict with a table value, so
-        callers may mutate it."""
+    def combine(cls, pairs):
+        """The sum of co * x over the (x, co) pairs of this kind, newly built."""
         acc = {}
-        for k, co in pairs:
-            accumulate(acc, ((key, co * c) for key, c in table(k).terms.items()))
+        for x, co in pairs:
+            accumulate(acc, x.terms.items(), co)
         return cls._wrap(acc)
+
+    @classmethod
+    def extend(cls, table, pairs):
+        """The sum of co * table(k) over the (k, co) pairs, newly built; table
+        maps a basis key to a value of this kind, usually a memoised operator
+        table, and the result shares no dict with it, so callers may mutate it."""
+        return cls.combine((table(k), co) for k, co in pairs)
 
     def copy(self):
         """A newly built copy that shares no dict with self."""
@@ -289,16 +300,15 @@ def _mono_product(m1: Monomial, m2: Monomial):
     return tuple(out)
 
 
-def _multiply_into(acc, xs, ys, co=ONE):
-    """Add co * x * y into the dict acc, for the term dicts xs of x and ys
-    of y: the one product loop.  co is folded into each coefficient of x,
-    and each pair's row of _mono_product goes straight into acc; returns
-    acc."""
+def _multiply_into(acc, xs, ys, co=None):
+    """Add co * x * y (x * y when co is None) into the dict acc, for the term
+    dicts xs and ys: the one product loop of elements.  co is folded into each
+    coefficient of x, and each pair's _mono_product row goes to accumulate."""
     for m1, c1 in xs.items():
-        c1 = c1 * co
+        if co is not None:
+            c1 = c1 * co
         for m2, c2 in ys.items():
-            c12 = c1 * c2
-            accumulate(acc, ((m, c12 * c) for m, c in _mono_product(m1, m2)))
+            accumulate(acc, _mono_product(m1, m2), c1 * c2)
     return acc
 
 
@@ -324,10 +334,11 @@ class AlgebraElement(Combination):
         return super()._coerce(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
+        if other.__class__ is not AlgebraElement:
+            if isinstance(other, (int, Scalar)):
+                return self.scale(other)
+            if not isinstance(other, AlgebraElement):
+                return NotImplemented
         return AlgebraElement._wrap(_multiply_into({}, self.terms, other.terms))
 
     def __rmul__(self, other):
@@ -486,7 +497,7 @@ def normalize(word, strategy="left"):
             accumulate(done, ((_word_to_monomial(w), coeff),))
             continue
         redex = min(redexes) if strategy == "left" else max(redexes)
-        accumulate(work, ((w2, coeff * c2) for w2, c2 in _apply_redex(w, redex)))
+        accumulate(work, _apply_redex(w, redex), coeff)
     return AlgebraElement._wrap(done)
 
 
@@ -509,17 +520,14 @@ class TensorSquare(Combination):
 
     def __mul__(self, other):
         """Componentwise product (the tensor-product algebra structure)."""
-        acc = {}
+        by_left = {}
         for (x1, y1), c1 in self.terms.items():
             for (x2, y2), c2 in other.terms.items():
                 c12 = c1 * c2
                 ys = _mono_product(y1, y2)
-                accumulate(acc, (
-                    ((mx, my), c12 * cx * cy)
-                    for mx, cx in _mono_product(x1, x2)
-                    for my, cy in ys
-                ))
-        return TensorSquare._wrap(acc)
+                for mx, cx in _mono_product(x1, x2):
+                    accumulate(by_left.setdefault((mx,), {}), ys, c12 * cx)
+        return TensorSquare._wrap(_unslice(by_left))
 
     def items(self):
         return self.terms.items()
@@ -616,15 +624,15 @@ def verify_hopf_axioms(sample_size=100, seed=42):
         x = normalize(w)
         dx = coproduct(x)
 
-        # coassociativity: (Delta (x) id) Delta x - (id (x) Delta) Delta x
-        # as a flat triple-tensor dict
-        diff = {}
+        # coassociativity: (Delta (x) id) Delta x = (id (x) Delta) Delta x,
+        # summed per untouched leg and compared as flat triple-tensor dicts
+        left, right = {}, {}
         for (m1, m2), co in dx.items():
-            accumulate(diff, (((n1, n2, m2), co * c2)
-                              for (n1, n2), c2 in _coproduct_mono(m1).items()))
-            accumulate(diff, (((m1, n1, n2), co * c2)
-                              for (n1, n2), c2 in _coproduct_mono(m2).items()), sub=True)
-        if diff:
+            accumulate(left.setdefault(m2, {}), _coproduct_mono(m1).items(), co)
+            accumulate(right.setdefault(m1, {}), _coproduct_mono(m2).items(), co)
+        left = {(n1, n2, m2): c for m2, t in left.items() for (n1, n2), c in t.items()}
+        right = {(m1,) + nn: c for m1, t in right.items() for nn, c in t.items()}
+        if left != right:
             raise ArithmeticError(f"coassociativity fails on {w}")
 
         # counit axiom

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Check, Monomial, antipode, coproduct, require_degree
-from .algebra import a as _a, b as _b, b0, bm, bp, c as _c, d as _d, proportionality
+from .algebra import AlgebraElement, Check, Monomial, _multiply_into, antipode, coproduct
+from .algebra import a as _a, b as _b, b0, bm, bp, c as _c, d as _d, proportionality, require_degree
 from .calculus import E0, EM, EP, Form, check_sphere_form, d, monopole_omega
 from .scalars import ONE, Scalar, qint
 
@@ -125,13 +125,13 @@ def extract_coeffs(h: Form):
     recombines against the derivatives of the sphere generators:
     f_- db_- + f_0 db_0 + f_+ db_+ = h.
     """
-    check_sphere_form(h)
-    fs = (AlgebraElement.zero(),) * 3
-    for w, x in h.by_word().items():
+    fs = ({}, {}, {})
+    for w, x in check_sphere_form(h).items():
         if w not in (EP, EM):
             raise ValueError("form has a component outside e+ and e-")
-        fs = tuple(f + x * wt for f, wt in zip(fs, _frame_weights(w)))
-    return fs
+        for f, wt in zip(fs, _frame_weights(w)):
+            _multiply_into(f, x.terms, wt.terms)
+    return tuple(AlgebraElement._wrap(f) for f in fs)
 
 
 def bwb_check(n: int):
@@ -150,19 +150,12 @@ def bwb_check(n: int):
         x = _c ** s * _a ** t
         if s == 0 and t == 0:
             expected = Form.zero()
-        elif s == 0:
-            expected = (_a ** (t - 1)).scale(qint(t, _q2)) * (
-                _a * e0_1 + _b.scale(_q(1)) * ep_1
-            )
-        elif t == 0:
-            expected = (_c ** (s - 1)).scale(qint(s, _q2)) * (
-                _c * e0_1 + _d.scale(_q(1)) * ep_1
-            )
+        elif s == 0 or t == 0:  # a power of a (of c), differentiated through da (dc)
+            g, h, k = (_a, _b, t) if s == 0 else (_c, _d, s)
+            expected = (g ** (k - 1)).scale(qint(k, _q2)) * (g * e0_1 + h.scale(_q(1)) * ep_1)
         else:
             head = x.scale(qint(n, _q2)) * e0_1
-            inner = AlgebraElement.one().scale(_q(1) * qint(s, _q2)) + (
-                _b * _c
-            ).scale(qint(n, _q2))
+            inner = AlgebraElement.one().scale(_q(1) * qint(s, _q2)) + (_b * _c).scale(qint(n, _q2))
             tail = (_c ** (s - 1) * _a ** (t - 1) * inner).scale(_q(t)) * ep_1
             expected = head + tail
         if d(x) != expected:

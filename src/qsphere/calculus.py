@@ -39,6 +39,7 @@ from .algebra import (
     Monomial,
     _mono_product,
     _run_items,
+    _unslice,
     accumulate,
     antipode,
     coproduct,
@@ -126,26 +127,27 @@ def _wedge_rule(w1, k2):
     return st and ((st[0],) + k2[1:-1], st[1])
 
 
-def _product(kind, x, y, rule):
-    """The one product loop of forms and tensors: the sum over pairs of
-    terms c1 m1 e^w1 of the form x and c2 m2 e^k2 of y.  rule(w1, k2)
-    gives the prefix of the result key and a Scalar, or None; m2 crosses
-    e^w1 with q^(crossing(w1) deg m2), and the _mono_product row of
-    m1 m2 goes straight into the result."""
-    acc = {}
-    for (w1, m1), c1 in x.terms.items():
-        cross = w1.crossing()
-        for k2, c2 in y.terms.items():
-            st = rule(w1, k2)
-            if st is None:
-                continue
-            pre, co = st
-            m2 = k2[-1]
-            c12 = c1 * c2 * co
-            if cross:
-                c12 = c12 * _q(cross * m2.degree())
-            accumulate(acc, ((pre + (m,), c12 * c) for m, c in _mono_product(m1, m2)))
-    return kind._wrap(acc)
+def _product(kind, pairs, rule):
+    """The one product loop of forms and tensors: the sum of x . y over the
+    pairs (x, y), for the terms c1 m1 e^w1 of x and c2 m2 e^k2 of y.
+    rule(w1, k2) gives the prefix of the result key and a Scalar, or None;
+    m2 crosses e^w1 with q^(crossing(w1) deg m2), and the _mono_product row
+    of m1 m2 goes through accumulate into one dict per key prefix."""
+    slices = {}
+    for x, y in pairs:
+        for (w1, m1), c1 in x.terms.items():
+            cross = w1.crossing()
+            for k2, c2 in y.terms.items():
+                st = rule(w1, k2)
+                if st is None:
+                    continue
+                pre, co = st
+                m2 = k2[-1]
+                c12 = c1 * c2 * co
+                if cross:
+                    c12 = c12 * _q(cross * m2.degree())
+                accumulate(slices.setdefault(pre, {}), _mono_product(m1, m2), c12)
+    return kind._wrap(_unslice(slices))
 
 
 class Form(Combination):
@@ -193,14 +195,20 @@ class Form(Combination):
     def _pieces(self):
         out = []
         parts = self.by_word()
-        for w in sorted(parts, key=lambda w: (len(w), render_word(w))):
+        for w in sorted(parts, key=_word_order):
             out.extend(parts[w]._pieces(render_word(w)))
         return out
 
 
+def wedge_sum(kind, pairs):
+    """The sum of x ^ y over the pairs (x, y) of a form x and a value y of
+    kind: a form, or a tensor whose form x is wedged onto."""
+    return _product(kind, pairs, _wedge_rule)
+
+
 def wedge(x: Form, y):
     """x ^ y for a form y, or x wedged onto the form of a tensor y."""
-    return _product(type(y), x, y, _wedge_rule)
+    return wedge_sum(type(y), ((x, y),))
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +241,16 @@ def _d_mono(m: Monomial) -> Form:
         g, rest = "c", Monomial(0, 0, k - 1, l)
     else:
         g, rest = "d", Monomial(0, 0, 0, l - 1)
-    rest_el = AlgebraElement({rest: ONE})
-    gen_el = AlgebraElement.gen(g)
-    return _D_GEN[g] * rest_el + gen_el * _d_mono(rest)
+    return _D_GEN[g] * AlgebraElement({rest: ONE}) + AlgebraElement.gen(g) * _d_mono(rest)
 
 
 @lru_cache(maxsize=None)
 def _d_word(w: ExteriorWord) -> Form:
-    out = Form()
-    for r, letter in enumerate(w):
-        piece = _D_WORD_BASE[letter]
-        if w[:r]:
-            piece = wedge(Form.of(AlgebraElement.one(), w[:r]), piece)
-        if w[r + 1:]:
-            piece = wedge(piece, Form.of(AlgebraElement.one(), w[r + 1:]))
-        if r % 2:
-            piece = -piece
-        out = out + piece
-    return out
+    # the Leibniz rule, letter by letter, with the sign of each letter's place
+    return Form.combine(
+        (wedge(wedge(Form.of(one, w[:r]), _D_WORD_BASE[x]), Form.of(one, w[r + 1:])),
+         -ONE if r % 2 else ONE)
+        for r, x in enumerate(w))
 
 
 @lru_cache(maxsize=None)
@@ -294,11 +294,9 @@ def monopole_curvature(n: int) -> Form:
 
 def _sweedler_omega(x: AlgebraElement) -> Form:
     """omega on the group-like image of x: sum S(x(1)) d(x(2))."""
-    out = Form()
-    for (m1, m2), co in coproduct(x).items():
-        piece = antipode(AlgebraElement({m1: ONE})) * d(AlgebraElement({m2: ONE}))
-        out = out + piece.scale(co)
-    return out
+    return wedge_sum(Form, ((Form.of(antipode(AlgebraElement._wrap({m1: co}))),
+                             d(AlgebraElement._wrap({m2: ONE})))
+                            for (m1, m2), co in coproduct(x).items()))
 
 
 def omega_recursion_check(nmax: int) -> bool:
@@ -352,13 +350,12 @@ class TensorForm(Combination):
 
     def wedge_in(self) -> Form:
         """The form with the tensor sign collapsed to a wedge."""
-        def terms():
-            for (w, leg, m), co in self.terms.items():
-                st = _straighten_word(w + (leg,))
-                if st is not None:
-                    yield (st[0], m), co * st[1]
-
-        return Form._wrap(accumulate({}, terms()))
+        slices = {}
+        for (w, leg), x in self.by_slot().items():
+            st = _straighten_word(w + (leg,))
+            if st is not None:
+                accumulate(slices.setdefault(st[:1], {}), x.terms.items(), st[1])
+        return Form._wrap(_unslice(slices))
 
     def _pieces(self):
         out = []
@@ -369,12 +366,19 @@ class TensorForm(Combination):
         return out
 
 
-def tensor(x: Form, y: Form) -> TensorForm:
-    """x (x) y for a one-form y with charged components only."""
-    if y.by_word().keys() - {EP, EM}:
+def tensor_sum(pairs) -> TensorForm:
+    """The sum of x (x) y over the pairs (x, y) of a form x and a one-form y
+    with charged components only."""
+    pairs = list(pairs)
+    if any({k[0] for k in y.terms} - {EP, EM} for _, y in pairs):
         raise ValueError("second leg must be a charged basis one-form")
     # the key prefix of e^w1 (x) e^leg, the leg the one letter of y's word
-    return _product(TensorForm, x, y, lambda w1, k2: ((w1, k2[0][0]), ONE))
+    return _product(TensorForm, pairs, lambda w1, k2: ((w1, k2[0][0]), ONE))
+
+
+def tensor(x: Form, y: Form) -> TensorForm:
+    """x (x) y for a one-form y with charged components only."""
+    return tensor_sum(((x, y),))
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +391,24 @@ def render_word(w) -> str:
     return "*".join(_WORD_NAMES[x] for x in w)
 
 
+def _word_order(w):  # the printer's order of exterior words: by length, then name
+    return len(w), render_word(w)
+
+
 def check_sphere_form(form: Form):
-    """Raise ValueError unless form lives on the sphere: no e0, and every
-    term basic, its coefficient of degree minus its word's charge (-2 on
-    e+, +2 on e-, 0 on the 0-form and area parts)."""
-    for w, x in form.by_word().items():
+    """form.by_word() when form lives on the sphere: no e0, and every term
+    basic, its coefficient of degree minus its word's charge (-2 on e+,
+    +2 on e-, 0 on the 0-form and area parts).  Otherwise ValueError,
+    naming the first bad word in the printer's order."""
+    parts = form.by_word()
+    bad = [w for w, x in parts.items() if "0" in w or {m.degree() for m in x.terms} - {-w.charge()}]
+    if bad:
+        w = min(bad, key=_word_order)
         if "0" in w:
             raise ValueError("form does not live on the sphere (e0 present)")
-        n = -w.charge()
-        if any(m.degree() != n for m in x.terms):
-            part = "coefficient of " + render_word(w) if w else "the 0-form part"
-            raise ValueError("%s must have degree %d" % (part, n))
+        part = "coefficient of " + render_word(w) if w else "the 0-form part"
+        raise ValueError("%s must have degree %d" % (part, -w.charge()))
+    return parts
 
 
 _GENERATORS = {"a": _ga, "b": _gb, "c": _gc, "d": _gd}

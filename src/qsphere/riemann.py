@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import random
 
-from .algebra import Check, _run_items, _zero_or_witness, accumulate
+from .algebra import Check, _run_items, _zero_or_witness
 from .bundles import basic_pairs, covariant_D
-from .calculus import EM, EP, Form, TensorForm, check_sphere_form, d, tensor, wedge
+from .calculus import EM, EP, Form, TensorForm, check_sphere_form, d, tensor, tensor_sum, wedge_sum
 from .scalars import ONE, Scalar, two_q
 from .sphere import (
     DB,
@@ -74,8 +74,7 @@ def nabla(tau) -> TensorForm:
     form of a tensor whose leg is x's basis one-form; the e+ and e-
     terms have different legs, so they share no key.
     """
-    check_sphere_form(tau)  # e+ (e-) coefficients have charge -2 (+2)
-    parts = tau.by_word()
+    parts = check_sphere_form(tau)  # e+ (e-) coefficients have charge -2 (+2)
     if parts.keys() - {EP, EM}:
         raise ValueError("the connection applies to one-forms")
     return TensorForm._wrap({
@@ -109,8 +108,7 @@ def cotorsion() -> TensorForm:
     The other half of the cotorsion, (nabla wedge id)(g), is
     dd(b_i) (x) db_j term by term and so vanishes with the torsion; the
     cotorsion is zero exactly when this half is."""
-    return sum((wedge(DB[i], nabla(DB[j])).scale(co) for co, i, j in G_PRESENTATION),
-               TensorForm())
+    return wedge_sum(TensorForm, ((DB[i].scale(co), nabla(DB[j])) for co, i, j in G_PRESENTATION))
 
 
 # the 3x3 idempotent E presenting the one-forms as a summand of a free
@@ -136,23 +134,19 @@ def projector_checks():
 
     # -E dE reproduces the connection on the generators' differentials
     for j in range(3):
-        recomb = sum((tensor(d(M[j][i]), db[i]) for i in range(3)), TensorForm())
+        recomb = tensor_sum((d(M[j][i]), db[i]) for i in range(3))
         items.append((f"nablaE-{j}", nabla(db[j]) + recomb))
 
     # the same recombination on the bare row gives minus the metric
-    drow = sum((tensor(d(E_ROW[j]), db[j]) for j in range(3)), TensorForm())
+    drow = tensor_sum((d(E_ROW[j]), db[j]) for j in range(3))
     items.append(("drowdb", drow + metric_g()))
 
     # each chirality of dE annihilates the matching chirality of db
+    halves = [chiral_split(t) for t in db]
     for j in range(3):
-        hol = ahol = TensorForm()
-        for i in range(3):
-            de, debar = del_split(M[j][i])
-            dbi, dbari = chiral_split(db[i])
-            hol = hol + tensor(de, dbi)
-            ahol = ahol + tensor(debar, dbari)
-        items.append((f"holE-{j}", hol))
-        items.append((f"aholE-{j}", ahol))
+        dE = [del_split(M[j][i]) for i in range(3)]
+        items.append((f"holE-{j}", tensor_sum((dE[i][0], halves[i][0]) for i in range(3))))
+        items.append((f"aholE-{j}", tensor_sum((dE[i][1], halves[i][1]) for i in range(3))))
 
     return _run_items(items)
 
@@ -170,11 +164,9 @@ def riemann_tensor(tau) -> TensorForm:
     area form tensor a chirality scalar times the input before it is
     returned.
     """
-    acc = {}
-    for omega, eta in decompose_legs(nabla(tau)):
-        accumulate(acc, wedge(omega, nabla(eta)).terms.items())
-        accumulate(acc, (-tensor(d(omega), eta)).terms.items())
-    total = TensorForm._wrap(acc)
+    pairs = decompose_legs(nabla(tau))
+    total = (wedge_sum(TensorForm, ((omega, nabla(eta)) for omega, eta in pairs))
+             - tensor_sum((d(omega), eta) for omega, eta in pairs))
     if total != _scale_by_leg(tensor(upsilon(), tau), _CHIRALITY):
         raise RuntimeError("curvature is not the area form times the chirality scalar")
     return total

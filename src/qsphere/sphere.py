@@ -22,10 +22,9 @@ e0-containing words cancel) -- several checks below lean on that.
 from __future__ import annotations
 
 import random
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 
-from .algebra import AlgebraElement, Check, _run_items, _zero_or_witness
+from .algebra import AlgebraElement, Check, _multiply_into, _run_items, _zero_or_witness
 from .algebra import a as _a, b as _b, c as _c, d as _d
 from .algebra import b0, bm, bp, coproduct, one, proportionality, require_degree
 from .calculus import (
@@ -38,8 +37,9 @@ from .calculus import (
     TensorForm,
     check_sphere_form,
     d,
-    tensor,
+    tensor_sum,
     wedge,
+    wedge_sum,
 )
 from .scalars import ONE, Scalar, mu, qint, two_q
 
@@ -124,7 +124,7 @@ DSREL_ROW = {"-": bp, "0": -F0, "+": _q(2) * bm}
 
 def _dsrel_on(forms):
     """The row DSREL_ROW applied to forms keyed like GENS."""
-    return reduce(add, (DSREL_ROW[i] * forms[i] for i in GENS))
+    return _matmul([[DSREL_ROW[i] for i in GENS]], [[forms[i]] for i in GENS])[0][0]
 
 
 def one_form_relation_check():
@@ -221,12 +221,22 @@ def one_form_relation_check():
 
 
 def _matmul(X, Y):
-    """The product XY of matrices given as row lists, as a list of row lists;
-    a row vector is a 1 x n matrix and a column vector an n x 1 matrix."""
-    return [
-        [reduce(add, (X[i][k] * Y[k][j] for k in range(len(Y)))) for j in range(len(Y[0]))]
-        for i in range(len(X))
-    ]
+    """The product XY of matrices of elements or forms given as row lists, as
+    a list of row lists, each entry summed in one dict by _dot; a row vector
+    is a 1 x n matrix and a column vector an n x 1 matrix."""
+    return [[_dot(row, col) for col in zip(*Y)] for row in X]
+
+
+def _dot(xs, ys):
+    """The sum of x * y over the pairs of xs and ys: a form when a factor is
+    one, an element otherwise."""
+    if any(type(v) is Form for v in (*xs, *ys)):
+        xs, ys = ([v if type(v) is Form else Form.of(v) for v in vs] for vs in (xs, ys))
+        return wedge_sum(Form, zip(xs, ys, strict=True))
+    acc = {}
+    for x, y in zip(xs, ys, strict=True):
+        _multiply_into(acc, x.terms, y.terms)
+    return AlgebraElement._wrap(acc)
 
 
 def _matrix_items(name, X):
@@ -261,8 +271,7 @@ G_PRESENTATION = ((_q(2), "-", "+"), (ONE, "+", "-"), (-two_q, "0", "0"))
 
 def _metric_over(left, right) -> TensorForm:
     """sum co . left_i (x) right_j over the terms (co, i, j) of G_PRESENTATION."""
-    return sum((tensor(left[i], right[j]).scale(co) for co, i, j in G_PRESENTATION),
-               TensorForm())
+    return tensor_sum((left[i].scale(co), right[j]) for co, i, j in G_PRESENTATION)
 
 
 def _metric_sum() -> TensorForm:
@@ -587,11 +596,9 @@ def _star_basics_witness(opts):
 
 def _star_squared_witness(opts):
     rng = random.Random(opts.seed + 3)
+    forms = [[Form.of(one)], [upsilon()]] + [[h[i]] for i in "-0+" for h in (DEL, DELBAR)]
     for _ in range(opts.n(25)):
-        x = Form.of(_random_sphere_word(rng)) + _random_sphere_word(rng) * upsilon()
-        for i in "-0+":
-            x = x + _random_sphere_word(rng) * DEL[i]
-            x = x + _random_sphere_word(rng) * DELBAR[i]
+        x = _matmul([[_random_sphere_word(rng) for _ in forms]], forms)[0][0]
         if hodge_star(hodge_star(x)) - x:
             return "star^2 != id on a sample"
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Check, Monomial, _run_items, accumulate
+from .algebra import AlgebraElement, Check, Monomial, _multiply_into, _run_items
 from .algebra import a as _a, b as _b, c as _c, d as _d, degree_split, require_degree
 from .bundles import basic_pairs, covariant_D, extract_coeffs, projector
 from .calculus import _GENERATORS, EM, EP, TensorForm, check_sphere_form, d
@@ -88,21 +88,28 @@ def spinor_parts(sigma: AlgebraElement):
 GENERATOR_SPINORS = (_a, _c, _b, _d)
 
 
-def gamma(omega, sigma: AlgebraElement) -> AlgebraElement:
-    """Clifford action of a one-form: chirality-matched multiplication."""
-    parts = omega.by_word()
+def _gamma_into(acc, omega, sigma):
+    """Add gamma(omega, sigma) into the dict acc; returns acc."""
+    parts = check_sphere_form(omega)
     if parts.keys() - {EP, EM}:
         raise ValueError("gamma acts on one-forms")
-    check_sphere_form(omega)
     minus, plus = spinor_parts(sigma)
-    return parts.get(EM, _zero) * plus + parts.get(EP, _zero) * minus
+    for w, part in ((EM, plus), (EP, minus)):
+        if w in parts:
+            _multiply_into(acc, parts[w].terms, part.terms)
+    return acc
+
+
+def gamma(omega, sigma: AlgebraElement) -> AlgebraElement:
+    """Clifford action of a one-form: chirality-matched multiplication."""
+    return AlgebraElement._wrap(_gamma_into({}, omega, sigma))
 
 
 def gamma_gamma(tf: TensorForm, sigma: AlgebraElement) -> AlgebraElement:
     """gamma applied twice through a two-legged tensor (inner leg first)."""
     out = {}
     for omega, eta in decompose_legs(tf):
-        accumulate(out, gamma(omega, gamma(eta, sigma)).terms.items())
+        _gamma_into(out, omega, gamma(eta, sigma))
     return AlgebraElement._wrap(out)
 
 
@@ -115,7 +122,7 @@ def _dirac_mono(m: Monomial) -> AlgebraElement:
     spinor_parts(x)  # raises unless deg m = +-1
     out = {}
     for omega, y in basic_pairs(covariant_D(x), m.degree()):
-        accumulate(out, gamma(omega, y).terms.items())
+        _gamma_into(out, omega, y)
     return AlgebraElement._wrap(out)
 
 
@@ -235,21 +242,21 @@ def dirac_commutator_check(sample_size=50, seed=7):
 # the trivialisation
 
 
+# the column (a + L b, c + L d) of row_to_spinor and the 2 x 2 matrix of spinor_to_row
+_TO_SPINOR = [[_a + _b.scale(LAMBDA)], [_c + _d.scale(LAMBDA)]]
+_TO_ROW = [[_d, -_b.scale(_q(1))], [-_c.scale(LAMBDA_INV * _q(-1)), _a.scale(LAMBDA_INV)]]
+
+
 def row_to_spinor(row) -> AlgebraElement:
     """The spinor f(a + L b) + g(c + L d) of a row (f, g) over the sphere."""
     for x in row:
         require_degree(x, 0, "row entries must be sphere elements")
-    f, g = row
-    return f * _a + g * _c + (f * _b + g * _d).scale(LAMBDA)
+    return _matmul([row], _TO_SPINOR)[0][0]
 
 
 def spinor_to_row(sigma: AlgebraElement):
     """The row (f, g) of a spinor, inverse to row_to_spinor."""
-    m, p = spinor_parts(sigma)
-    return (
-        m * _d - (p * _c).scale(LAMBDA_INV * _q(-1)),
-        -((m * _b).scale(_q(1))) + (p * _a).scale(LAMBDA_INV),
-    )
+    return tuple(_matmul([spinor_parts(sigma)], _TO_ROW)[0])
 
 
 def canonical_coefficients(f):
@@ -273,19 +280,14 @@ def transported_dirac(row, coeffs=canonical_coefficients):
     fm, f0, fp = coeffs(f)
     gm, g0, gp = coeffs(g)
 
-    out = [f.scale(LAMBDA * _q(1)), g.scale(LAMBDA * _q(1))]
-
-    u = (fm * bm + f0 * b0 + fp * bp, gm * bm + g0 * b0 + gp * bp)
+    u = [x for (x,) in _matmul([(fm, f0, fp), (gm, g0, gp)], [[bm], [b0], [bp]])]
     (ue,) = _matmul([u], e)
-    for j in range(2):
-        out[j] = out[j] + (u[j] + ue[j].scale(_q(4) - 1)).scale(LAMBDA * _q(-1))
-
     (third,) = _matmul([(f0 - gm, fp.scale(_q(-1)))], e)
     (fourth,) = _matmul([(-gm, fp.scale(_q(-1)) - g0)], f1)
-    for j in range(2):
-        out[j] = out[j] + third[j].scale(LAMBDA * _q(2)) - fourth[j].scale(LAMBDA)
-
-    return out[0], out[1]
+    weights = (LAMBDA * _q(1), LAMBDA * _q(-1), LAMBDA * _q(-1) * (_q(4) - 1),
+               LAMBDA * _q(2), -LAMBDA)
+    return tuple(AlgebraElement.combine(zip(parts, weights))
+                 for parts in zip(row, u, ue, third, fourth))
 
 
 def trivialisation_checks(sample_size=10, seed=7):

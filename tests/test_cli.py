@@ -128,6 +128,12 @@ def test_eval_type_errors():
     ("star(a*a*ep)", "error: star(): coefficient of ep must have degree -2"),
     ("nabla(a*a*ep)", "error: nabla(): coefficient of ep must have degree -2"),
     ("nabla(e0)", "error: nabla(): form does not live on the sphere (e0 present)"),
+    # two bad words: the first in the printer's order is named, whatever
+    # order the form's terms were built in
+    ("star(a*ep + b*em + (c*ep - a*ep))", "error: star(): coefficient of em must have degree 2"),
+    ("star(c*ep + b*em)", "error: star(): coefficient of em must have degree 2"),
+    ("star(e0 + a*a*ep)", "error: star(): form does not live on the sphere (e0 present)"),
+    ("star(a*a*ep + e0)", "error: star(): form does not live on the sphere (e0 present)"),
     ("del(a)", "error: del() needs a degree-0 (sphere) element"),
     ("lap(a)", "error: lap() needs a degree-0 (sphere) element"),
     ("dirac(a*a)", "error: dirac() needs components of charge +1 and -1 only"),

@@ -174,6 +174,24 @@ def test_metric():
     assert g_minus_plus().wedge_in() == upsilon().scale(-q(2))
 
 
+def test_sphere_form_check_names_the_first_bad_word_in_printer_order():
+    # star(a*ep + b*em + (c*ep - a*ep)) is star(c*ep + b*em), built in the
+    # other order: a*ep cancels, and c*ep comes back after b*em
+    x = Form.of(a, EP) + Form.of(b, EM) + (Form.of(c, EP) - Form.of(a, EP))
+    y = Form.of(c, EP) + Form.of(b, EM)
+    assert x == y and list(x.by_word()) == [EM, EP] and list(y.by_word()) == [EP, EM]
+    for f in (x, y):
+        with pytest.raises(ValueError, match="^coefficient of em must have degree 2$"):
+            hodge_star(f)
+    # the 0-form part comes first, and e0 before the charged words
+    for f in (Form.of(b, VOL) + Form.of(a), Form.of(a) + Form.of(b, VOL)):
+        with pytest.raises(ValueError, match="^the 0-form part must have degree 0$"):
+            hodge_star(f)
+    for f in (Form.of(a * a, EP) + Form.of(one, "0"), Form.of(one, "0") + Form.of(a * a, EP)):
+        with pytest.raises(ValueError, match="e0 present"):
+            hodge_star(f)
+
+
 def test_hodge_star():
     f1 = Form.of(one)
     assert hodge_star(f1) == upsilon()

@@ -1,9 +1,13 @@
 """Paired benchmark runs of two checkouts, written as one JSON record.
 
+    git worktree add ../base HEAD~1
     python3 tools/bench_pairs.py --parent ../base --change . \\
         --workloads hopf geometry:5 cli:5 \\
         --seeds 301 302 303 304 305 306 307 308 309 7919 --seconds 30 \\
         --out BENCH_28.json
+
+Make the parent copy with ``git worktree add`` (as above) or ``git clone``,
+so that the record can name its commit.
 
 Each pair runs the unchanged benchmark command, ``perfbench/run.py
 --workload W --seed S --seconds T --trace 0``, once in each checkout, as a
@@ -19,7 +23,9 @@ taken just before the child starts.
 ``BENCHMARK.json`` the record gives each side's median and quartiles, the
 ratio of the medians (change / parent) and the number of pairs the change
 won.  It also holds each side's commit, ``src/`` line count and ``src/``
-hash, as the benchmark's own environment record reports them, and the
+hash, as the benchmark's own environment record reports them (the commit
+from ``git -C CHECKOUT rev-parse HEAD`` where that record has none, as in
+a worktree, whose ``.git`` is a file), and the
 median wall time of 5 fresh ``python -m qsphere.cli --suite all --quiet``
 children (``suite_all_s``), the two sides alternating, each child with its
 own empty ``PYTHONPYCACHEPREFIX``.
@@ -52,6 +58,18 @@ def end_to_end_metrics():
     """{name: "higher" or "lower"} for the end-to-end metrics of BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def git_head(checkout):
+    """The commit checked out in checkout, from git; None when git cannot tell."""
+    try:
+        proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=60)
+    except OSError:
+        return None
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip() or None
 
 
 def python_pass_seconds():
@@ -184,7 +202,9 @@ def main(argv=None):
             for side in (first, SIDES[1 - SIDES.index(first)]):
                 print("%s seed %d: %s" % (workload, seed, side), file=sys.stderr, flush=True)
                 pair[side], env = run_point(checkouts[side], workload, seed, args.seconds)
-                sides.setdefault(side, {k: env[k] for k in ("commit", "src_lines", "src_sha256")})
+                if side not in sides:
+                    sides[side] = {k: env[k] for k in ("commit", "src_lines", "src_sha256")}
+                    sides[side]["commit"] = env["commit"] or git_head(checkouts[side])
             pairs.append(pair)
         workloads[workload] = {"seeds": seeds, "metrics": summarize(pairs, better), "pairs": pairs}
 
