@@ -112,12 +112,12 @@ def _straighten_word(letters):
 
 
 def _slices(terms):
-    """{key without its monomial: {monomial: Scalar}} of flat form or tensor
-    terms, newly built, in order of first appearance."""
+    """{key without its monomial: the element of the terms under it} of
+    flat form or tensor terms, newly built, in order of first appearance."""
     out = {}
     for k, co in terms.items():
         out.setdefault(k[:-1], {})[k[-1]] = co
-    return out
+    return {slot: AlgebraElement._wrap(t) for slot, t in out.items()}
 
 
 def _wedge_rule(w1, k2):
@@ -168,7 +168,7 @@ class Form(Combination):
 
     def by_word(self):
         """{word: its coefficient}, newly built, in order of first appearance."""
-        return {w: AlgebraElement._wrap(t) for (w,), t in _slices(self.terms).items()}
+        return {w: x for (w,), x in _slices(self.terms).items()}
 
     def coefficient(self, word) -> AlgebraElement:
         """The coefficient of e^word, newly built."""
@@ -334,7 +334,7 @@ class TensorForm(Combination):
 
     def by_slot(self):
         """{(word, leg): its coefficient}, newly built, in order of first appearance."""
-        return {slot: AlgebraElement._wrap(t) for slot, t in _slices(self.terms).items()}
+        return _slices(self.terms)
 
     __rmul__ = Form.__rmul__
 
@@ -351,10 +351,10 @@ class TensorForm(Combination):
     def wedge_in(self) -> Form:
         """The form with the tensor sign collapsed to a wedge."""
         slices = {}
-        for (w, leg), t in _slices(self.terms).items():
+        for (w, leg), x in self.by_slot().items():
             st = _straighten_word(w + (leg,))
             if st is not None:
-                accumulate(slices.setdefault(st[:1], {}), t.items(), st[1])
+                accumulate(slices.setdefault(st[:1], {}), x.terms.items(), st[1])
         return Form._wrap(_unslice(slices))
 
     def _pieces(self):
