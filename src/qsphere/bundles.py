@@ -83,9 +83,10 @@ def check_partition(n: int, pairs):
     return tuple(pairs)
 
 
+@lru_cache(maxsize=None)
 def projector(n: int):
     """The charge-n idempotent (y_r x_s) over partition_of_unity(n), as row
-    tuples; it squares to itself because sum x_s y_s = 1."""
+    tuples, built once; it squares to itself because sum x_s y_s = 1."""
     part = partition_of_unity(n)
     return tuple(tuple(y * x for x, _ in part) for _, y in part)
 

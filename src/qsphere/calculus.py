@@ -162,7 +162,7 @@ class Form(Combination):
         return ExteriorWord(w), Monomial(*m)
 
     @staticmethod
-    def of(x: AlgebraElement, word=()):
+    def of(x: AlgebraElement, word=SCALAR_WORD):
         w = ExteriorWord(word)
         return Form._wrap({(w, m): co for m, co in x.terms.items()})
 
@@ -350,12 +350,9 @@ class TensorForm(Combination):
 
     def wedge_in(self) -> Form:
         """The form with the tensor sign collapsed to a wedge."""
-        slices = {}
-        for (w, leg), x in self.by_slot().items():
-            st = _straighten_word(w + (leg,))
-            if st is not None:
-                accumulate(slices.setdefault(st[:1], {}), x.terms.items(), st[1])
-        return Form._wrap(_unslice(slices))
+        items = [((st[0], m), co * st[1]) for (w, leg, m), co in self.terms.items()
+                 if (st := _straighten_word(w + (leg,)))]
+        return Form._wrap(accumulate({}, items))
 
     def _pieces(self):
         out = []

@@ -26,7 +26,13 @@ a Laurent value times the unit 1 = s^0 * (1,) / 1 is that value itself.  Otherwi
 reducing a sum or a product costs at most one integer gcd.  Two
 multi-term tuples multiply through _laurent_product, a table bounded at
 4096 entries and keyed by the canonical (p_a, k_a, p_b, k_b): the engine
-meets few distinct such products and repeats each many times.
+meets few distinct such products and repeats each many times.  Sums
+repeat as much (20 geometry seeds: 53,796 sums, 2,639 distinct; 6,000
+hopf words: 444,437, 11,988 distinct), so two Laurent values add through
+_laurent_sum, keyed by (p_a, k_a, c_a, p_b, k_b, c_b, e_a - e_b, sub) with
+the lower shift first, so that x + y and y + x share an entry.  It is
+bounded twice: at 1024 entries, and to tuples of at most 16 entries; a
+longer sum calls the same function unmemoised.
 
 Only a true rational function, whose reduced denominator is not a monomial
 c*s^k (such as 1/(1+q^-4)), is kept as a reduced fraction num/den of dense
@@ -272,31 +278,29 @@ def _from_pair(num, den):
     return _from_parts(v - k, p, stride, c)
 
 
-def _plus(x, y, sub):
-    """x + y, or x - y when sub is true, for nonzero x and y."""
-    pa, pb = x._p, y._p
-    if pa is None or pb is None:
-        yn = pneg(y.num) if sub else y.num
-        return _from_pair(padd(pmul(x.num, y.den), pmul(yn, x.den)), pmul(x.den, y.den))
-    # align on a common denominator and a common stride g, add, strip both
-    # ends; g == 0 only for two one-term values with one shift
-    ea, eb, ka, kb, c, cb = x._e, y._e, x._k, y._k, x._c, y._c
+@lru_cache(maxsize=1024)
+def _laurent_sum(pa, ka, ca, pb, kb, cb, d, sub):
+    """s^d p_a(s^k_a) / c_a + p_b(s^k_b) / c_b (- when sub is true) over
+    s^min(d, 0), so that its shift is the sum's above the lower operand
+    shift: the bounded sum table of the Laurent kernel.  It aligns on a
+    common denominator and a common stride g, adds and strips both ends;
+    g == 0 only for two one-term values with one shift."""
+    c = ca
     if c != cb:
         r = _igcd(c, cb)
         fa, fb = cb // r, c // r
         c *= fa
         pa = [fa * a for a in pa]
         pb = [fb * b for b in pb]
-    e = ea if ea < eb else eb
-    g = _igcd(ka, kb, ea - eb)
+    g = _igcd(ka, kb, d)
     if g == 0:
         a = pa[0] - pb[0] if sub else pa[0] + pb[0]
-        return _from_parts(e, (a,), 0, c) if a else ZERO
+        return _from_parts(0, (a,), 0, c) if a else ZERO
     if ka != g:
         pa = _spread(pa, ka // g)
     if kb != g:
         pb = _spread(pb, kb // g)
-    ia, ib = (ea - e) // g, (eb - e) // g
+    ia, ib = (d // g, 0) if d > 0 else (0, -d // g)
     na, nb = ia + len(pa), ib + len(pb)
     end = na if na > nb else nb
     out = [0] * end
@@ -315,7 +319,28 @@ def _plus(x, y, sub):
     while not out[end - 1]:
         end -= 1
     p, k = _restride(tuple(out[lo:end]), g)
-    return _from_parts(e + lo * g, p, k, c)
+    return _from_parts(lo * g, p, k, c)
+
+
+def _plus(x, y, sub):
+    """x + y, or x - y when sub is true, for nonzero x and y."""
+    pa, pb = x._p, y._p
+    if pa is None or pb is None:
+        yn = pneg(y.num) if sub else y.num
+        return _from_pair(padd(pmul(x.num, y.den), pmul(yn, x.den)), pmul(x.den, y.den))
+    # a sum puts the lower shift first, so x + y and y + x share an entry;
+    # tuples longer than 16 entries go round the table
+    ea, eb = x._e, y._e
+    if eb < ea and not sub:
+        x, y, pa, pb, ea, eb = y, x, pb, pa, eb, ea
+    table = _laurent_sum if len(pa) <= 16 and len(pb) <= 16 else _laurent_sum.__wrapped__
+    z = table(pa, x._k, x._c, pb, y._k, y._c, ea - eb, sub)
+    e = ea if ea < eb else eb
+    if not e or z is ZERO:
+        return z  # values are immutable, so the table's own
+    out = _new(Scalar)
+    out._e, out._p, out._k, out._c, out._g = e + z._e, z._p, z._k, z._c, None
+    return out
 
 
 class Scalar:

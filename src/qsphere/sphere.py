@@ -575,12 +575,21 @@ def eigenvalue_on(elements):
 # the sphere, metric, hodge, laplace and maxwell suites
 
 
-def _random_sphere_word(rng, maxlen=3):
-    """A product of 1 to maxlen sphere generators: a random sphere function."""
+@lru_cache(maxsize=39)
+def _sphere_word(letters):
+    """The product of the sphere generators GENS[i] for the letters i."""
     x = one
-    for _ in range(rng.randrange(1, maxlen + 1)):
-        x = x * rng.choice((b0, bp, bm))
+    for i in letters:
+        x = x * GENS[i]
     return x
+
+
+def _random_sphere_word(rng, maxlen=3):
+    """A product of 1 to maxlen sphere generators, drawn from (b0, bp, bm):
+    a random sphere function, a new copy of its memoised product (3 + 9 +
+    27 = 39 products at maxlen 3)."""
+    n = rng.randrange(1, maxlen + 1)
+    return _sphere_word(tuple([rng.choice("0+-") for _ in range(n)])).copy()
 
 
 def _star_basics_witness(opts):

@@ -155,6 +155,15 @@ def test_projectors_are_idempotent():
         assert _matmul(e, e) == [list(r) for r in e]
 
 
+def test_projector_is_built_once_and_equals_a_rebuild(fresh_tables):
+    for n in (-2, -1, 1, 2):
+        e = projector(n)
+        assert e is projector(n) and type(e) is tuple and all(type(r) is tuple for r in e)
+        part = partition_of_unity(n)
+        assert e == tuple(tuple(y * x for x, _ in part) for _, y in part)
+    assert projector.cache_info().currsize == 4
+
+
 def test_projector_is_the_docstring_matrix():
     # e = [[-q^-1 b0, q b-], [-b+, 1 + q b0]], as the spin module docstring writes it
     e = projector(-1)

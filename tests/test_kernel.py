@@ -9,7 +9,7 @@ caller built one generator per row or one element per partial sum.
 import random
 from functools import reduce
 
-from qsphere import algebra, bundles, calculus, sphere, spin
+from qsphere import algebra, bundles, calculus, riemann, sphere, spin
 from qsphere.algebra import (
     AlgebraElement,
     TensorSquare,
@@ -268,6 +268,37 @@ def test_form_products_against_the_generator_form():
         want = reduce(old_plus, (TensorForm._wrap(old_product(u, v, lambda w1, k2: (
             (w1, k2[0][0]), ONE))) for u, v in pairs))
         assert calculus.tensor_sum(pairs) == want
+
+
+def old_wedge_in(tf):
+    """TensorForm.wedge_in through by_slot(): one element per (word, leg)."""
+    slices = {}
+    for (w, leg), x in tf.by_slot().items():
+        st = _straighten_word(w + (leg,))
+        if st is not None:
+            old_accumulate(slices.setdefault(st[0], {}), ((m, co * st[1]) for m, co in x.terms.items()))
+    return {(w, m): co for w, t in slices.items() for m, co in t.items()}
+
+
+def test_wedge_in_against_the_slot_route():
+    rng = random.Random(18)
+    vanishing = 0
+    for _ in range(40):
+        tau = sphere_element(rng) * sphere.DB[rng.choice("-0+")]
+        if rng.random() < 0.5:
+            tau = tau + sphere_element(rng) * sphere.DB[rng.choice("-0+")]
+        tf = riemann.nabla(tau)
+        vanishing += any(_straighten_word(w + (leg,)) is None for w, leg in tf.by_slot())
+        got = tf.wedge_in()
+        assert got.terms == old_wedge_in(tf) and type(got) is Form
+    assert vanishing > 10  # e+ (x) e+ and e- (x) e- straighten to nothing
+    # e+ (x) e- and e- (x) e+ both straighten to e+ ^ e-, here to a cancelling sum
+    m = algebra.Monomial(0, 1, 1, 0)
+    tf = TensorForm({(EP, "-", m): ONE, (EM, "+", m): -_straighten_word(("-", "+"))[1] ** -1,
+                     (EP, "+", m): q(3)})
+    assert tf.wedge_in().terms == old_wedge_in(tf) == {}
+    tf = TensorForm({(EP, "-", m): ONE, (EM, "+", m): ONE})
+    assert tf.wedge_in().terms == old_wedge_in(tf) == {(VOL, m): ONE - q(2)}
 
 
 def test_matmul_against_reduce_add():

@@ -11,6 +11,8 @@ from qsphere.scalars import (
     ZERO,
     Scalar,
     _laurent_product,
+    _laurent_sum,
+    _plus,
     _reduce_general,
     _render_laurent,
     _scalar_piece,
@@ -747,3 +749,135 @@ def test_wrong_table_entry_fails_the_check(monkeypatch):
     for x, y in [(ops[0], ops[1]), (ops[3], ops[4])]:
         with pytest.raises(AssertionError):
             _check_table_products([(x, y)])
+
+
+# --- the sum table of short Laurent tuples ----------------------------------
+
+
+def _sum_operands():
+    """The fixed multi-term operands of the product table, one-term values
+    and values whose sums cancel, raise the stride or mix strides and
+    denominators: few enough that every sum and difference of two of them
+    fits in the table."""
+    q2 = q ** 2
+    return _table_operands()[:10] + [
+        ONE, 3 * q, lam, s ** 3 / 2, -(q ** -5) / 6, ONE - q2, -(ONE - q2),
+        q2 * (ONE + q ** 4), q2 + q ** 6, ONE + q2 + q ** 4, (q + s) / 4]
+
+
+def _check_table_sums(pairs):
+    """x + y and x - y equal the dense reference, satisfy (x +- y) den(x)
+    den(y) = num(x) den(y) +- num(y) den(x) times den(got) in sympy's Z[s],
+    and are in canonical form."""
+    import sympy
+
+    t = sympy.Symbol("s")
+
+    def poly(p):
+        return sympy.Poly(list(reversed(p)), t, domain="ZZ")
+
+    for x, y in pairs:
+        for sub, got in ((False, x + y), (True, x - y)):
+            yn = pneg(y.num) if sub else y.num
+            num = padd(pmul(x.num, y.den), pmul(yn, x.den))
+            assert (got.num, got.den) == _canonical(num, pmul(x.den, y.den))
+            assert (poly(got.num) * poly(x.den) * poly(y.den)
+                    == poly(num) * poly(got.den))
+            _check_canonical(got)
+
+
+def test_sum_table_cold_and_warm_matches_references():
+    ops = _sum_operands()
+    assert all(x._p is not None and len(x._p) <= 16 for x in ops)
+    pairs = [(x, y) for x in ops for y in ops]
+    _laurent_sum.cache_clear()
+    _check_table_sums(pairs)  # cold: every distinct sum is a miss
+    info = _laurent_sum.cache_info()
+    assert info.misses > 0 and info.currsize == info.misses
+    _check_table_sums(pairs)  # warm: read back from the table
+    warm = _laurent_sum.cache_info()
+    assert warm.misses == info.misses and warm.hits - info.hits >= len(pairs)
+
+
+def test_sum_table_examples():
+    q2 = q ** 2
+    _laurent_sum.cache_clear()
+    # a sum that cancels is ZERO itself
+    x = (ONE - q2 + q ** 4) / 2
+    assert x + (-x) is ZERO and (ONE + q) - (q + ONE) is ZERO
+    # cancellation raises the stride: to 0 for one term, from 4 to 8
+    two = (ONE + q2) + (ONE - q2)
+    assert two == 2 and (two._p, two._k) == ((2,), 0)
+    y = (ONE + q2 + q ** 4) - q2
+    assert y == ONE + q ** 4 and (y._p, y._k) == ((1, 1), 8)
+    # x - y of values equal slot for slot is decided before the table, so
+    # this one is summed through _plus itself
+    assert _plus(q2 * (ONE + q ** 4), q2 + q ** 6, True) is ZERO
+    # mixed strides (4, 2 and 1 with s^-1) and denominators (2, 3 and 6)
+    z = (ONE + q2) / 2 + (ONE + q) / 3
+    assert z == (5 * ONE + 2 * q + 3 * q2) / 6 and (z._k, z._c) == (2, 6)
+    w = (ONE + q2) + lam / 3
+    assert w == (3 * ONE + 3 * q2 + lam) / 3 and (w._e, w._k, w._c) == (-1, 1, 3)
+    # sub in both operand orders: two entries, one the negative of the other
+    u, v = ONE + q, s ** 3 * (ONE - q2)
+    assert u - v == -(v - u) and u - v == u + (-v)
+    for x, y in ((u, v), (v, u), (two, y), (z, w)):
+        _check_table_sums([(x, y)])
+
+
+def test_sum_and_its_swap_read_one_entry():
+    u, v = ONE + q, s ** 3 * (ONE - q ** 2)  # shifts 0 and 3
+    _laurent_sum.cache_clear()
+    first = u + v
+    info = _laurent_sum.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+    assert v + u == first
+    info = _laurent_sum.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # a difference is never swapped: v - u is its own entry
+    assert v - u == -(u - v)
+    assert _laurent_sum.cache_info().currsize == 3
+
+
+def test_long_sums_go_round_the_table():
+    def dense(n, shift=0):
+        return Scalar((0,) * shift + tuple(range(1, n + 1)))
+
+    _laurent_sum.cache_clear()
+    x, y = dense(17), dense(17, shift=2)
+    before = _laurent_sum.cache_info()
+    for got in (x + y, y + x, x - y, x + dense(2), dense(2) - x):
+        _check_canonical(got)
+    _check_table_sums([(x, y), (x, dense(2)), (dense(2), x)])
+    assert _laurent_sum.cache_info() == before
+    # 16 entries still use the table
+    dense(16) + dense(16, shift=1)
+    assert _laurent_sum.cache_info().misses == before.misses + 1
+
+
+def test_sum_table_is_bounded():
+    maxsize = _laurent_sum.cache_info().maxsize
+    assert maxsize == 1024
+    base = ONE + s
+    others = [ONE + n * s for n in range(1, maxsize + 200)]
+    _laurent_sum.cache_clear()
+    for y in others:
+        base + y
+    info = _laurent_sum.cache_info()
+    assert info.misses == maxsize + 199 and info.currsize <= maxsize
+    _check_table_sums([(base, ONE + 5 * s), (base, ONE + (maxsize + 100) * s)])
+
+
+def test_wrong_sum_entry_fails_the_check(monkeypatch):
+    # a table that returns a wrong entry must fail the references above
+    good = _laurent_sum
+
+    def wrong(*key):
+        return good(*key) * 2
+
+    wrong.__wrapped__ = good.__wrapped__
+    monkeypatch.setattr(scalars_module, "_laurent_sum", wrong)
+    ops = _sum_operands()
+    for x, y in [(ops[0], ops[1]), (ops[3], ops[4])]:
+        with pytest.raises(AssertionError):
+            _check_table_sums([(x, y)])

@@ -411,3 +411,20 @@ def test_eigenvalue_guards_raise():
         eigenvalue_on([AlgebraElement()])
     with pytest.raises(ValueError, match="zero vector"):
         eigenvalue_on([bp, AlgebraElement()])
+
+
+def test_sphere_word_draws_match_the_product_loop():
+    def old_draw(rng, maxlen=3):
+        x = one
+        for _ in range(rng.randrange(1, maxlen + 1)):
+            x = x * rng.choice((b0, bp, bm))
+        return x
+
+    for maxlen in (3, 2, 1):
+        new, old = random.Random(7919 + maxlen), random.Random(7919 + maxlen)
+        for _ in range(300):
+            got = random_sphere_element(new, maxlen)
+            assert got == old_draw(old, maxlen)
+            got.terms.clear()  # a copy: the next equal draw is intact
+        assert new.getstate() == old.getstate()
+    assert sphere._sphere_word.cache_info().currsize <= 3 + 9 + 27

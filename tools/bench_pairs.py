@@ -28,7 +28,12 @@ from ``git -C CHECKOUT rev-parse HEAD`` where that record has none, as in
 a worktree, whose ``.git`` is a file), and the
 median wall time of 5 fresh ``python -m qsphere.cli --suite all --quiet``
 children (``suite_all_s``), the two sides alternating, each child with its
-own empty ``PYTHONPYCACHEPREFIX``.
+own empty ``PYTHONPYCACHEPREFIX``.  ``memo_tables`` holds, for each side,
+the ``cache_info()`` (hits, misses, currsize, maxsize) of every
+``functools`` cache defined at the top level of a ``qsphere`` module, read
+after one ``qsphere --suite all --seed 0`` run in a fresh child.  The
+tables are found by scanning the loaded modules' globals, so a side that
+has other tables than the other is recorded as it is.
 
 The record goes to ``--out`` (standard output by default); progress goes
 to standard error.  The exit code is 1 when any run reported a wrong
@@ -132,6 +137,36 @@ def suite_all_seconds(checkouts):
     return {side: statistics.median(t) for side, t in times.items()}
 
 
+MEMO_TABLES_CHILD = """
+import contextlib, io, json, sys
+from qsphere import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["--suite", "all", "--seed", "0", "--quiet"])
+if status != 0:
+    raise SystemExit("--suite all --seed 0 exited %d" % status)
+tables = {}
+for name, module in sorted(sys.modules.items()):
+    if name.startswith("qsphere."):
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_info") and getattr(value, "__module__", None) == name:
+                tables[name + "." + attr] = value.cache_info()._asdict()
+json.dump(tables, sys.stdout, sort_keys=True)
+"""
+
+
+def memo_tables(checkout):
+    """{table: cache_info() as a dict} after one --suite all --seed 0 run
+    in a fresh child in checkout."""
+    cache = tempfile.mkdtemp(prefix="bench-pycache-")
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONPATH=str(checkout / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-c", MEMO_TABLES_CHILD], cwd=checkout, env=env,
+                              capture_output=True, text=True, check=True, timeout=600)
+    finally:
+        shutil.rmtree(cache, ignore_errors=True)
+    return json.loads(proc.stdout)
+
+
 def quartiles(values):
     """{"q1", "median", "q3"} of the values."""
     if len(values) < 2:
@@ -211,6 +246,8 @@ def main(argv=None):
     print("--suite all, %d runs per side" % SUITE_ALL_RUNS, file=sys.stderr, flush=True)
     for side, seconds in suite_all_seconds(checkouts).items():
         sides[side]["suite_all_s"] = seconds
+    for side in SIDES:
+        sides[side]["memo_tables"] = memo_tables(checkouts[side])
     correct = all(p[side]["correct"] for w in workloads.values() for p in w["pairs"] for side in SIDES)
     record = {
         "command": "tools/bench_pairs.py --workloads %s --seeds %s --seconds %g" % (
