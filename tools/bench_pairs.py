@@ -43,6 +43,7 @@ answer, 2 on a usage error.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -83,14 +84,23 @@ def python_pass_seconds():
     return perf_counter() - start
 
 
+@contextlib.contextmanager
+def fresh_pycache(**extra):
+    """The environment with extra and a new, empty PYTHONPYCACHEPREFIX,
+    which is removed afterwards."""
+    cache = tempfile.mkdtemp(prefix="bench-pycache-")
+    try:
+        yield dict(os.environ, PYTHONPYCACHEPREFIX=cache, **extra)
+    finally:
+        shutil.rmtree(cache, ignore_errors=True)
+
+
 def run_point(checkout, workload, seed, seconds):
     """One benchmark run in checkout: its result line, environment record
     and the load beside it."""
     loadavg = list(os.getloadavg())
     pass_s = python_pass_seconds()
-    cache = tempfile.mkdtemp(prefix="bench-pycache-")
-    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
-    try:
+    with fresh_pycache() as env:
         start = perf_counter()
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -99,8 +109,6 @@ def run_point(checkout, workload, seed, seconds):
             timeout=3 * seconds + 600,
         )
         wall = perf_counter() - start
-    finally:
-        shutil.rmtree(cache, ignore_errors=True)
     if proc.returncode != 0:
         raise RuntimeError("perfbench/run.py exited %d in %s:\n%s"
                            % (proc.returncode, checkout, proc.stderr))
@@ -123,17 +131,12 @@ def suite_all_seconds(checkouts):
     times = {side: [] for side in SIDES}
     for i in range(SUITE_ALL_RUNS):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            cache = tempfile.mkdtemp(prefix="bench-pycache-")
-            env = dict(os.environ, PYTHONPYCACHEPREFIX=cache,
-                       PYTHONPATH=str(checkouts[side] / "src"))
-            try:
+            with fresh_pycache(PYTHONPATH=str(checkouts[side] / "src")) as env:
                 start = perf_counter()
                 subprocess.run([sys.executable, "-m", "qsphere.cli", "--suite", "all", "--quiet"],
                                cwd=checkouts[side], env=env, check=True,
                                stdout=subprocess.DEVNULL, timeout=600)
                 times[side].append(perf_counter() - start)
-            finally:
-                shutil.rmtree(cache, ignore_errors=True)
     return {side: statistics.median(t) for side, t in times.items()}
 
 
@@ -157,13 +160,9 @@ json.dump(tables, sys.stdout, sort_keys=True)
 def memo_tables(checkout):
     """{table: cache_info() as a dict} after one --suite all --seed 0 run
     in a fresh child in checkout."""
-    cache = tempfile.mkdtemp(prefix="bench-pycache-")
-    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONPATH=str(checkout / "src"))
-    try:
+    with fresh_pycache(PYTHONPATH=str(checkout / "src")) as env:
         proc = subprocess.run([sys.executable, "-c", MEMO_TABLES_CHILD], cwd=checkout, env=env,
                               capture_output=True, text=True, check=True, timeout=600)
-    finally:
-        shutil.rmtree(cache, ignore_errors=True)
     return json.loads(proc.stdout)
 
 
