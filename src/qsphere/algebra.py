@@ -69,12 +69,15 @@ _UNIT = Monomial(0, 0, 0, 0)
 def accumulate(acc, items, co=None, sub=False):
     """The one multiply-accumulate kernel: add co * c (c when co is None) for
     every (key, c) pair of items, no c zero, into the dict acc in place, or
-    subtract it when sub is true; a key whose coefficient cancels is dropped."""
-    if co is not None and not co:
+    subtract it when sub is true; a key whose coefficient cancels is dropped.
+    A factor that is the unit object ONE is skipped, never multiplied."""
+    if co is ONE:
+        co = None
+    elif co is not None and not co:
         return acc
     for k, c in items:
         if co is not None:
-            c = c * co
+            c = co if c is ONE else c * co
         v = acc.get(k)
         if v is None:
             acc[k] = -c if sub else c
@@ -180,6 +183,8 @@ class Combination:
             co = Scalar.from_int(co)
         if not co:
             return self._wrap({})
+        if co is ONE:
+            return self._wrap(dict(self.terms))
         return self._wrap({k: c * co for k, c in self.terms.items()})
 
     def __repr__(self):
@@ -303,12 +308,14 @@ def _mono_product(m1: Monomial, m2: Monomial):
 def _multiply_into(acc, xs, ys, co=None):
     """Add co * x * y (x * y when co is None) into the dict acc, for the term
     dicts xs and ys: the one product loop of elements.  co is folded into each
-    coefficient of x, and each pair's _mono_product row goes to accumulate."""
+    coefficient of x, and each pair's _mono_product row goes to accumulate;
+    a factor that is ONE is skipped."""
     for m1, c1 in xs.items():
-        if co is not None:
-            c1 = c1 * co
+        if co is not None and co is not ONE:
+            c1 = co if c1 is ONE else c1 * co
         for m2, c2 in ys.items():
-            accumulate(acc, _mono_product(m1, m2), c1 * c2)
+            accumulate(acc, _mono_product(m1, m2),
+                       c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
     return acc
 
 

@@ -120,33 +120,49 @@ def _slices(terms):
     return {slot: AlgebraElement._wrap(t) for slot, t in out.items()}
 
 
-def _wedge_rule(w1, k2):
-    """The key prefix and sign of e^w1 ^ e^w2 for the word w2 that opens
-    the key k2 (a tensor key keeps its leg), or None when it vanishes."""
-    st = _straighten_word(w1 + k2[0])
-    return st and ((st[0],) + k2[1:-1], st[1])
+def _wedge_rule(w1, pre2):
+    """The key prefix and sign of e^w1 ^ e^w2 for the key prefix pre2 = (w2,)
+    of a form, or (w2, leg) of a tensor, or None when it vanishes."""
+    st = _straighten_word(w1 + pre2[0])
+    return st and ((st[0],) + pre2[1:], st[1])
+
+
+def _tensor_rule(w1, pre2):
+    """The key prefix of e^w1 (x) e^leg, the leg the one letter of y's word."""
+    return (w1, pre2[0][0]), ONE
+
+
+@lru_cache(maxsize=1024)
+def _pair_rule(rule, w1, pre2, deg):
+    """(key prefix, sign * q^(crossing(w1) deg)) of rule(w1, pre2) for a
+    term of y of degree deg, or None: the product-rule table of _product."""
+    st = rule(w1, pre2)
+    if st is None:
+        return None
+    pre, co = st
+    cross = w1.crossing()
+    return pre, co * _q(cross * deg) if cross else co
 
 
 def _product(kind, pairs, rule):
     """The one product loop of forms and tensors: the sum of x . y over the
-    pairs (x, y), for the terms c1 m1 e^w1 of x and c2 m2 e^k2 of y.
-    rule(w1, k2) gives the prefix of the result key and a Scalar, or None;
-    m2 crosses e^w1 with q^(crossing(w1) deg m2), and the _mono_product row
-    of m1 m2 goes through accumulate into one dict per key prefix."""
+    pairs (x, y), for the terms c1 m1 e^w1 of x and c2 m2 e^pre2 of y.
+    rule(w1, pre2) gives the prefix of the result key and a Scalar, or None;
+    m2 crosses e^w1 with q^(crossing(w1) deg m2), both read from _pair_rule,
+    and the _mono_product row of m1 m2 goes through accumulate into one dict
+    per key prefix.  A factor that is ONE is skipped."""
     slices = {}
     for x, y in pairs:
+        ys = [(k2[:-1], k2[-1].degree(), k2[-1], c2) for k2, c2 in y.terms.items()]
         for (w1, m1), c1 in x.terms.items():
-            cross = w1.crossing()
-            for k2, c2 in y.terms.items():
-                st = rule(w1, k2)
+            for pre2, deg, m2, c2 in ys:
+                st = _pair_rule(rule, w1, pre2, deg)
                 if st is None:
                     continue
                 pre, co = st
-                m2 = k2[-1]
-                c12 = c1 * c2 * co
-                if cross:
-                    c12 = c12 * _q(cross * m2.degree())
-                accumulate(slices.setdefault(pre, {}), _mono_product(m1, m2), c12)
+                c12 = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+                accumulate(slices.setdefault(pre, {}), _mono_product(m1, m2),
+                           c12 if co is ONE else c12 * co)
     return kind._wrap(_unslice(slices))
 
 
@@ -369,8 +385,7 @@ def tensor_sum(pairs) -> TensorForm:
     pairs = list(pairs)
     if any({k[0] for k in y.terms} - {EP, EM} for _, y in pairs):
         raise ValueError("second leg must be a charged basis one-form")
-    # the key prefix of e^w1 (x) e^leg, the leg the one letter of y's word
-    return _product(TensorForm, pairs, lambda w1, k2: ((w1, k2[0][0]), ONE))
+    return _product(TensorForm, pairs, _tensor_rule)
 
 
 def tensor(x: Form, y: Form) -> TensorForm:
@@ -392,20 +407,31 @@ def _word_order(w):  # the printer's order of exterior words: by length, then na
     return len(w), render_word(w)
 
 
+# minus the charge of each word of a sphere form; a word with e0 is absent
+_SPHERE_DEGREE = {SCALAR_WORD: 0, EP: -2, EM: 2, VOL: 0}
+
+
 def check_sphere_form(form: Form):
     """form.by_word() when form lives on the sphere: no e0, and every term
     basic, its coefficient of degree minus its word's charge (-2 on e+,
     +2 on e-, 0 on the 0-form and area parts).  Otherwise ValueError,
-    naming the first bad word in the printer's order."""
-    parts = form.by_word()
-    bad = [w for w, x in parts.items() if "0" in w or {m.degree() for m in x.terms} - {-w.charge()}]
+    naming the first bad word in the printer's order.  One pass over the
+    terms builds the slices and checks each degree."""
+    parts, bad = {}, set()
+    for (w, m), co in form.terms.items():
+        t = parts.get(w)
+        if t is None:
+            t = parts[w] = {}
+        t[m] = co
+        if m.degree() != _SPHERE_DEGREE.get(w):
+            bad.add(w)
     if bad:
         w = min(bad, key=_word_order)
         if "0" in w:
             raise ValueError("form does not live on the sphere (e0 present)")
         part = "coefficient of " + render_word(w) if w else "the 0-form part"
         raise ValueError("%s must have degree %d" % (part, -w.charge()))
-    return parts
+    return {w: AlgebraElement._wrap(t) for w, t in parts.items()}
 
 
 _GENERATORS = {"a": _ga, "b": _gb, "c": _gc, "d": _gd}

@@ -22,23 +22,28 @@ in (1+q^2)(1-q^2) = 1-q^4 with stride 8.  Some results are decided before
 any arithmetic: a sum with a zero operand is the other operand (negated
 for 0 - y), a difference of two values equal slot for slot is ZERO (every
 identity check ends in one), a product with a zero operand is ZERO, and
-a Laurent value times the unit 1 = s^0 * (1,) / 1 is that value itself.  Otherwise multiplying by a one-term value scales a tuple, and
-reducing a sum or a product costs at most one integer gcd.  Two
-multi-term tuples multiply through _laurent_product, a table bounded at
-4096 entries and keyed by the canonical (p_a, k_a, p_b, k_b): the engine
-meets few distinct such products and repeats each many times.  Sums
-repeat as much (20 geometry seeds: 53,796 sums, 2,639 distinct; 6,000
-hopf words: 444,437, 11,988 distinct), so two Laurent values add through
-_laurent_sum, keyed by (p_a, k_a, c_a, p_b, k_b, c_b, e_a - e_b, sub) with
-the lower shift first, so that x + y and y + x share an entry.  It is
-bounded twice: at 1024 entries, and to tuples of at most 16 entries; a
-longer sum calls the same function unmemoised.
+a Laurent value times the unit 1 = s^0 * (1,) / 1 is that value itself.
+Every 1 the kernel builds is the one object ONE, so a product with it is
+decided by identity, and the loops above skip it.  Otherwise multiplying
+by a one-term value scales a tuple, and reducing a sum or a product costs
+at most one integer gcd.  Two multi-term tuples multiply through
+_laurent_product, a table bounded at 4096 entries and keyed by the
+canonical (p_a, k_a, p_b, k_b): the engine meets few distinct such
+products and repeats each many times.  Sums repeat as much (20 geometry
+seeds: 53,796 sums, 2,639 distinct; 6,000 hopf words: 444,437, 11,988
+distinct), so two Laurent values add through _laurent_sum, keyed by
+(p_a, k_a, c_a, p_b, k_b, c_b, e_a - e_b, sub) with the lower shift first,
+so that x + y and y + x share an entry.  It is bounded twice: at 1024
+entries, and to tuples of at most 16 entries; a longer sum calls the same
+function unmemoised.
 
 Only a true rational function, whose reduced denominator is not a monomial
 c*s^k (such as 1/(1+q^-4)), is kept as a reduced fraction num/den of dense
-polynomials and goes through the general Q[s] gcd.  Either way the value
-has one canonical dense pair (num, den), read through properties; negative
-powers of s live in den.
+polynomials and goes through the general Q[s] gcd.  The engine meets few
+such pairs, so _general_pair keeps their reductions, bounded as
+_laurent_sum is: at 256 entries, and to pairs of at most 32 entries.
+Either way the value has one canonical dense pair (num, den), read
+through properties; negative powers of s live in den.
 """
 
 from __future__ import annotations
@@ -191,6 +196,12 @@ def _reduce_general(num, den):
     return num, den
 
 
+@lru_cache(maxsize=256)
+def _general_pair(num, den):
+    """The bounded table of the general path: _reduce_general(num, den)."""
+    return _reduce_general(num, den)
+
+
 # ---------------------------------------------------------------------------
 # the stride of a Laurent tuple
 
@@ -246,6 +257,8 @@ def _from_parts(e, p, k, c):
         if r != 1:
             p = tuple(a // r for a in p)
             c //= r
+    if not e and c == 1 and p == _ONE:
+        return ONE
     out = _new(Scalar)
     out._e, out._p, out._k, out._c, out._g = e, p, k, c, None
     return out
@@ -261,7 +274,9 @@ def _from_pair(num, den):
         return ZERO
     k = len(den) - 1
     if k and any(den[:k]):
-        num, den = _reduce_general(num, den)
+        # pairs longer than 32 entries go round the table
+        table = _general_pair if len(num) <= 32 and len(den) <= 32 else _reduce_general
+        num, den = table(num, den)
         k = len(den) - 1
         if k and any(den[:k]):
             out = _new(Scalar)
@@ -338,8 +353,11 @@ def _plus(x, y, sub):
     e = ea if ea < eb else eb
     if not e or z is ZERO:
         return z  # values are immutable, so the table's own
+    e += z._e
+    if not e and z._p == _ONE and z._c == 1:
+        return ONE
     out = _new(Scalar)
-    out._e, out._p, out._k, out._c, out._g = e + z._e, z._p, z._k, z._c, None
+    out._e, out._p, out._k, out._c, out._g = e, z._p, z._k, z._c, None
     return out
 
 
@@ -481,6 +499,10 @@ class Scalar:
             if not isinstance(other, int):
                 return NotImplemented
             other = Scalar.from_int(other)
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         pa, pb = self._p, other._p
         if pa is None or pb is None:
             if pa == () or pb == ():
@@ -511,8 +533,11 @@ class Scalar:
             p, k = _laurent_product(pa, self._k, pb, other._k)
         c = self._c * other._c
         if c == 1:
+            e = self._e + other._e
+            if not e and p == _ONE:
+                return ONE
             out = _new(Scalar)
-            out._e, out._p, out._k, out._c, out._g = self._e + other._e, p, k, 1, None
+            out._e, out._p, out._k, out._c, out._g = e, p, k, 1, None
             return out
         return _from_parts(self._e + other._e, p, k, c)
 
@@ -587,7 +612,8 @@ class Scalar:
 
 ZERO = _new(Scalar)
 ZERO._e, ZERO._p, ZERO._k, ZERO._c, ZERO._g = 0, (), 0, 1, None
-ONE = Scalar.from_int(1)
+ONE = _new(Scalar)  # the one unit object: _from_parts returns it for 1
+ONE._e, ONE._p, ONE._k, ONE._c, ONE._g = 0, _ONE, 0, 1, None
 s = Scalar.s_power(1)
 q = Scalar.q_power(1)
 two_q = q + q ** -1  # the symmetrized 2

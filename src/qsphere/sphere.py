@@ -358,15 +358,15 @@ def geometric_lift() -> TensorForm:
     return _metric_entry(_GEOMETRIC)
 
 
-# the Hodge star on the basis words, as (image word, sign)
-_STAR = {EP: (EP, ONE), EM: (EM, -ONE), VOL: (SCALAR_WORD, ONE), SCALAR_WORD: (VOL, ONE)}
+# the Hodge star on the basis words: the image word, with sign -1 on e- alone
+_STAR = {EP: EP, EM: EM, VOL: SCALAR_WORD, SCALAR_WORD: VOL}
 
 
 def hodge_star(x):
     """The Hodge star of a sphere form (check_sphere_form raises on any
     other): +1 on e+, -1 on e-, *1 = Y and *Y = 1."""
     check_sphere_form(x)
-    return Form._wrap({(_STAR[w][0], m): c * _STAR[w][1] for (w, m), c in x.terms.items()})
+    return Form._wrap({(_STAR[w], m): -c if w == EM else c for (w, m), c in x.terms.items()})
 
 
 # Wedging either chiral half of the metric gives +-q^2 Y (the e+ ^ e-

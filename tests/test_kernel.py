@@ -377,3 +377,174 @@ def test_results_share_no_dict_with_a_table_value():
     for x in calculus.check_sphere_form(tau).values():
         x.terms.clear()
     assert tau == before
+
+
+# ---------------------------------------------------------------------------
+# the unit object ONE is skipped, never multiplied: each loop gives the same
+# terms, slot for slot, with ONE, with an equal but separate 1 and through
+# the always-multiply loop it replaced
+
+
+def slotted(terms):
+    return {k: (c._e, c._p, c._k, c._c, c._g) for k, c in terms.items()}
+
+
+def with_units(rng, x):
+    """x with about half its coefficients replaced by the object ONE."""
+    return type(x)._wrap({k: ONE if rng.random() < 0.5 else c for k, c in x.terms.items()})
+
+
+def separate_ones(x):
+    """x with every coefficient ONE replaced by an equal, separate 1."""
+    return type(x)._wrap({k: Scalar((1,)) if c is ONE else c for k, c in x.terms.items()})
+
+
+def test_unit_skips_against_the_always_multiply_loop():
+    rng = random.Random(19)
+    assert Scalar((1,)) is not ONE
+    units = 0
+    for _ in range(40):
+        base, x, y = element(rng), with_units(rng, element(rng)), with_units(rng, element(rng))
+        units += sum(c is ONE for c in x.terms.values())
+        for co in (ONE, Scalar((1,)), None, q(1), -ONE):
+            sub = rng.random() < 0.5
+            want = old_accumulate(dict(base.terms), [(k, c if co is None else c * co)
+                                                     for k, c in x.terms.items()], sub)
+            for terms in (x.terms, separate_ones(x).terms):
+                got = accumulate(dict(base.terms), terms.items(), co, sub)
+                assert slotted(got) == slotted(want) and list(got) == list(want)
+            if co is not None:
+                want = old_multiply(x.terms, y.terms, co)
+                for u, v in ((x, y), (separate_ones(x), separate_ones(y))):
+                    got = _multiply_into({}, u.terms, v.terms, co)
+                    assert slotted(got) == slotted(want) and list(got) == list(want)
+                want = {k: c * co for k, c in x.terms.items()}
+                got = x.scale(co)
+                assert slotted(got.terms) == slotted(want) and got.terms is not x.terms
+        # the form product, with unit coefficients on either side
+        u, v = with_units(rng, form(rng)), with_units(rng, form(rng))
+        want = old_product(u, v, old_wedge_rule)
+        for s, t in ((u, v), (separate_ones(u), separate_ones(v))):
+            assert slotted(calculus.wedge(s, t).terms) == slotted(want)
+    assert units > 20
+
+
+# ---------------------------------------------------------------------------
+# the product-rule table: _product reads the key prefix, sign and crossing
+# factor of each pair of words from _pair_rule instead of the whole-key rule
+
+WORDS = ("", "+", "-", "0", "+-", "+0", "-0", "+-0")
+
+
+def old_tensor_rule(w1, k2):
+    return (w1, k2[0][0]), ONE
+
+
+def every_word_form(rng, words=WORDS):
+    acc = {}
+    for w in words:
+        accumulate(acc, Form.of(element(rng), w).terms.items())
+    return Form._wrap(acc)
+
+
+def every_slot_tensor(rng):
+    return TensorForm({(w, leg, m): co for w in WORDS for leg in "+-"
+                       for m, co in element(rng).terms.items()})
+
+
+def test_pair_rule_against_the_whole_key_rules():
+    rng = random.Random(20)
+    calculus._pair_rule.cache_clear()
+    vanishing = crossing = 0
+    for _ in range(15):
+        x, y = every_word_form(rng), every_word_form(rng)
+        one_form, tf = every_word_form(rng, ("+", "-")), every_slot_tensor(rng)
+        assert calculus.wedge_sum(Form, [(x, y)]).terms == old_product(x, y, old_wedge_rule)
+        assert calculus.wedge_sum(TensorForm, [(x, tf), (y, tf)]).terms == old_plus(
+            TensorForm._wrap(old_product(x, tf, old_wedge_rule)),
+            TensorForm._wrap(old_product(y, tf, old_wedge_rule))).terms
+        got = calculus.tensor_sum([(x, one_form)])
+        assert got.terms == old_product(x, one_form, old_tensor_rule) and type(got) is TensorForm
+        for (w1, _), _ in x.terms.items():
+            for k2 in list(y.terms) + list(tf.terms):
+                deg = k2[-1].degree()
+                st = calculus._pair_rule(calculus._wedge_rule, w1, k2[:-1], deg)
+                old = old_wedge_rule(w1, k2)
+                if old is None:
+                    assert st is None
+                    vanishing += 1
+                    continue
+                pre, co = old
+                if w1.crossing() and deg:
+                    co = co * q(w1.crossing() * deg)
+                    crossing += 1
+                assert st == (pre, co)
+    assert vanishing > 100 and crossing > 100
+    info = calculus._pair_rule.cache_info()
+    assert info.maxsize == 1024 and 0 < info.currsize <= 1024
+
+
+# ---------------------------------------------------------------------------
+# the one-pass sphere gate against the two-pass check it replaced
+
+
+def two_pass_check_sphere_form(form):
+    parts = form.by_word()
+    bad = [w for w, x in parts.items() if "0" in w or {m.degree() for m in x.terms} - {-w.charge()}]
+    if bad:
+        w = min(bad, key=calculus._word_order)
+        if "0" in w:
+            raise ValueError("form does not live on the sphere (e0 present)")
+        part = "coefficient of " + calculus.render_word(w) if w else "the 0-form part"
+        raise ValueError("%s must have degree %d" % (part, -w.charge()))
+    return parts
+
+
+def gate_outcome(check, form):
+    try:
+        parts = check(form)
+    except ValueError as exc:
+        return str(exc)
+    return [(w, slotted(x.terms)) for w, x in parts.items()]
+
+
+def test_sphere_gate_against_the_two_pass_check():
+    rng = random.Random(21)
+    good = []
+    for _ in range(30):
+        tau = Form.of(sphere_element(rng)) + Form.of(sphere_element(rng), VOL)
+        for i in rng.sample("-0+", 2):
+            tau = tau + sphere_element(rng) * sphere.DB[i]
+        good.append(tau)
+    bad = {
+        "e0": Form.of(sphere_element(rng), "0"),
+        "e+": Form.of(a * a, "+"),
+        "e-": Form.of(b * gd, "-"),
+        "0-form": Form.of(a),
+        "area": Form.of(c, VOL),
+        "e0 area": Form.of(a, "+-0"),
+    }
+    cases = list(good)
+    for tau in good[:6]:
+        for name, x in bad.items():
+            cases += [tau + x, x + tau]
+    for x, y in ((bad["e+"], bad["0-form"]), (bad["e-"], bad["area"]), (bad["e0"], bad["e+"])):
+        cases += [x + y, y + x]
+    messages = set()
+    for tau in cases:
+        want = gate_outcome(two_pass_check_sphere_form, tau)
+        assert gate_outcome(calculus.check_sphere_form, tau) == want
+        if isinstance(want, str):
+            messages.add(want)
+    assert messages == {
+        "form does not live on the sphere (e0 present)",
+        "coefficient of ep must have degree -2",
+        "coefficient of em must have degree 2",
+        "the 0-form part must have degree 0",
+        "coefficient of ep*em must have degree 0",
+    }
+    # a word whose monomials are of mixed degree is bad, in either order
+    mixed = Form.of(bm + a * a, "-")
+    assert gate_outcome(calculus.check_sphere_form, mixed) == "coefficient of em must have degree 2"
+    assert gate_outcome(calculus.check_sphere_form, Form.of(a * a + bm, "-")) == (
+        "coefficient of em must have degree 2")

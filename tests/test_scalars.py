@@ -11,6 +11,7 @@ from qsphere.scalars import (
     ZERO,
     Scalar,
     _laurent_product,
+    _general_pair,
     _laurent_sum,
     _plus,
     _reduce_general,
@@ -340,6 +341,35 @@ def test_decided_results_examples():
     for zero in (ZERO * s ** 3, s ** -5 * ZERO, ZERO * (ONE / (ONE + q ** -4))):
         assert zero is ZERO and zero._e == 0
     assert _slots(ZERO - x) == _slots(-x)
+
+
+# --- the one unit object
+#
+# Every value 1 that the kernel builds is the object ONE, so a product with
+# it is decided by identity and the loops above the kernel can skip it.
+
+
+def test_every_built_unit_is_the_one_object():
+    q2 = q ** 2
+    for unit in (Scalar.from_int(1), Scalar.q_power(0), Scalar.s_power(0),
+                 (ONE + q) / (ONE + q), (ONE + q ** -4) / (ONE + q ** -4), q * q ** -1,
+                 lam * s, (q ** -2 + 1) - q ** -2, (q2 + 1) - q2, s ** 3 / s ** 3,
+                 Scalar.from_int(3) / 3, ONE / (ONE / (ONE + q) * (ONE + q)), q ** 0):
+        assert unit is ONE
+    # a unit built from its dense pair is a separate object, equal to ONE
+    other = Scalar((1,))
+    assert other is not ONE and other == ONE and _slots(other) == _slots(ONE)
+    # the int coercion comes first, so ONE * 1 stays a Scalar
+    assert ONE * 1 is ONE and 1 * ONE is ONE and isinstance(ONE * 1, Scalar)
+    assert ONE * 2 == 2 and isinstance(2 * ONE, Scalar)
+
+
+def test_a_product_with_the_one_object_is_the_other_operand():
+    general = ONE / (ONE + q ** -4)
+    for x in (q, (ONE + q ** 2) / 3, lam - 2 * s, general, general * q, ZERO, ONE, -ONE):
+        assert x * ONE is x and ONE * x is x
+        for unit in (Scalar((1,)), Scalar.from_int(2) / 2):
+            assert _slots(x * unit) == _slots(x) == _slots(unit * x)
 
 
 # --- cross-check against sympy ----------------------------------------------
@@ -881,3 +911,83 @@ def test_wrong_sum_entry_fails_the_check(monkeypatch):
     for x, y in [(ops[0], ops[1]), (ops[3], ops[4])]:
         with pytest.raises(AssertionError):
             _check_table_sums([(x, y)])
+
+
+# --- the table of the general path ------------------------------------------
+
+
+def _general_operands():
+    """True rational functions, and values that reduce back to Laurent ones."""
+    q2 = q ** 2
+    return [ONE / (ONE + q ** -4), (ONE + q) / (ONE + q2), (2 * q - 1) / (ONE - q2 + q ** 4),
+            (ONE + q) / 3, lam / (ONE + s), mu / (ONE + q ** 3), two_q, q ** -2 - 5]
+
+
+def _check_general(pairs):
+    """x * y, x + y and x / y equal the dense reference and sympy."""
+    import sympy
+
+    for x, y in pairs:
+        xn, xd, yn, yd = x.num, x.den, y.num, y.den
+        for got, want, oracle in (
+            (x * y, _canonical(pmul(xn, yn), pmul(xd, yd)), _to_sympy(x) * _to_sympy(y)),
+            (x + y, _canonical(padd(pmul(xn, yd), pmul(yn, xd)), pmul(xd, yd)),
+             _to_sympy(x) + _to_sympy(y)),
+            (x / y, _canonical(pmul(xn, yd), pmul(xd, yn)), _to_sympy(x) / _to_sympy(y)),
+        ):
+            assert (got.num, got.den) == want
+            assert _to_sympy(got) == sympy.cancel(oracle)
+            _check_canonical(got)
+
+
+def test_general_table_cold_and_warm_matches_references():
+    ops = _general_operands()
+    pairs = [(x, y) for x in ops for y in ops]
+    _general_pair.cache_clear()
+    _check_general(pairs)  # cold: every distinct general pair is a miss
+    info = _general_pair.cache_info()
+    assert info.misses > 0 and info.currsize == info.misses
+    _check_general(pairs)  # warm: read back from the table
+    warm = _general_pair.cache_info()
+    assert warm.misses == info.misses and warm.hits > info.hits
+    # each entry is the reference reduction of its key
+    x, y = ops[0], ops[1]
+    key = (pmul(x.num, y.num), pmul(x.den, y.den))
+    assert _general_pair(*key) == _reduce_general(*key)
+
+
+def test_general_table_is_bounded():
+    maxsize = _general_pair.cache_info().maxsize
+    assert maxsize == 256
+    _general_pair.cache_clear()
+    for n in range(1, maxsize + 50):
+        ONE / (ONE + n * q)
+    info = _general_pair.cache_info()
+    assert info.misses == maxsize + 49 and info.currsize <= maxsize
+    _check_general([(ONE / (ONE + 5 * q), q), (ONE, ONE / (ONE + (maxsize + 20) * q))])
+
+
+def test_long_general_pairs_go_round_the_table():
+    _general_pair.cache_clear()
+    before = _general_pair.cache_info()
+    # 33 entries go round the table, 32 enter it
+    for n in (32, 40):
+        assert (ONE / (ONE + s ** n)).den == (1,) + (0,) * (n - 1) + (1,)
+    assert _general_pair.cache_info() == before
+    ONE / (ONE + s ** 31)
+    assert _general_pair.cache_info().misses == before.misses + 1
+    # (x y) / y at dense span 200: its factors share y, so the gcd is fast
+    rng = random.Random(20261022)
+
+    def dense():
+        body = [rng.randint(-9, 9) for _ in range(200)]
+        body[0], body[-1] = rng.choice((1, -2, 3)), rng.choice((1, -1, 5))
+        return Scalar(tuple(body), (0, 0, 0, 2))
+
+    x, y = dense(), dense()
+    before = _general_pair.cache_info()
+    z = x * y
+    got = z / y
+    assert got == x and (got.num, got.den) == _canonical(pmul(z.num, y.den), pmul(z.den, y.num))
+    _check_canonical(got)
+    assert _general_pair.cache_info() == before

@@ -28,7 +28,10 @@ from ``git -C CHECKOUT rev-parse HEAD`` where that record has none, as in
 a worktree, whose ``.git`` is a file), and the
 median wall time of 5 fresh ``python -m qsphere.cli --suite all --quiet``
 children (``suite_all_s``), the two sides alternating, each child with its
-own empty ``PYTHONPYCACHEPREFIX``.  ``memo_tables`` holds, for each side,
+own empty ``PYTHONPYCACHEPREFIX``.  ``tier1_s`` is the wall time of one
+Tier-1 run per side (``python -m pytest -q --continue-on-collection-errors``
+with ``PYTHONPATH=src``), the sides one after the other, each with its own
+empty ``PYTHONPYCACHEPREFIX``.  ``memo_tables`` holds, for each side,
 the ``cache_info()`` (hits, misses, currsize, maxsize) of every
 ``functools`` cache defined at the top level of a ``qsphere`` module, read
 after one ``qsphere --suite all --seed 0`` run in a fresh child.  The
@@ -140,6 +143,21 @@ def suite_all_seconds(checkouts):
     return {side: statistics.median(t) for side, t in times.items()}
 
 
+def tier1_seconds(checkouts):
+    """{side: wall time of one fresh Tier-1 pytest run in that checkout}."""
+    times = {}
+    for side in SIDES:
+        with fresh_pycache(PYTHONPATH=str(checkouts[side] / "src")) as env:
+            start = perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                cwd=checkouts[side], env=env, capture_output=True, text=True, timeout=3600)
+            times[side] = perf_counter() - start
+        if proc.returncode != 0:
+            raise RuntimeError("Tier-1 failed in %s:\n%s" % (checkouts[side], proc.stdout[-2000:]))
+    return times
+
+
 MEMO_TABLES_CHILD = """
 import contextlib, io, json, sys
 from qsphere import cli
@@ -245,6 +263,9 @@ def main(argv=None):
     print("--suite all, %d runs per side" % SUITE_ALL_RUNS, file=sys.stderr, flush=True)
     for side, seconds in suite_all_seconds(checkouts).items():
         sides[side]["suite_all_s"] = seconds
+    print("Tier-1, one run per side", file=sys.stderr, flush=True)
+    for side, seconds in tier1_seconds(checkouts).items():
+        sides[side]["tier1_s"] = seconds
     for side in SIDES:
         sides[side]["memo_tables"] = memo_tables(checkouts[side])
     correct = all(p[side]["correct"] for w in workloads.values() for p in w["pairs"] for side in SIDES)
